@@ -37,8 +37,9 @@ pub const REFERENCE_MS: f64 = 1.0;
 /// outgrows a core's L2, so every run goes to the shared cache whatever
 /// ran before it — where a shared host's contention lands on the
 /// simulator too. The benchmark runs it just before each timed step and
-/// set-up and scales those times by `REFERENCE_MS / kernel time`, which
-/// takes out most of the host's speed swings. The kernel is part of the
+/// set-up and scales a run's median step and set-up times by
+/// `REFERENCE_MS / median kernel time` (see `medians`), which takes out
+/// much of the host's speed swings. The kernel is part of the
 /// benchmark's definition; changing it changes every scaled figure.
 pub fn reference_kernel_ms() -> f64 {
     thread_local! {
@@ -70,15 +71,30 @@ pub fn reference_kernel_ms() -> f64 {
 pub struct Timed {
     /// The measured time, seconds.
     pub secs: f64,
-    /// [`reference_kernel_ms`] just before, ms.
-    pub kernel_ms: f64,
+    /// [`reference_kernel_ms`] just before, ms; `None` for a time left
+    /// unscaled.
+    pub kernel_ms: Option<f64>,
 }
 
-impl Timed {
-    /// The time scaled to the nominal host, seconds.
-    pub fn scaled(self) -> f64 {
-        self.secs * REFERENCE_MS / self.kernel_ms
-    }
+/// The median of a run's samples of one kind, seconds, as measured and
+/// scaled to the nominal host: times `REFERENCE_MS` over the median
+/// kernel time beside the samples (as measured where none has one).
+///
+/// Scaling medians rather than each sample: one kernel time spreads
+/// wider than the step beside it (interquartile range about 0.3 of the
+/// median against 0.2 for a 7B step), so dividing each sample by its own
+/// adds that noise to every sample. Recomputed from the same runs of two
+/// ten-seed sets, `tiered_thrash`'s spread fell from 0.103 and 0.187 to
+/// 0.079 and 0.070; the other workloads' stayed about the same.
+fn medians(samples: &[Timed]) -> (f64, f64) {
+    let raw = median(&samples.iter().map(|t| t.secs).collect::<Vec<_>>());
+    let kernels: Vec<f64> = samples.iter().filter_map(|t| t.kernel_ms).collect();
+    let scaled = if kernels.is_empty() {
+        raw
+    } else {
+        raw * REFERENCE_MS / median(&kernels)
+    };
+    (raw, scaled)
 }
 
 /// What one pass of a workload produced.
@@ -92,7 +108,7 @@ pub struct Pass {
     /// serving steps, batched forward steps.
     pub steps: u64,
     /// Host time per step: one sample per step where the benchmark can
-    /// time steps one by one, else one for the pass.
+    /// time steps one by one, else the mean over a run of steps.
     pub step_samples: Vec<Timed>,
     /// Operations attempted: tokens priced, requests offered, positions
     /// decoded.
@@ -181,7 +197,19 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
     v[((v.len() - 1) as f64 * q).round() as usize]
 }
 
-/// Peak resident set size of this process, MiB (`VmHWM`).
+/// Resets this process's peak resident set size (`VmHWM`) to its current
+/// one, so that [`peak_rss_mib`] reads the peak since the reset.
+///
+/// # Errors
+///
+/// Returns an error where the kernel does not accept the reset.
+pub fn reset_peak_rss() -> Result<(), String> {
+    std::fs::write("/proc/self/clear_refs", "5")
+        .map_err(|e| format!("cannot reset the peak resident set: {e}"))
+}
+
+/// Peak resident set size of this process, MiB (`VmHWM`): the largest
+/// since the last [`reset_peak_rss`], or since the process started.
 ///
 /// # Errors
 ///
@@ -273,6 +301,12 @@ pub struct RunConfig {
     pub scale: Scale,
 }
 
+/// `zllm-par` threads a run may use. Host figures are one core's: on a
+/// shared host, a fan-out over two cores waits for the busier one each
+/// step, and `functional_decode`'s steps ran both slower and twice as
+/// spread as on one thread. The reference kernel times one core too.
+pub const THREADS: usize = 1;
+
 /// Passes a run makes at the least, of each kind, whatever its time:
 /// enough to check a repeat against the first pass.
 pub const MIN_PASSES: usize = 2;
@@ -320,12 +354,14 @@ impl RunResult {
 ///
 /// # Errors
 ///
-/// Returns an error if peak memory cannot be read.
+/// Returns an error if peak memory cannot be reset or read.
 pub fn run(cfg: RunConfig) -> Result<RunResult, String> {
-    zllm_par::set_max_threads(Some(nproc()));
+    zllm_par::set_max_threads(Some(THREADS));
     // Finish the library's lazy set-up (the f16 decode table) before any
     // clock starts.
     std::hint::black_box(zllm_fp16::F16::from_f32(1.0).to_f32());
+    // This run's peak, not that of a workload run before it in the process.
+    reset_peak_rss()?;
     let start = Instant::now();
     let mut plain: Vec<Pass> = Vec::new();
     let mut traced: Vec<Pass> = Vec::new();
@@ -340,24 +376,7 @@ pub fn run(cfg: RunConfig) -> Result<RunResult, String> {
     }
 
     let reference = &plain[0];
-    let mut failures: Vec<String> = Vec::new();
-    let (mut attempted, mut failed) = (0u64, 0u64);
-    for (i, p) in plain.iter().chain(&traced).enumerate() {
-        let mut bad = p.failures.clone();
-        if p.fingerprint != reference.fingerprint || !same_bits(&p.sim, &reference.sim) {
-            let kind = if i < plain.len() { "repeat" } else { "traced" };
-            bad.push(format!(
-                "{kind} pass {i} changed the simulated results of pass 0"
-            ));
-        }
-        attempted += p.ops;
-        failed += if bad.is_empty() { p.refused } else { p.ops };
-        for f in bad {
-            if !failures.contains(&f) {
-                failures.push(f);
-            }
-        }
-    }
+    let (attempted, failed, failures) = check_passes(&plain, &traced);
 
     let med = |passes: &[Pass], f: &dyn Fn(&Pass) -> f64| {
         median(&passes.iter().map(f).collect::<Vec<_>>())
@@ -365,25 +384,20 @@ pub fn run(cfg: RunConfig) -> Result<RunResult, String> {
     let host_s = med(&plain, &|p| p.host_s);
     let mut values: BTreeMap<&'static str, f64> = reference.sim.clone();
     values.insert("host_s", host_s);
-    fn steps(p: &Pass) -> &[Timed] {
-        &p.step_samples
-    }
-    fn setups(p: &Pass) -> &[Timed] {
-        &p.setup_samples
-    }
-    let pooled = |samples: fn(&Pass) -> &[Timed], f: fn(Timed) -> f64| {
-        median(
-            &plain
-                .iter()
-                .flat_map(|p| samples(p).iter().map(|&t| f(t)))
-                .collect::<Vec<_>>(),
-        )
-    };
-    values.insert("host_ms_per_step", pooled(steps, Timed::scaled) * 1e3);
-    values.insert("host_ms_per_step.raw", pooled(steps, |t| t.secs) * 1e3);
-    values.insert("setup_s", pooled(setups, Timed::scaled));
-    values.insert("setup_s.raw", pooled(setups, |t| t.secs));
-    values.insert("ref.kernel_ms", pooled(steps, |t| t.kernel_ms));
+    let steps: Vec<Timed> = plain.iter().flat_map(|p| p.step_samples.clone()).collect();
+    let setups: Vec<Timed> = plain.iter().flat_map(|p| p.setup_samples.clone()).collect();
+    let (step_raw, step_scaled) = medians(&steps);
+    let (setup_raw, setup_scaled) = medians(&setups);
+    values.insert("host_ms_per_step", step_scaled * 1e3);
+    values.insert("host_ms_per_step.raw", step_raw * 1e3);
+    values.insert("setup_s", setup_scaled);
+    values.insert("setup_s.raw", setup_raw);
+    let kernels: Vec<f64> = steps
+        .iter()
+        .chain(&setups)
+        .filter_map(|t| t.kernel_ms)
+        .collect();
+    values.insert("ref.kernel_ms", median(&kernels));
     values.insert("peak_rss_mib", peak_rss_mib()?);
     if reference.sim_bytes > 0 {
         values.insert(
@@ -410,6 +424,34 @@ pub fn run(cfg: RunConfig) -> Result<RunResult, String> {
     })
 }
 
+/// Checks every pass against the first untraced one and counts
+/// operations: returns (attempted, failed, failed checks deduplicated).
+/// A pass that fails a check, or whose simulated results differ from the
+/// first pass's, counts all of its operations as failed; otherwise only
+/// those the system refused.
+fn check_passes(plain: &[Pass], traced: &[Pass]) -> (u64, u64, Vec<String>) {
+    let reference = &plain[0];
+    let mut failures: Vec<String> = Vec::new();
+    let (mut attempted, mut failed) = (0u64, 0u64);
+    for (i, p) in plain.iter().chain(traced).enumerate() {
+        let mut bad = p.failures.clone();
+        if p.fingerprint != reference.fingerprint || !same_bits(&p.sim, &reference.sim) {
+            let kind = if i < plain.len() { "repeat" } else { "traced" };
+            bad.push(format!(
+                "{kind} pass {i} changed the simulated results of pass 0"
+            ));
+        }
+        attempted += p.ops;
+        failed += if bad.is_empty() { p.refused } else { p.ops };
+        for f in bad {
+            if !failures.contains(&f) {
+                failures.push(f);
+            }
+        }
+    }
+    (attempted, failed, failures)
+}
+
 /// Whether two result maps hold the same names and bit-identical values.
 fn same_bits(a: &BTreeMap<&'static str, f64>, b: &BTreeMap<&'static str, f64>) -> bool {
     a.len() == b.len()
@@ -423,4 +465,56 @@ pub fn nproc() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn pass(fingerprint: u64, ops: u64, refused: u64) -> Pass {
+        let mut p = Pass {
+            ops,
+            refused,
+            fingerprint,
+            ..Pass::default()
+        };
+        p.sim.insert("sim_tok_s", 4.9);
+        p
+    }
+
+    #[test]
+    fn a_pass_that_fails_a_check_counts_all_its_operations() {
+        let good = pass(1, 10, 2);
+        let (attempted, failed, failures) = check_passes(&[good.clone(), good.clone()], &[]);
+        assert_eq!((attempted, failed), (20, 4));
+        assert!(failures.is_empty());
+
+        let mut broken = good.clone();
+        broken.failures.push("byte conservation".to_owned());
+        let mut changed = good.clone();
+        changed.sim.insert("sim_tok_s", 5.0);
+        let (attempted, failed, failures) = check_passes(
+            &[good.clone(), broken.clone(), broken],
+            &[pass(2, 10, 0), changed],
+        );
+        assert_eq!((attempted, failed), (50, 2 + 10 + 10 + 10 + 10));
+        assert_eq!(
+            failures,
+            [
+                "byte conservation",
+                "traced pass 3 changed the simulated results of pass 0",
+                "traced pass 4 changed the simulated results of pass 0",
+            ]
+        );
+    }
+
+    #[test]
+    fn medians_scale_the_median_time_by_the_median_kernel() {
+        let t = |secs, kernel_ms| Timed { secs, kernel_ms };
+        // Per-sample scaling would give the median of 0.1, 0.1 and 0.5.
+        let samples = [t(0.2, Some(2.0)), t(0.1, Some(1.0)), t(0.5, Some(1.0))];
+        assert_eq!(medians(&samples), (0.2, 0.2 * REFERENCE_MS / 1.0));
+        let unscaled = [t(0.3, None), t(0.1, None), t(0.2, None)];
+        assert_eq!(medians(&unscaled), (0.2, 0.2));
+    }
 }

@@ -13,7 +13,7 @@
 
 use std::process::ExitCode;
 use zllm_perfbench::catalogue::{self, Clock, Metric};
-use zllm_perfbench::{nproc, run, RunConfig, RunResult, Scale, Workload};
+use zllm_perfbench::{nproc, run, RunConfig, RunResult, Scale, Workload, THREADS};
 
 const USAGE: &str = "usage: perfbench --workload <decode7b|serve_paged|tiered_thrash|\
 functional_decode|all> [--seed N] [--seconds S] [--trace 0|1]";
@@ -112,7 +112,7 @@ fn main() -> ExitCode {
     };
     println!(
         "{{\"workload\": \"{}\", \"seed\": {}, \"seconds\": {:?}, \"trace\": {}, \"nproc\": {}, \
-         \"rustc\": \"{}\", \"git_sha\": \"{}\"}}",
+         \"threads\": {}, \"rustc\": \"{}\", \"git_sha\": \"{}\"}}",
         args.workloads
             .iter()
             .map(|w| w.name())
@@ -122,6 +122,7 @@ fn main() -> ExitCode {
         args.seconds,
         u8::from(args.trace),
         nproc(),
+        THREADS,
         env!("PERFBENCH_RUSTC"),
         env!("PERFBENCH_GIT_SHA"),
     );

@@ -87,7 +87,13 @@ impl Meter {
         let t = Instant::now();
         let r = f(self);
         let secs = t.elapsed().as_secs_f64();
-        (r, Timed { secs, kernel_ms })
+        (
+            r,
+            Timed {
+                secs,
+                kernel_ms: Some(kernel_ms),
+            },
+        )
     }
 
     /// Runs the measured part of the workload: its wall time, less any

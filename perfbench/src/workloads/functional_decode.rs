@@ -7,7 +7,7 @@
 
 use super::Scale;
 use crate::meter::Meter;
-use crate::{ratio, Fingerprint, Pass, Timed};
+use crate::{ratio, Fingerprint, Pass};
 use zllm_accel::converter::{convert, PtqMethod};
 use zllm_accel::AccelBatchDecoder;
 use zllm_model::calibration::capture;
@@ -88,16 +88,19 @@ pub(super) fn pass(seed: u64, scale: Scale, meter: &mut Meter) -> Pass {
     // Scratch and KV allocation only; not part of the timed set-up.
     let mut decoder = AccelBatchDecoder::new(&qm, BATCH);
 
-    let mut step_samples = Vec::with_capacity(1 + steps.len());
+    let mut step_samples = Vec::with_capacity(PROMPT + steps.len());
     // logits[p][s]: position p's logits for sequence s (p = 0 is the
     // prompt's last position).
     let logits: Vec<Vec<Vec<f32>>> = meter.measured(|meter| {
-        let (prefill, timed) =
-            meter.time(|m| m.span("functional.prefill", |_| decoder.prefill_batch(&prompt)));
-        step_samples.push(Timed {
-            secs: timed.secs / PROMPT as f64,
-            ..timed
-        });
+        // Prefill in one-position chunks, each timed alone, so that every
+        // prompt position is a step sample beside the decode steps.
+        let mut prefill = Vec::new();
+        for chunk in prompt.chunks(1) {
+            let (logits, timed) =
+                meter.time(|m| m.span("functional.prefill", |_| decoder.prefill_batch(chunk)));
+            prefill = logits;
+            step_samples.push(timed);
+        }
         let mut out = vec![prefill];
         for step in &steps {
             let (logits, timed) =
