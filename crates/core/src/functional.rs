@@ -67,102 +67,37 @@ impl QuantizedMatrix {
     }
 
     /// Matrix–vector product through the VPU: per output row, dequantize
-    /// each group beat and accumulate the lane dot products in f32.
+    /// each group beat and accumulate the lane dot products in f32 — a
+    /// one-sequence [`QuantizedMatrix::matvec_batch`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != cols`.
     pub fn matvec(&self, vpu: &Vpu, x: &[F16]) -> Vec<F16> {
-        let mut scratch = MatvecScratch::default();
-        let mut out = Vec::with_capacity(self.rows);
-        self.matvec_into(vpu, x, &mut scratch, &mut out);
-        out
+        let mut outs = Vec::with_capacity(1);
+        let mut scratch = BatchMatvecScratch::default();
+        self.matvec_batch(vpu, &[x.to_vec()], &mut scratch, &mut outs);
+        outs.pop().expect("one product per sequence")
     }
 
-    /// [`QuantizedMatrix::matvec`] with caller-provided scratch buffers;
-    /// `out` receives the results (cleared first). Per-row group/beat
-    /// order, rounding and f32 accumulation are unchanged, so the output
-    /// is bit-identical to the allocating variant — the decode loop uses
-    /// this to run each token with zero per-group allocation.
+    /// Matrix–vector products for a whole batch of activation vectors in
+    /// one weight pass: each group is dequantized **once** into a weight
+    /// beat that every sequence reuses — the functional mirror of the
+    /// trace path's weight-stream amortization.
+    ///
+    /// Per sequence, each row's groups run in order, each group in beats
+    /// of `lanes` elements through the engine, and the beat results add
+    /// into one f32 accumulator per row, so each output vector is
+    /// bit-identical to a one-sequence call with that sequence's
+    /// activations.
     ///
     /// With fast kernels enabled ([`zllm_fp16::fast_kernels_enabled`])
-    /// 4-bit groups take a fused path: the activations are decoded to f32
-    /// once per call, each group dequantizes through its 16-entry
-    /// per-code table ([`Vpu::dequant_table16`]), and the engine gathers
-    /// straight from it per lane ([`Vpu::dot_q4`]). Every per-element
-    /// value, rounding and counter increment is identical to the beat
-    /// path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols`.
-    pub fn matvec_into(
-        &self,
-        vpu: &Vpu,
-        x: &[F16],
-        scratch: &mut MatvecScratch,
-        out: &mut Vec<F16>,
-    ) {
-        assert_eq!(x.len(), self.cols, "operand length mismatch");
-        let lanes = vpu.lanes();
-        out.clear();
-        out.reserve(self.rows);
-        let fused = zllm_fp16::fast_kernels_enabled();
-        if fused {
-            scratch.x32.clear();
-            scratch.x32.extend(x.iter().map(|v| v.to_f32()));
-        }
-        for row in &self.rows_q {
-            let gs = row.config().group_size;
-            let mut acc = 0.0f32;
-            for (g, chunk) in row.codes().chunks(gs).enumerate() {
-                let lo = g * gs;
-                if fused && chunk.len() > 16 && chunk.iter().all(|&q| q < 16) {
-                    let lut = vpu.dequant_table16(row.zeros()[g], row.scales()[g]);
-                    let dots = &mut scratch.dots;
-                    for (cb, xb) in chunk
-                        .chunks(lanes)
-                        .zip(scratch.x32[lo..lo + chunk.len()].chunks(lanes))
-                    {
-                        acc += vpu.dot_q4(dots, cb, &lut, xb);
-                    }
-                } else {
-                    let beat = &mut scratch.beat;
-                    vpu.dequantize_beat_into(chunk, row.zeros()[g], row.scales()[g], beat);
-                    for (wb, xb) in beat
-                        .chunks(lanes)
-                        .zip(x[lo..lo + chunk.len()].chunks(lanes))
-                    {
-                        acc += vpu.dot(wb, xb);
-                    }
-                }
-            }
-            out.push(F16::from_f32(acc));
-        }
-    }
-}
-
-/// Reusable scratch for [`QuantizedMatrix::matvec_into`]: one dequantized
-/// beat for the scalar path, plus the predecoded activations and engine
-/// tree scratch the fused fast path streams through.
-#[derive(Debug, Clone, Default)]
-pub struct MatvecScratch {
-    beat: crate::vpu::WeightBeat,
-    x32: Vec<f32>,
-    dots: zllm_fp16::vector::DotScratch,
-}
-
-impl QuantizedMatrix {
-    /// Matrix–vector products for a whole batch of activation vectors in
-    /// one weight pass: each group's dequantization (the 16-entry code
-    /// table on the fused path, the decoded beat otherwise) is computed
-    /// **once** and reused by every sequence — the functional mirror of
-    /// the trace path's weight-stream amortization.
-    ///
-    /// Per sequence, the group order, lane chunking, rounding and f32
-    /// accumulation are exactly those of [`QuantizedMatrix::matvec_into`],
-    /// so each output vector is bit-identical to a single-sequence call
-    /// with that sequence's activations.
+    /// 4-bit groups take the fused path: the activations are decoded to
+    /// f32 once per call, each group decodes through its 16-entry
+    /// per-code table ([`Vpu::dequant_table16`]) into one f32 beat, and
+    /// every sequence runs the engine over that beat
+    /// ([`Vpu::dot_f32_scratch`]). Every per-element value, rounding and
+    /// counter increment is identical to the F16 beat path.
     ///
     /// `outs` is resized to the batch; each entry receives that
     /// sequence's product (cleared first).
@@ -191,6 +126,7 @@ impl QuantizedMatrix {
         let fused = zllm_fp16::fast_kernels_enabled();
         let BatchMatvecScratch {
             beat,
+            w32,
             x32,
             dots,
             accs,
@@ -208,24 +144,23 @@ impl QuantizedMatrix {
             accs.resize(b, 0.0f32);
             for (g, chunk) in row.codes().chunks(gs).enumerate() {
                 let lo = g * gs;
-                if fused && chunk.len() > 16 && chunk.iter().all(|&q| q < 16) {
-                    // One table per group for the whole batch.
+                if fused && chunk.iter().all(|&q| q < 16) {
+                    // One decoded beat per group for the whole batch.
                     let lut = vpu.dequant_table16(row.zeros()[g], row.scales()[g]);
-                    for (seq, acc) in accs.iter_mut().enumerate() {
-                        for (cb, xb) in chunk
-                            .chunks(lanes)
-                            .zip(x32[seq][lo..lo + chunk.len()].chunks(lanes))
+                    w32.clear();
+                    w32.extend(chunk.iter().map(|&q| lut[q as usize]));
+                    for (acc, x) in accs.iter_mut().zip(x32.iter()) {
+                        for (wb, xb) in w32.chunks(lanes).zip(x[lo..lo + chunk.len()].chunks(lanes))
                         {
-                            *acc += vpu.dot_q4(dots, cb, &lut, xb);
+                            *acc += vpu.dot_f32_scratch(dots, wb, xb);
                         }
                     }
                 } else {
-                    // One decoded beat per group for the whole batch.
                     vpu.dequantize_beat_into(chunk, row.zeros()[g], row.scales()[g], beat);
-                    for (seq, acc) in accs.iter_mut().enumerate() {
+                    for (acc, x) in accs.iter_mut().zip(xs) {
                         for (wb, xb) in beat
                             .chunks(lanes)
-                            .zip(xs[seq][lo..lo + chunk.len()].chunks(lanes))
+                            .zip(x[lo..lo + chunk.len()].chunks(lanes))
                         {
                             *acc += vpu.dot(wb, xb);
                         }
@@ -240,11 +175,12 @@ impl QuantizedMatrix {
 }
 
 /// Reusable scratch for [`QuantizedMatrix::matvec_batch`]: the shared
-/// per-group beat/table state plus per-sequence decoded activations and
-/// row accumulators.
+/// per-group weight beat (F16 on the scalar path, f32 on the fused one)
+/// plus per-sequence decoded activations and row accumulators.
 #[derive(Debug, Clone, Default)]
 pub struct BatchMatvecScratch {
     beat: crate::vpu::WeightBeat,
+    w32: Vec<f32>,
     x32: Vec<Vec<f32>>,
     dots: zllm_fp16::vector::DotScratch,
     accs: Vec<f32>,
@@ -455,7 +391,9 @@ impl KvPagePool {
     }
 }
 
-/// The functional accelerator decoder.
+/// The functional accelerator decoder for a single sequence: an
+/// [`AccelBatchDecoder`] with a batch of one, so both run the same
+/// datapath code.
 ///
 /// # Example
 ///
@@ -473,56 +411,14 @@ impl KvPagePool {
 /// ```
 #[derive(Debug)]
 pub struct AccelDecoder<'m> {
-    model: &'m QuantizedModel,
-    vpu: Vpu,
-    rope: RopeUnit,
-    rms: RmsNormUnit,
-    softmax: SoftmaxUnit,
-    silu: SiluUnit,
-    quantizer: KvQuantizer,
-    kv: Vec<LayerKv>,
-    pos: usize,
-    scratch: AccelScratch,
-}
-
-/// Per-token scratch reused across [`AccelDecoder::forward`] calls — an
-/// allocation optimisation only; every value is produced by the identical
-/// datapath operations in the identical order.
-#[derive(Debug, Default)]
-struct AccelScratch {
-    /// Matvec scratch (dequantized beat + fused-path f32 buffers), shared
-    /// by every matvec.
-    mv: MatvecScratch,
-    q: Vec<F16>,
-    k: Vec<F16>,
-    v: Vec<F16>,
-    attn_out: Vec<F16>,
-    scores: Vec<F16>,
-    /// One dequantized KV8 head vector streamed from the cache.
-    kv: Vec<F16>,
-    /// Per-lane f32 accumulator of the weighted value sum.
-    acc: Vec<f32>,
-    proj: Vec<F16>,
-    gate: Vec<F16>,
-    up: Vec<F16>,
-    logits: Vec<F16>,
+    batch: AccelBatchDecoder<'m>,
 }
 
 impl<'m> AccelDecoder<'m> {
     /// Creates a decoder over a quantized model.
     pub fn new(model: &'m QuantizedModel) -> AccelDecoder<'m> {
-        let cfg = model.config();
         AccelDecoder {
-            model,
-            vpu: Vpu::kv260(),
-            rope: RopeUnit::new(cfg.head_dim()),
-            rms: RmsNormUnit::new(cfg.norm_eps),
-            softmax: SoftmaxUnit::new(),
-            silu: SiluUnit::new(),
-            quantizer: KvQuantizer::new(cfg.n_layers * cfg.n_kv_heads * 2),
-            kv: vec![LayerKv::default(); cfg.n_layers],
-            pos: 0,
-            scratch: AccelScratch::default(),
+            batch: AccelBatchDecoder::new(model, 1),
         }
     }
 
@@ -532,23 +428,14 @@ impl<'m> AccelDecoder<'m> {
         model: &'m QuantizedModel,
         reg: &mut zllm_telemetry::MetricsRegistry,
     ) -> AccelDecoder<'m> {
-        let cfg = model.config();
-        let mut dec = AccelDecoder::new(model);
-        dec.vpu = Vpu::with_counters(
-            128,
-            zllm_fp16::vector::TreePrecision::Fp32,
-            crate::vpu::VpuCounters::register(reg, "vpu"),
-        );
-        dec.quantizer = KvQuantizer::with_counters(
-            cfg.n_layers * cfg.n_kv_heads * 2,
-            zllm_layout::kv_pack::KvPackCounters::register(reg, "kv_pack"),
-        );
-        dec
+        AccelDecoder {
+            batch: AccelBatchDecoder::with_metrics(model, 1, reg),
+        }
     }
 
     /// Tokens processed so far.
     pub fn pos(&self) -> usize {
-        self.pos
+        self.batch.seq_pos(0)
     }
 
     /// Processes one token through the accelerator datapath, returning
@@ -558,92 +445,8 @@ impl<'m> AccelDecoder<'m> {
     ///
     /// Panics if `token` is out of vocabulary or the context is full.
     pub fn forward(&mut self, token: usize) -> Vec<f32> {
-        let cfg = self.model.config().clone();
-        assert!(token < cfg.vocab_size, "token {token} out of vocabulary");
-        assert!(self.pos < cfg.max_seq_len, "context window exhausted");
-        let pos = self.pos;
-        let hd = cfg.head_dim();
-        let group = cfg.n_heads / cfg.n_kv_heads;
-        let scale = F16::from_f32(1.0 / (hd as f32).sqrt());
-
-        let mut x: Vec<F16> = self.model.embedding[token].clone();
-        let s = &mut self.scratch;
-
-        for (layer_idx, layer) in self.model.layers.iter().enumerate() {
-            // Attention block.
-            let xn = self.rms.normalize(&x, &layer.attn_norm);
-            layer.wq.matvec_into(&self.vpu, &xn, &mut s.mv, &mut s.q);
-            layer.wk.matvec_into(&self.vpu, &xn, &mut s.mv, &mut s.k);
-            layer.wv.matvec_into(&self.vpu, &xn, &mut s.mv, &mut s.v);
-
-            for h in 0..cfg.n_heads {
-                self.rope.apply(&mut s.q[h * hd..(h + 1) * hd], pos as u32);
-            }
-            for h in 0..cfg.n_kv_heads {
-                self.rope.apply(&mut s.k[h * hd..(h + 1) * hd], pos as u32);
-                // Online KV8 quantization, pack into the FIFO.
-                let kq = self.quantizer.quantize_head(0, &s.k[h * hd..(h + 1) * hd]);
-                let vq = self.quantizer.quantize_head(0, &s.v[h * hd..(h + 1) * hd]);
-                self.kv[layer_idx].keys.push(kq.codes);
-                self.kv[layer_idx].values.push(vq.codes);
-            }
-
-            s.attn_out.clear();
-            s.attn_out.resize(cfg.d_model, F16::ZERO);
-            for h in 0..cfg.n_heads {
-                let kv_head = h / group;
-                let qh = &s.q[h * hd..(h + 1) * hd];
-                s.scores.clear();
-                for t in 0..=pos {
-                    self.kv[layer_idx].keys[t * cfg.n_kv_heads + kv_head]
-                        .dequantize_f16_into(&mut s.kv);
-                    s.scores
-                        .push(F16::from_f32(self.vpu.dot_row(qh, &s.kv)) * scale);
-                }
-                let probs = self.softmax.softmax(&s.scores);
-                // Weighted value sum, accumulated in f32 per lane.
-                s.acc.clear();
-                s.acc.resize(hd, 0.0);
-                for (t, &p) in probs.iter().enumerate() {
-                    self.kv[layer_idx].values[t * cfg.n_kv_heads + kv_head]
-                        .dequantize_f16_into(&mut s.kv);
-                    for (a, vv) in s.acc.iter_mut().zip(&s.kv) {
-                        *a += (p * *vv).to_f32();
-                    }
-                }
-                for (o, a) in s.attn_out[h * hd..(h + 1) * hd].iter_mut().zip(&s.acc) {
-                    *o = F16::from_f32(*a);
-                }
-            }
-
-            layer
-                .wo
-                .matvec_into(&self.vpu, &s.attn_out, &mut s.mv, &mut s.proj);
-            for (xi, pi) in x.iter_mut().zip(&s.proj) {
-                *xi += *pi;
-            }
-
-            // MLP block.
-            let xn = self.rms.normalize(&x, &layer.mlp_norm);
-            layer
-                .w_gate
-                .matvec_into(&self.vpu, &xn, &mut s.mv, &mut s.gate);
-            layer.w_up.matvec_into(&self.vpu, &xn, &mut s.mv, &mut s.up);
-            let inner = self.silu.gate(&s.gate, &s.up);
-            layer
-                .w_down
-                .matvec_into(&self.vpu, &inner, &mut s.mv, &mut s.proj);
-            for (xi, di) in x.iter_mut().zip(&s.proj) {
-                *xi += *di;
-            }
-        }
-
-        let xn = self.rms.normalize(&x, &self.model.final_norm);
-        self.pos += 1;
-        self.model
-            .lm_head
-            .matvec_into(&self.vpu, &xn, &mut s.mv, &mut s.logits);
-        s.logits.iter().map(|v| v.to_f32()).collect()
+        let mut logits = self.batch.decode_at(&[(0, token)]);
+        logits.pop().expect("one logits vector per sequence")
     }
 
     /// Runs the prefill phase, returning the last logits.
@@ -719,9 +522,10 @@ pub struct AccelBatchDecoder<'m> {
 }
 
 /// Per-step scratch reused across [`AccelBatchDecoder::decode_batch`]
-/// calls — an allocation optimisation only, like [`AccelScratch`].
-/// Matvec operands and results are per-sequence; the attention
-/// temporaries are reused sequence by sequence.
+/// calls — an allocation optimisation only; every value is produced by
+/// the identical datapath operations in the identical order. Matvec
+/// operands and results are per-sequence; the attention temporaries are
+/// reused sequence by sequence.
 #[derive(Debug, Default)]
 struct BatchScratch {
     mv: BatchMatvecScratch,
@@ -1635,6 +1439,57 @@ mod tests {
             independent.counters["vpu.dot_beats"],
             batched.counters["vpu.dot_beats"]
         );
+    }
+
+    #[test]
+    fn matvec_batch_fast_path_matches_scalar_path_bit_for_bit() {
+        use crate::vpu::VpuCounters;
+        use zllm_fp16::vector::TreePrecision;
+        use zllm_telemetry::MetricsRegistry;
+
+        // 4-bit groups of 128, 48 (a short last group and beats shorter
+        // than the lanes) and 16, plus 8-bit codes, which always take the
+        // F16 beat path.
+        let rows = 5;
+        let cols = 200;
+        let data: Vec<f32> = (0..rows * cols)
+            .map(|i| ((i * 41) % 67) as f32 / 67.0 - 0.5)
+            .collect();
+        for (cfg, lanes) in [
+            (GroupQuantConfig::w4_g128(), 128),
+            (GroupQuantConfig::new(48, 4), 32),
+            (GroupQuantConfig::new(16, 4), 4),
+            (GroupQuantConfig::new(64, 8), 128),
+        ] {
+            let qm = QuantizedMatrix::quantize(&data, rows, cols, cfg);
+            for batch in 1..=3usize {
+                let xs: Vec<Vec<F16>> = (0..batch)
+                    .map(|seq| {
+                        (0..cols)
+                            .map(|i| F16::from_f32(((i * 11 + seq * 5) % 31) as f32 / 7.0 - 2.0))
+                            .collect()
+                    })
+                    .collect();
+                let run = |fast| {
+                    zllm_fp16::set_fast_kernels(fast);
+                    let mut reg = MetricsRegistry::new();
+                    let vpu = Vpu::with_counters(
+                        lanes,
+                        TreePrecision::Fp32,
+                        VpuCounters::register(&mut reg, "vpu"),
+                    );
+                    let mut outs = Vec::new();
+                    qm.matvec_batch(&vpu, &xs, &mut BatchMatvecScratch::default(), &mut outs);
+                    zllm_fp16::set_fast_kernels(true);
+                    let bits: Vec<Vec<u16>> = outs
+                        .iter()
+                        .map(|out| out.iter().map(|v| v.to_bits()).collect())
+                        .collect();
+                    (bits, reg.snapshot().counters)
+                };
+                assert_eq!(run(true), run(false), "{cfg:?}, batch {batch}");
+            }
+        }
     }
 
     #[test]

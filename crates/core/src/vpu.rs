@@ -100,36 +100,14 @@ impl Vpu {
     }
 
     /// One engine invocation over operands given as their exact f32
-    /// decodes (see [`zllm_fp16::vector::DotEngine::dot_f32`]) — used by
-    /// the fused dequantize+dot fast path. Counter behaviour and result
-    /// bits match [`Vpu::dot`] on the F16 operands.
-    pub fn dot_f32(&self, w32: &[f32], x32: &[f32]) -> f32 {
-        self.counters.dot_beats.inc();
-        self.engine.dot_f32(w32, x32).to_f32()
-    }
-
-    /// [`Vpu::dot_f32`] with caller-provided engine scratch, skipping the
-    /// per-beat thread-local lookup — the fused matvec threads a single
-    /// scratch through every beat of every row.
+    /// decodes (see [`zllm_fp16::vector::DotEngine::dot_f32_with`]), with
+    /// caller-provided engine scratch — the fused matvec decodes each
+    /// weight beat once and threads a single scratch through every beat
+    /// of every row and sequence. Counter behaviour and result bits match
+    /// [`Vpu::dot`] on the F16 operands.
     pub fn dot_f32_scratch(&self, scratch: &mut DotScratch, w32: &[f32], x32: &[f32]) -> f32 {
         self.counters.dot_beats.inc();
         self.engine.dot_f32_with(scratch, w32, x32).to_f32()
-    }
-
-    /// One fused dequantize+dot beat over 4-bit codes (see
-    /// [`zllm_fp16::vector::DotEngine::dot_q4_with`]): lane `i` reads
-    /// `lut[codes[i]]`, so no dequantized weight buffer ever exists.
-    /// Counter behaviour and result bits match [`Vpu::dot`] on the
-    /// dequantized beat.
-    pub fn dot_q4(
-        &self,
-        scratch: &mut DotScratch,
-        codes: &[u8],
-        lut: &[f32; 16],
-        x32: &[f32],
-    ) -> f32 {
-        self.counters.dot_beats.inc();
-        self.engine.dot_q4_with(scratch, codes, lut, x32).to_f32()
     }
 
     /// The per-code dequantization table of one 4-bit group: entry `q` is
@@ -177,19 +155,6 @@ impl Vpu {
         self.counters.dequant_beats.inc();
         out.clear();
         out.reserve(codes.len());
-        // 4-bit beats (the deployment format) hit at most 16 distinct
-        // codes, so one encode per *code value* — instead of one per
-        // element — produces the identical beat: the table entry is the
-        // exact per-element expression below.
-        if zllm_fp16::fast_kernels_enabled() && codes.len() > 16 && codes.iter().all(|&q| q < 16) {
-            let mut table = [F16::ZERO; 16];
-            for (q, slot) in table.iter_mut().enumerate() {
-                let centred = q as i32 - zero as i32;
-                *slot = F16::from_f32(centred as f32 * scale.to_f32());
-            }
-            out.extend(codes.iter().map(|&q| table[q as usize]));
-            return;
-        }
         out.extend(codes.iter().map(|&q| {
             let centred = q as i32 - zero as i32;
             F16::from_f32(centred as f32 * scale.to_f32())

@@ -71,46 +71,53 @@ pub(crate) fn decode_table() -> &'static [u32] {
 /// dependent and cache hostile) is the single hottest win in the fused
 /// matvec path. The rounding cases mirror [`crate::F16::from_f32_fast`]:
 ///
-/// * `|v| ≥ 65536` — exponent saturates: NaN keeps its sign and decodes to
-///   the canonical quiet NaN pattern (`sign | 0x7FC0_0000`, exactly what
-///   the scalar decoder produces for the canonical F16 NaN `0x7E00`);
-///   everything else becomes ±inf. Note 65520–65536 round to inf through
-///   the normal-range carry below, not here.
+/// * normal range — RNE on the 13 dropped mantissa bits via the same
+///   bias-add (`+ 0x0FFF + odd_bit`) as the fast encoder, then clearing
+///   the dropped bits;
 /// * `|v| < 2⁻¹⁴` — binary16 subnormal grid (multiples of 2⁻²⁴): the
 ///   `+0.5 − 0.5` magic pair performs the RNE snap in the f32 adder (the
 ///   ulp at 0.5 is exactly one subnormal step) and the subtraction is
-///   exact by Sterbenz, so the rounded value falls out directly.
-/// * normal range — RNE on the 13 dropped mantissa bits via the same
-///   bias-add (`+ 0x0FFF + odd_bit`) as the fast encoder, then clearing
-///   the dropped bits; a carry past 65504 is caught and saturated to inf.
+///   exact by Sterbenz, so the rounded value falls out directly;
+/// * a normal-range result of 65536 or more — the input was ≥ 65520 and
+///   overflows: NaN keeps its sign and decodes to the canonical quiet NaN
+///   pattern (`sign | 0x7FC0_0000`, exactly what the scalar decoder
+///   produces for the canonical F16 NaN `0x7E00`); everything else
+///   becomes ±inf.
+///
+/// All three results are computed for every input and one is picked with
+/// selects, so the function has no input-dependent branch and a loop over
+/// it compiles to packed integer and float operations.
 #[inline]
 pub fn demote_round(value: f32) -> f32 {
     let bits = value.to_bits();
     let sign = bits & 0x8000_0000;
     let abs = bits & 0x7FFF_FFFF;
-    if abs >= 0x4780_0000 {
-        // 65536 and above: NaN → canonical quiet NaN, rest → inf.
-        return if abs > 0x7F80_0000 {
-            f32::from_bits(sign | 0x7FC0_0000)
-        } else {
-            f32::from_bits(sign | 0x7F80_0000)
-        };
-    }
-    if abs < 0x3880_0000 {
-        // Subnormal/zero: snap onto the 2^-24 grid with the magic pair.
-        let magic = f32::from_bits(0x3F00_0000); // 0.5
-        let snapped = (f32::from_bits(abs) + magic) - magic;
-        return f32::from_bits(sign | snapped.to_bits());
-    }
     // Normal range: RNE the 13 dropped bits, then drop them. Identical to
     // the fast encoder's bias-add because the 0x3800_0000 rebias has zero
-    // low bits and therefore commutes with the mask.
-    let odd = (bits >> 13) & 1;
-    let rounded = (abs + 0x0FFF + odd) & !0x1FFF;
-    if rounded >= 0x4780_0000 {
-        // The carry pushed past 65504: binary16 overflows to inf.
-        return f32::from_bits(sign | 0x7F80_0000);
-    }
+    // low bits and therefore commutes with the mask. `abs + 0x1000` stays
+    // below 2³², and masking keeps any sum ≥ 0x4780_0000 at or above it.
+    let odd = (abs >> 13) & 1;
+    let normal = (abs + 0x0FFF + odd) & !0x1FFF;
+    // Subnormal/zero: snap onto the 2^-24 grid with the magic pair.
+    let magic = f32::from_bits(0x3F00_0000); // 0.5
+    let subnormal = ((f32::from_bits(abs) + magic) - magic).to_bits();
+    // 65520 and above (the carry reached 65536): NaN → canonical quiet
+    // NaN, everything else → inf.
+    let saturated = if abs > 0x7F80_0000 {
+        0x7FC0_0000
+    } else {
+        0x7F80_0000
+    };
+    let rounded = if normal >= 0x4780_0000 {
+        saturated
+    } else {
+        normal
+    };
+    let rounded = if abs < 0x3880_0000 {
+        subnormal
+    } else {
+        rounded
+    };
     f32::from_bits(sign | rounded)
 }
 
@@ -179,6 +186,17 @@ mod tests {
                 break;
             }
             bits = next;
+        }
+    }
+
+    #[test]
+    #[ignore = "all 2^32 f32 patterns (~30 s); CI runs it by name with --ignored"]
+    fn demote_round_matches_encode_decode_exhaustively() {
+        for bits in 0..=u32::MAX {
+            let value = f32::from_bits(bits);
+            let want = F16::from_f32_scalar(value).to_f32_scalar();
+            let got = demote_round(value);
+            assert_eq!(got.to_bits(), want.to_bits(), "pattern {bits:#010x}");
         }
     }
 

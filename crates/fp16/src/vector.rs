@@ -26,8 +26,10 @@ thread_local! {
 /// to the scalar implementation.
 #[derive(Debug, Clone, Default)]
 pub struct DotScratch {
-    /// FP32 tree levels, reduced in place by halving.
+    /// FP32 lane products, the first level of the adder tree.
     wide: Vec<f32>,
+    /// The second FP32 tree buffer: levels alternate between the two.
+    spare: Vec<f32>,
     /// FP16 tree levels for [`TreePrecision::Fp16`] engines.
     narrow: Vec<F16>,
 }
@@ -135,10 +137,10 @@ impl DotEngine {
     /// [`DotEngine::dot`] with caller-provided scratch and zero allocation.
     ///
     /// Bit-identical to the scalar path: products round once in lane order,
-    /// then reduce through the same pairwise halving tree (`chunks(2)`
-    /// pairing), with FP32 tree nodes accumulating wide exactly as
+    /// then reduce through the same pairwise tree (`chunks(2)` pairing),
+    /// with FP32 tree nodes accumulating wide exactly as
     /// `DotEngine::reduce` does. The only difference is that the tree
-    /// levels live in `scratch` and are halved in place.
+    /// levels live in `scratch`.
     ///
     /// # Panics
     ///
@@ -146,82 +148,24 @@ impl DotEngine {
     pub fn dot_with(&self, scratch: &mut DotScratch, a: &[F16], b: &[F16]) -> F16 {
         assert_eq!(a.len(), b.len(), "operand length mismatch");
         assert!(a.len() <= self.lanes, "operands exceed lane count");
-        // The lane loops below inline the F16 ops through the decode table
-        // and branch-reduced encoder directly (both proven bit-equal to
-        // the scalar conversions over the full input domain), skipping the
+        // The operands decode through the table directly (proven bit-equal
+        // to the scalar decoder over the full input domain), skipping the
         // per-op toggle dispatch the operator overloads pay.
         let table = crate::fast::decode_table();
-        match self.precision {
-            TreePrecision::Fp32 => {
-                let level = &mut scratch.wide;
-                level.clear();
-                for i in 0..self.lanes {
-                    // p = (a[i] * b[i]).to_f32(), with the product rounded
-                    // through F16 exactly as the operator does.
-                    let p = if i < a.len() {
-                        let wide = f32::from_bits(table[a[i].to_bits() as usize])
-                            * f32::from_bits(table[b[i].to_bits() as usize]);
-                        crate::fast::demote_round(wide)
-                    } else {
-                        0.0
-                    };
-                    level.push(p);
-                }
-                let mut len = self.lanes;
-                while len > 1 {
-                    len /= 2;
-                    for i in 0..len {
-                        level[i] = level[2 * i] + level[2 * i + 1];
-                    }
-                }
-                F16::from_f32_fast(level[0])
-            }
-            TreePrecision::Fp16 => {
-                let level = &mut scratch.narrow;
-                level.clear();
-                for i in 0..self.lanes {
-                    let p = if i < a.len() {
-                        let wide = f32::from_bits(table[a[i].to_bits() as usize])
-                            * f32::from_bits(table[b[i].to_bits() as usize]);
-                        F16::from_f32_fast(wide)
-                    } else {
-                        F16::ZERO
-                    };
-                    level.push(p);
-                }
-                let mut len = self.lanes;
-                while len > 1 {
-                    len /= 2;
-                    for i in 0..len {
-                        let sum = f32::from_bits(table[level[2 * i].to_bits() as usize])
-                            + f32::from_bits(table[level[2 * i + 1].to_bits() as usize]);
-                        level[i] = F16::from_f32_fast(sum);
-                    }
-                }
-                level[0]
-            }
-        }
+        let decode = |v: &F16| f32::from_bits(table[v.to_bits() as usize]);
+        self.reduce_products(scratch, a.iter().zip(b).map(|(x, y)| decode(x) * decode(y)))
     }
 
-    /// [`DotEngine::dot`] over operands given as their exact f32 decodes.
+    /// [`DotEngine::dot`] over operands given as their exact f32 decodes,
+    /// with caller-provided scratch.
     ///
     /// Each element of `a32`/`b32` must be `v.to_f32()` of an `F16` value
-    /// `v` — e.g. activations decoded once per matvec, or dequantized
-    /// weights read from a per-code table. Under that contract the result
-    /// is bit-identical to [`DotEngine::dot`] on the F16 operands: the
+    /// `v` — e.g. activations decoded once per matvec, or a weight beat
+    /// decoded once per group. Under that contract the result is
+    /// bit-identical to [`DotEngine::dot`] on the F16 operands: the
     /// per-lane product still rounds once through F16 and the same
-    /// pairwise halving tree runs at the same node precision; only the
-    /// redundant operand decodes are skipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operands have different lengths or exceed the lane
-    /// count.
-    pub fn dot_f32(&self, a32: &[f32], b32: &[f32]) -> F16 {
-        SCRATCH.with(|s| self.dot_f32_with(&mut s.borrow_mut(), a32, b32))
-    }
-
-    /// [`DotEngine::dot_f32`] with caller-provided scratch.
+    /// pairwise tree runs at the same node precision; only the redundant
+    /// operand decodes are skipped.
     ///
     /// # Panics
     ///
@@ -230,112 +174,38 @@ impl DotEngine {
     pub fn dot_f32_with(&self, scratch: &mut DotScratch, a32: &[f32], b32: &[f32]) -> F16 {
         assert_eq!(a32.len(), b32.len(), "operand length mismatch");
         assert!(a32.len() <= self.lanes, "operands exceed lane count");
-        let table = crate::fast::decode_table();
-        match self.precision {
-            TreePrecision::Fp32 => {
-                let level = &mut scratch.wide;
-                level.clear();
-                for i in 0..self.lanes {
-                    let p = if i < a32.len() {
-                        // Round the product once through binary16 without
-                        // touching the decode table (pure ALU, see
-                        // `fast::demote_round`).
-                        crate::fast::demote_round(a32[i] * b32[i])
-                    } else {
-                        0.0
-                    };
-                    level.push(p);
-                }
-                let mut len = self.lanes;
-                while len > 1 {
-                    len /= 2;
-                    for i in 0..len {
-                        level[i] = level[2 * i] + level[2 * i + 1];
-                    }
-                }
-                F16::from_f32_fast(level[0])
-            }
-            TreePrecision::Fp16 => {
-                let level = &mut scratch.narrow;
-                level.clear();
-                for i in 0..self.lanes {
-                    let p = if i < a32.len() {
-                        F16::from_f32_fast(a32[i] * b32[i])
-                    } else {
-                        F16::ZERO
-                    };
-                    level.push(p);
-                }
-                let mut len = self.lanes;
-                while len > 1 {
-                    len /= 2;
-                    for i in 0..len {
-                        let sum = f32::from_bits(table[level[2 * i].to_bits() as usize])
-                            + f32::from_bits(table[level[2 * i + 1].to_bits() as usize]);
-                        level[i] = F16::from_f32_fast(sum);
-                    }
-                }
-                level[0]
-            }
-        }
+        self.reduce_products(scratch, a32.iter().zip(b32).map(|(x, y)| x * y))
     }
 
-    /// One beat over 4-bit codes: lane `i` multiplies `lut[codes[i]]` by
-    /// `x32[i]`, rounds the product once through binary16, and the usual
-    /// tree reduces — the fully fused dequantize+dot kernel.
-    ///
-    /// Contract: every `lut` entry and every `x32` element must be the
-    /// exact f32 decode of an `F16` value (a per-code dequantization
-    /// table and predecoded activations). Under that contract the result
-    /// is bit-identical to [`DotEngine::dot`] on the dequantized F16
-    /// beat, with no intermediate weight buffer at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operands have different lengths, exceed the lane
-    /// count, or any code is ≥ 16.
-    pub fn dot_q4_with(
+    /// The fast kernels' shared back end: rounds each lane's f32 product
+    /// once through binary16 (lanes past the operands are zero), then runs
+    /// the adder tree at the engine's node precision — bit-identical to
+    /// `DotEngine::reduce` over the F16 products.
+    fn reduce_products(
         &self,
         scratch: &mut DotScratch,
-        codes: &[u8],
-        lut: &[f32; 16],
-        x32: &[f32],
+        products: impl ExactSizeIterator<Item = f32>,
     ) -> F16 {
-        assert_eq!(codes.len(), x32.len(), "operand length mismatch");
-        assert!(codes.len() <= self.lanes, "operands exceed lane count");
+        let used = products.len();
         match self.precision {
             TreePrecision::Fp32 => {
-                let level = &mut scratch.wide;
-                level.clear();
-                for i in 0..self.lanes {
-                    let p = if i < codes.len() {
-                        crate::fast::demote_round(lut[codes[i] as usize] * x32[i])
-                    } else {
-                        0.0
-                    };
-                    level.push(p);
+                let DotScratch { wide, spare, .. } = scratch;
+                wide.resize(self.lanes, 0.0);
+                spare.resize(self.lanes / 2, 0.0);
+                // `demote_round` is `F16::from_f32(p).to_f32()` with no
+                // intermediate F16 and no branch, so this loop vectorizes.
+                for (lane, p) in wide.iter_mut().zip(products) {
+                    *lane = crate::fast::demote_round(p);
                 }
-                let mut len = self.lanes;
-                while len > 1 {
-                    len /= 2;
-                    for i in 0..len {
-                        level[i] = level[2 * i] + level[2 * i + 1];
-                    }
-                }
-                F16::from_f32_fast(level[0])
+                wide[used..].fill(0.0);
+                F16::from_f32_fast(tree_sum_f32(wide, spare))
             }
             TreePrecision::Fp16 => {
                 let table = crate::fast::decode_table();
                 let level = &mut scratch.narrow;
                 level.clear();
-                for i in 0..self.lanes {
-                    let p = if i < codes.len() {
-                        F16::from_f32_fast(lut[codes[i] as usize] * x32[i])
-                    } else {
-                        F16::ZERO
-                    };
-                    level.push(p);
-                }
+                level.extend(products.map(F16::from_f32_fast));
+                level.resize(self.lanes, F16::ZERO);
                 let mut len = self.lanes;
                 while len > 1 {
                     len /= 2;
@@ -369,118 +239,36 @@ impl DotEngine {
             }
         }
     }
+}
 
-    /// A full matrix-row · vector dot product streamed through the engine in
-    /// beats of `lanes` elements, scaled per beat and accumulated in FP32
-    /// (the engine's "scaling multiplier + accumulator" back end).
-    ///
-    /// `scales` supplies one dequantisation scale per beat; pass `None` for
-    /// unscaled operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch between `row` and `x`, or if `scales` is
-    /// provided with a length different from the number of beats.
-    pub fn dot_streamed(&self, row: &[F16], x: &[F16], scales: Option<&[F16]>) -> f32 {
-        assert_eq!(row.len(), x.len(), "operand length mismatch");
-        let beats = row.len().div_ceil(self.lanes);
-        if let Some(s) = scales {
-            assert_eq!(s.len(), beats, "one scale per beat required");
+/// The FP32 adder tree over a power-of-two `level`: sums `(2i, 2i+1)`
+/// pairs at every level — the pairing of `DotEngine::reduce` — writing
+/// each level into the other buffer, so a level is one straight loop with
+/// no read-after-write hazard. Taking eight inputs to four sums at a time
+/// gives the compiler the two-shuffles-and-one-packed-add shape it emits
+/// for SSE2. `spare` must hold at least half of `level`.
+fn tree_sum_f32(level: &mut [f32], spare: &mut [f32]) -> f32 {
+    let (mut from, mut to) = (level, spare);
+    let mut len = from.len();
+    while len > 1 {
+        len /= 2;
+        let mut sums = to[..len].chunks_exact_mut(4);
+        let mut pairs = from[..2 * len].chunks_exact(8);
+        for (s, p) in (&mut sums).zip(&mut pairs) {
+            for j in 0..4 {
+                s[j] = p[2 * j] + p[2 * j + 1];
+            }
         }
-        let mut acc = 0.0f32;
-        for beat in 0..beats {
-            let lo = beat * self.lanes;
-            let hi = (lo + self.lanes).min(row.len());
-            let partial = self.dot(&row[lo..hi], &x[lo..hi]);
-            let scaled = match scales {
-                Some(s) => partial * s[beat],
-                None => partial,
-            };
-            acc += scaled.to_f32();
+        for (s, p) in sums
+            .into_remainder()
+            .iter_mut()
+            .zip(pairs.remainder().chunks_exact(2))
+        {
+            *s = p[0] + p[1];
         }
-        acc
+        std::mem::swap(&mut from, &mut to);
     }
-
-    /// [`DotEngine::dot_streamed`] with caller-provided scratch: the same
-    /// per-beat rounding, scaling and FP32 accumulation order, zero
-    /// allocation.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`DotEngine::dot_streamed`].
-    pub fn dot_streamed_with(
-        &self,
-        scratch: &mut DotScratch,
-        row: &[F16],
-        x: &[F16],
-        scales: Option<&[F16]>,
-    ) -> f32 {
-        assert_eq!(row.len(), x.len(), "operand length mismatch");
-        let beats = row.len().div_ceil(self.lanes);
-        if let Some(s) = scales {
-            assert_eq!(s.len(), beats, "one scale per beat required");
-        }
-        let mut acc = 0.0f32;
-        for beat in 0..beats {
-            let lo = beat * self.lanes;
-            let hi = (lo + self.lanes).min(row.len());
-            let partial = self.dot_with(scratch, &row[lo..hi], &x[lo..hi]);
-            let scaled = match scales {
-                Some(s) => partial * s[beat],
-                None => partial,
-            };
-            acc += scaled.to_f32();
-        }
-        acc
-    }
-
-    /// Batched single-beat dots: `out[i] = dot(rows[i], x)` for every row,
-    /// sharing one scratch. Each row's product/tree order is exactly the
-    /// scalar [`DotEngine::dot`] order, so the batch is bit-identical to a
-    /// loop of scalar calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row violates the [`DotEngine::dot`] length rules.
-    pub fn dot_many(
-        &self,
-        scratch: &mut DotScratch,
-        rows: &[&[F16]],
-        x: &[F16],
-        out: &mut Vec<F16>,
-    ) {
-        out.clear();
-        out.reserve(rows.len());
-        for row in rows {
-            out.push(self.dot_with(scratch, row, &x[..row.len()]));
-        }
-    }
-
-    /// Streamed matrix·vector product through the engine: `weights` is a
-    /// row-major `rows × x.len()` FP16 matrix and `out[r]` receives the
-    /// FP32-accumulated streamed dot of row `r` with `x` — each row computed
-    /// exactly as [`DotEngine::dot_streamed`] would, with zero allocation
-    /// beyond the reused `out`/`scratch` capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is empty or `weights.len()` is not a multiple of
-    /// `x.len()`.
-    pub fn matvec(&self, scratch: &mut DotScratch, weights: &[F16], x: &[F16], out: &mut Vec<f32>) {
-        assert!(!x.is_empty(), "matvec requires a non-empty input vector");
-        assert_eq!(
-            weights.len() % x.len(),
-            0,
-            "weight count must be a whole number of rows"
-        );
-        let rows = weights.len() / x.len();
-        out.clear();
-        out.reserve(rows);
-        for r in 0..rows {
-            let row = &weights[r * x.len()..(r + 1) * x.len()];
-            out.push(self.dot_streamed_with(scratch, row, x, None));
-        }
-    }
+    from[0]
 }
 
 impl Default for DotEngine {
@@ -542,32 +330,6 @@ mod tests {
         assert_eq!(e16.dot(&v, &v).to_f32(), 128.0);
     }
 
-    #[test]
-    fn streamed_matches_single_beat_composition() {
-        let e = DotEngine::new(4, TreePrecision::Fp32);
-        let row: Vec<F16> = (0..12).map(|i| F16::from_f32(i as f32 * 0.25)).collect();
-        let x: Vec<F16> = (0..12)
-            .map(|i| F16::from_f32(1.0 - i as f32 * 0.05))
-            .collect();
-        let got = e.dot_streamed(&row, &x, None);
-        let want: f32 = row
-            .chunks(4)
-            .zip(x.chunks(4))
-            .map(|(r, v)| e.dot(r, v).to_f32())
-            .sum();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn per_beat_scales_apply() {
-        let e = DotEngine::new(4, TreePrecision::Fp32);
-        let row = vec![F16::ONE; 8];
-        let x = vec![F16::ONE; 8];
-        let scales = vec![F16::from_f32(0.5), F16::from_f32(2.0)];
-        // beat0: 4 * 0.5 = 2, beat1: 4 * 2 = 8.
-        assert_eq!(e.dot_streamed(&row, &x, Some(&scales)), 10.0);
-    }
-
     /// Deterministic pseudo-random F16 vector (xorshift, no external deps).
     fn lcg_vec(seed: u64, n: usize) -> Vec<F16> {
         let mut state = seed | 1;
@@ -608,7 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn dot_f32_matches_f16_dot_bit_for_bit() {
+    fn dot_f32_with_matches_f16_dot_bit_for_bit() {
         for precision in [TreePrecision::Fp32, TreePrecision::Fp16] {
             let e = DotEngine::new(64, precision);
             let mut scratch = DotScratch::new();
@@ -621,90 +383,174 @@ mod tests {
                 crate::fast::set_fast_kernels(false);
                 let scalar = e.dot(&a, &b);
                 crate::fast::set_fast_kernels(true);
-                let fused = e.dot_f32(&a32, &b32);
-                let explicit = e.dot_f32_with(&mut scratch, &a32, &b32);
+                let fused = e.dot_f32_with(&mut scratch, &a32, &b32);
                 assert_eq!(fused.to_bits(), scalar.to_bits(), "{precision:?} len {len}");
-                assert_eq!(explicit.to_bits(), scalar.to_bits());
             }
         }
     }
 
-    #[test]
-    fn dot_q4_matches_dequantized_dot_bit_for_bit() {
-        for precision in [TreePrecision::Fp32, TreePrecision::Fp16] {
-            let e = DotEngine::new(64, precision);
-            let mut scratch = DotScratch::new();
-            for trial in 0..16u64 {
-                let len = 1 + (trial as usize * 13) % 64;
-                // A 4-bit code stream and a per-code dequantization table
-                // (exact F16 decodes, per the kernel contract).
-                let mut state = trial * 5 + 3;
-                let codes: Vec<u8> = (0..len)
-                    .map(|_| {
-                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        (state >> 33) as u8 & 0xF
+    /// Operand pairs whose products hit binary16's special cases:
+    /// 0 — signed zeros; 1 — products in the subnormal range, rounding to
+    /// zero, and F16 subnormal operands; 2 — products overflowing to ±inf
+    /// (their sums meet as inf − inf = NaN); 3 — NaN operands; 4 — inf × 0
+    /// beside inf × finite; 5 — lanes 8k and 8k+1 cancel exactly, beside
+    /// products small enough to vanish when added to one of them alone,
+    /// so any tree pairing other than `(2i, 2i+1)` changes the result.
+    /// No dot mixes NaNs of opposite sign: an add returns one of its NaN
+    /// operands and the compiler may swap an add's operands, so such a
+    /// sum has no single bit pattern on either path.
+    fn special_operands(family: u64, seed: u64, n: usize) -> (Vec<F16>, Vec<F16>) {
+        let scaled = |v: &[F16], s: f32| -> Vec<F16> {
+            v.iter().map(|x| F16::from_f32(x.to_f32() * s)).collect()
+        };
+        let a = lcg_vec(seed, n);
+        let b = lcg_vec(seed ^ 0x9E37_79B9, n);
+        match family {
+            0 => {
+                let a = a
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| match i % 3 {
+                        0 => F16::ZERO,
+                        1 => F16::NEG_ZERO,
+                        _ => v,
                     })
                     .collect();
-                let lut16: Vec<F16> = lcg_vec(trial * 5 + 4, 16);
-                let lut: [f32; 16] = std::array::from_fn(|q| lut16[q].to_f32());
-                let x = lcg_vec(trial * 5 + 5, len);
-                let x32: Vec<f32> = x.iter().map(|v| v.to_f32()).collect();
-                let w: Vec<F16> = codes.iter().map(|&q| lut16[q as usize]).collect();
-                crate::fast::set_fast_kernels(false);
-                let scalar = e.dot(&w, &x);
-                crate::fast::set_fast_kernels(true);
-                let fused = e.dot_q4_with(&mut scratch, &codes, &lut, &x32);
-                assert_eq!(fused.to_bits(), scalar.to_bits(), "{precision:?} len {len}");
+                let b = b
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| if i % 5 == 0 { F16::NEG_ZERO } else { v })
+                    .collect();
+                (a, b)
+            }
+            1 => {
+                // |a|, |b| ≤ 2^-7 put products below 2^-14 (subnormal) and
+                // below 2^-25 (rounds to zero); every fourth lane multiplies
+                // an F16 subnormal by an ordinary value.
+                let mut small_a = scaled(&a, 1.0 / 512.0);
+                let mut small_b = scaled(&b, 1.0 / 512.0);
+                for i in (0..n).step_by(4) {
+                    let sign = (i as u16 & 8) << 12;
+                    small_a[i] = F16::from_bits(sign | (1 + i % 0x3FF) as u16);
+                    small_b[i] = b[i];
+                }
+                (small_a, small_b)
+            }
+            2 => {
+                let mut a = scaled(&a, 8192.0);
+                let mut b = scaled(&b, 16.0);
+                // F16::MAX products stay finite lane by lane and overflow
+                // only once the FP32 tree adds them.
+                for i in (0..n).step_by(5) {
+                    a[i] = F16::MAX;
+                    b[i] = F16::ONE;
+                }
+                (a, b)
+            }
+            3 => {
+                let a = a
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| if i % 4 == 1 { F16::NAN } else { v })
+                    .collect();
+                let b = b
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| if i % 8 == 1 { F16::ZERO } else { v })
+                    .collect();
+                (a, b)
+            }
+            4 => {
+                let mut a = a;
+                let mut b = b;
+                for i in (2..n).step_by(4) {
+                    a[i] = if i % 8 == 2 {
+                        F16::INFINITY
+                    } else {
+                        F16::NEG_INFINITY
+                    };
+                    if i % 3 == 0 {
+                        b[i] = if i % 2 == 0 { F16::ZERO } else { F16::NEG_ZERO };
+                    }
+                }
+                (a, b)
+            }
+            _ => {
+                let mut small = scaled(&a, 1.0 / 256.0);
+                let mut b = b;
+                for i in (0..n.saturating_sub(1)).step_by(8) {
+                    let big = F16::from_f32(a[i].to_f32() * 2048.0);
+                    small[i] = big;
+                    small[i + 1] = -big;
+                    b[i + 1] = b[i];
+                }
+                (small, b)
             }
         }
     }
 
     #[test]
-    fn dot_streamed_with_matches_scalar_bit_for_bit() {
-        let e = DotEngine::new(8, TreePrecision::Fp32);
-        let mut scratch = DotScratch::new();
-        let row = lcg_vec(11, 52);
-        let x = lcg_vec(13, 52);
-        let scales: Vec<F16> = lcg_vec(17, 52usize.div_ceil(8));
-        crate::fast::set_fast_kernels(false);
-        let scalar = e.dot_streamed(&row, &x, Some(&scales));
-        crate::fast::set_fast_kernels(true);
-        let fast = e.dot_streamed(&row, &x, Some(&scales));
-        let explicit = e.dot_streamed_with(&mut scratch, &row, &x, Some(&scales));
-        assert_eq!(fast.to_bits(), scalar.to_bits());
-        assert_eq!(explicit.to_bits(), scalar.to_bits());
-    }
-
-    #[test]
-    fn dot_many_matches_per_row_dots() {
-        let e = DotEngine::new(16, TreePrecision::Fp32);
-        let mut scratch = DotScratch::new();
-        let rows: Vec<Vec<F16>> = (0..9).map(|r| lcg_vec(100 + r, 16)).collect();
-        let refs: Vec<&[F16]> = rows.iter().map(Vec::as_slice).collect();
-        let x = lcg_vec(999, 16);
-        let mut out = Vec::new();
-        e.dot_many(&mut scratch, &refs, &x, &mut out);
-        assert_eq!(out.len(), rows.len());
-        for (row, got) in rows.iter().zip(&out) {
-            assert_eq!(got.to_bits(), e.dot(row, &x).to_bits());
+    fn special_operands_match_scalar_dot_bit_for_bit() {
+        for precision in [TreePrecision::Fp32, TreePrecision::Fp16] {
+            for lanes in [4usize, 128, 1024] {
+                let e = DotEngine::new(lanes, precision);
+                let mut scratch = DotScratch::new();
+                for family in 0..6u64 {
+                    // Full beats and short, zero-padded ones.
+                    for len in [lanes, lanes - 1, lanes / 2 + 1, 1] {
+                        let (a, b) = special_operands(family, 7 * family + len as u64, len);
+                        let a32: Vec<f32> = a.iter().map(|v| v.to_f32()).collect();
+                        let b32: Vec<f32> = b.iter().map(|v| v.to_f32()).collect();
+                        crate::fast::set_fast_kernels(false);
+                        let scalar = e.dot(&a, &b).to_bits();
+                        crate::fast::set_fast_kernels(true);
+                        let case =
+                            format!("{precision:?}, {lanes} lanes, family {family}, len {len}");
+                        assert_eq!(e.dot(&a, &b).to_bits(), scalar, "dot: {case}");
+                        assert_eq!(
+                            e.dot_with(&mut scratch, &a, &b).to_bits(),
+                            scalar,
+                            "dot_with: {case}"
+                        );
+                        assert_eq!(
+                            e.dot_f32_with(&mut scratch, &a32, &b32).to_bits(),
+                            scalar,
+                            "dot_f32_with: {case}"
+                        );
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn matvec_matches_streamed_rows() {
-        let e = DotEngine::new(8, TreePrecision::Fp32);
-        let mut scratch = DotScratch::new();
-        let cols = 20;
-        let rows = 7;
-        let weights = lcg_vec(5, rows * cols);
-        let x = lcg_vec(6, cols);
-        let mut out = Vec::new();
-        e.matvec(&mut scratch, &weights, &x, &mut out);
-        assert_eq!(out.len(), rows);
-        for r in 0..rows {
-            let want = e.dot_streamed(&weights[r * cols..(r + 1) * cols], &x, None);
-            assert_eq!(out[r].to_bits(), want.to_bits(), "row {r}");
+    fn special_operand_families_reach_their_cases() {
+        // The families above must actually produce what they are named
+        // for, or the differential test proves less than it claims.
+        let e = DotEngine::new(128, TreePrecision::Fp32);
+        let products = |family| {
+            let (a, b) = special_operands(family, 3, 128);
+            a.iter().zip(&b).map(|(x, y)| *x * *y).collect::<Vec<F16>>()
+        };
+        assert!(products(0).iter().any(|p| p.to_bits() == 0x8000));
+        assert!(products(1).iter().any(|p| p.is_subnormal()));
+        assert!(products(1).iter().any(|p| p.to_bits() & 0x7FFF == 0));
+        assert!(products(2).iter().any(|p| p.is_infinite()));
+        assert!(products(3).iter().any(|p| p.is_nan()));
+        let (a, b) = special_operands(4, 3, 128);
+        assert!(a
+            .iter()
+            .zip(&b)
+            .any(|(x, y)| x.is_infinite() && y.to_f32() == 0.0));
+        assert!(e.dot(&a, &b).is_nan());
+        // Pairing lane i with lane i + len/2 instead gives other bits.
+        let mut level: Vec<f32> = products(5).iter().map(|p| p.to_f32()).collect();
+        while level.len() > 1 {
+            let half = level.len() / 2;
+            level = (0..half).map(|i| level[i] + level[i + half]).collect();
         }
+        let (a, b) = special_operands(5, 3, 128);
+        assert_ne!(F16::from_f32(level[0]).to_bits(), e.dot(&a, &b).to_bits());
     }
 
     #[test]
