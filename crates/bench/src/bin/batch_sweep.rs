@@ -3,11 +3,11 @@
 //! FIFOs) for B ∈ {1, 2, 4, 8, 16} across context lengths, on both the
 //! KV260's DDR4-2400 and an LPDDR5-6400 embedded part.
 //!
-//! The analytic counterpart is ablation 7 in `ablations`; this bin runs
-//! the real [`DecodeEngine::decode_token_batch`] path, so it also shows
-//! the *capacity* wall: each extra sequence provisions its own KV region,
-//! and past a point LLaMA2-7B plus B KV caches no longer fit the 4 GiB
-//! DDR map.
+//! Like ablation 7 in `ablations` (one context, balanced vs 2048-lane
+//! engine), it runs the real [`DecodeEngine::decode_token_batch`] path,
+//! so it also shows the *capacity* wall: each extra sequence provisions
+//! its own KV region, and past a point LLaMA2-7B plus B KV caches no
+//! longer fit the 4 GiB DDR map.
 //!
 //! ```text
 //! cargo run --release -p zllm-bench --bin batch_sweep

@@ -97,6 +97,18 @@ impl AccelConfig {
     pub fn pl_peak_bytes_per_s(&self) -> f64 {
         self.axi.bandwidth_gbps() * 1e9
     }
+
+    /// PL cycles needed per 512-bit read beat whose codes multiply
+    /// against `fanout` activation vectors: the slower of the VPU's
+    /// dequantize-and-multiply rate (`weights_per_beat × fanout` MACs at
+    /// `lanes` per cycle) and the AXI fabric's delivery rate
+    /// (`bytes_per_cycle` of the configured port set).
+    pub(crate) fn beat_cycles(&self, fanout: u32) -> u64 {
+        let vpu =
+            (self.format.weights_per_beat() as u64 * fanout as u64).div_ceil(self.lanes as u64);
+        let fabric = (zllm_layout::BEAT_BYTES as u64).div_ceil(self.axi.bytes_per_cycle().max(1));
+        vpu.max(fabric)
+    }
 }
 
 impl Default for AccelConfig {
@@ -124,6 +136,29 @@ mod tests {
         assert!((cfg.cycles_to_ns(300) - 1000.0).abs() < 1e-9);
         assert_eq!(cfg.cycles_per_second(), 3e8);
         assert_eq!(cfg.pl_peak_bytes_per_s(), 19.2e9);
+    }
+
+    #[test]
+    fn beat_cycles_track_lanes_ports_and_fanout() {
+        // The default is perfectly balanced at 1.
+        let cfg = AccelConfig::kv260();
+        assert_eq!(cfg.beat_cycles(1), 1);
+        // 64 lanes: two cycles to retire a 128-code beat.
+        let mut narrow = AccelConfig::kv260();
+        narrow.lanes = 64;
+        assert_eq!(narrow.beat_cycles(1), 2);
+        // 2 AXI ports: two cycles to deliver 64 bytes.
+        let mut half_ports = AccelConfig::kv260();
+        half_ports.axi.ports = 2;
+        assert_eq!(half_ports.beat_cycles(1), 2);
+        // A beat shared by 4 tokens costs 4 cycles on the balanced
+        // engine; a 1024-lane engine absorbs a fanout of 8 at the
+        // fabric's one beat per cycle.
+        assert_eq!(cfg.beat_cycles(4), 4);
+        let mut rich = AccelConfig::kv260();
+        rich.lanes = 1024;
+        assert_eq!(rich.beat_cycles(8), 1);
+        assert_eq!(rich.beat_cycles(9), 2);
     }
 
     #[test]

@@ -53,9 +53,9 @@ pub use functional::{
     greedy_accept, AccelBatchDecoder, AccelDecoder, QuantizedModel, ShardedBatchDecoder,
 };
 pub use image::{split_layers, ModelImage};
-pub use schedule::{PrefillChunk, SpecWindow};
+pub use schedule::{OpKind, PrefillChunk, SpecWindow};
 pub use tier::{BlindLru, PrefetchPolicy, ScheduleAware, TierConfig, TierReport};
-pub use trace::{BatchTokenReport, DecodeEngine, DraftCost, TokenReport};
+pub use trace::{DecodeEngine, DraftCost, TokenReport};
 
 /// The unified metrics registry every unit publishes into — re-exported
 /// so downstream crates need no direct `zllm-telemetry` dependency.

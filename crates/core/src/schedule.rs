@@ -6,16 +6,95 @@
 //! then the LM head. Every operation carries its VPU beat count and — for
 //! the coarse-pipeline baseline — the miscellaneous SPU cycles that would
 //! be *exposed* without operator fusion (§V-A).
+//!
+//! One builder, [`chunked_prefill_schedule`], emits that sequence for any
+//! set of per-sequence position spans. A decode step is a one-token chunk
+//! per sequence ([`ragged_token_schedule`] and its uniform adapters); a
+//! speculative verify step is a `K+1`-token chunk per window plus
+//! rollback metadata ([`speculative_verify_schedule`]).
 
 use crate::config::PipelineMode;
 use crate::image::ModelImage;
+use std::ops::Range;
 use zllm_layout::BurstDescriptor;
+
+/// What an operation moves. The kind names its `decode.bytes.{name}`
+/// counter and decides whether its bytes scale with the batch, count as
+/// KV traffic, and which compression stream class they travel in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum OpKind {
+    /// Embedding-table rows, one per token produced.
+    Embedding,
+    /// A layer's Q, K and V projections.
+    Qkv,
+    /// One sequence's K and V history reads in one layer.
+    KvRead,
+    /// One sequence's K and V write-backs in one layer.
+    KvWrite,
+    /// A layer's output projection.
+    Wo,
+    /// A layer's gate, up and down projections.
+    Mlp,
+    /// The LM head projection.
+    LmHead,
+    /// Scale-zero metadata of every completed 16-token window.
+    KvMetaFlush,
+    /// Page-table lookups, one per sequence (paged images).
+    KvPtRead,
+    /// Page-table appends for freshly started pages (paged images).
+    KvPtWrite,
+    /// Scale-zero rewrites invalidating a rejected speculative suffix.
+    KvMetaRollback,
+    /// Page-table truncation of a rejected speculative suffix (paged
+    /// images).
+    KvPtRollback,
+}
+
+impl OpKind {
+    /// The kind's name, as in the `decode.bytes.{name}` counters.
+    pub fn name(self) -> &'static str {
+        match self {
+            OpKind::Embedding => "embedding",
+            OpKind::Qkv => "qkv",
+            OpKind::KvRead => "kv_read",
+            OpKind::KvWrite => "kv_write",
+            OpKind::Wo => "wo",
+            OpKind::Mlp => "mlp",
+            OpKind::LmHead => "lm_head",
+            OpKind::KvMetaFlush => "kv_meta_flush",
+            OpKind::KvPtRead => "kv_pt_read",
+            OpKind::KvPtWrite => "kv_pt_write",
+            OpKind::KvMetaRollback => "kv_meta_rollback",
+            OpKind::KvPtRollback => "kv_pt_rollback",
+        }
+    }
+
+    /// Whether the traffic is paid once **per sequence** (each sequence
+    /// decodes its own tokens and owns its own KV region). The rest is
+    /// the shared weight stream, paid once per step.
+    pub fn per_sequence(self) -> bool {
+        !matches!(
+            self,
+            OpKind::Qkv | OpKind::Wo | OpKind::Mlp | OpKind::LmHead
+        )
+    }
+
+    /// Whether the traffic belongs to the KV cache: history reads,
+    /// write-backs and all their metadata (scale-zero packs, page tables,
+    /// rollbacks).
+    pub fn is_kv(self) -> bool {
+        self.per_sequence() && self != OpKind::Embedding
+    }
+}
 
 /// One scheduled operation.
 #[derive(Debug, Clone)]
 pub struct MemOp {
-    /// Human-readable label ("L3.w_gate", "L3.kv_read.K", …).
-    pub label: String,
+    /// What the operation moves.
+    pub kind: OpKind,
+    /// The image layer the operation belongs to; `None` for embedding,
+    /// LM-head and step-wide metadata traffic.
+    pub layer: Option<usize>,
     /// The bursts this operation issues.
     pub bursts: Vec<BurstDescriptor>,
     /// Beats the VPU consumes (one per cycle at fanout 1).
@@ -24,45 +103,39 @@ pub struct MemOp {
     /// (zero in the fused pipeline, where they hide under the next dense
     /// stream).
     pub exposed_misc: u64,
-    /// Sequences whose activations multiply against this stream's beats.
-    /// Shared weight streams carry the whole batch (`fanout = B`, each
-    /// beat's codes retire against `B` activation vectors); per-sequence
-    /// streams (KV history, embedding rows) feed only their own sequence
-    /// (`fanout = 1`).
+    /// Tokens whose activations multiply against this stream's beats.
+    /// Shared weight streams carry every token of the step (`fanout = B`,
+    /// each beat's codes retire against `B` activation vectors); a KV
+    /// history read feeds its own chunk's tokens, and embedding rows and
+    /// write-backs feed no fan-out (`fanout = 1`).
     pub compute_fanout: u32,
 }
 
 impl MemOp {
-    fn new(label: String, bursts: Vec<BurstDescriptor>) -> MemOp {
+    /// An operation whose read beats stream through the VPU against
+    /// `fanout` activation vectors; write bursts feed no compute.
+    fn new(kind: OpKind, layer: Option<usize>, bursts: Vec<BurstDescriptor>, fanout: u32) -> MemOp {
         let vpu_beats = bursts
             .iter()
             .filter(|b| !b.write)
             .map(|b| b.beats as u64)
             .sum();
         MemOp {
-            label,
+            kind,
+            layer,
             bursts,
             vpu_beats,
             exposed_misc: 0,
-            compute_fanout: 1,
+            compute_fanout: fanout,
         }
     }
 
-    fn fanned(label: String, bursts: Vec<BurstDescriptor>, fanout: u32) -> MemOp {
-        let mut op = MemOp::new(label, bursts);
-        op.compute_fanout = fanout;
-        op
-    }
-
-    /// A metadata operation (page-table lookups and flushes): its bursts
-    /// are priced as real DDR traffic but feed no VPU compute.
-    fn meta(label: String, bursts: Vec<BurstDescriptor>) -> MemOp {
+    /// A page-table operation: its bursts are priced as real DDR traffic
+    /// but feed no VPU compute.
+    fn meta(kind: OpKind, bursts: Vec<BurstDescriptor>) -> MemOp {
         MemOp {
-            label,
-            bursts,
             vpu_beats: 0,
-            exposed_misc: 0,
-            compute_fanout: 1,
+            ..MemOp::new(kind, None, bursts, 1)
         }
     }
 
@@ -72,23 +145,21 @@ impl MemOp {
     }
 }
 
-/// The complete schedule of one decode step.
+/// The complete schedule of one step.
 #[derive(Debug, Clone)]
 pub struct TokenSchedule {
     /// Operations in issue order.
     pub ops: Vec<MemOp>,
-    /// The highest context length this schedule serves (for a lockstep
-    /// batch, every sequence's shared context; for a ragged step, the
-    /// longest sequence's).
+    /// The highest position the step writes KV for (for a decode step,
+    /// the longest sequence's context).
     pub ctx: usize,
-    /// Tokens this step produces: the number of concurrent sequences for
-    /// a decode step (1 = the single-sequence schedule), or the total
-    /// prompt tokens for a chunked-prefill step.
+    /// Tokens the step produces or commits: one per sequence for a decode
+    /// step, every prompt token for a prefill step, the committed tokens
+    /// for a verify step.
     pub batch: usize,
-    /// The `(slot, context)` pair of every sequence taking part, in issue
-    /// order. Uniform lockstep schedules carry `(0, ctx) .. (B-1, ctx)`;
-    /// ragged schedules carry each sequence's own position; prefill
-    /// schedules carry each chunk's last written position.
+    /// The `(slot, position)` pair of every sequence taking part, in issue
+    /// order: the position a decode step writes, the last position a
+    /// prefill chunk writes, the last position a verify window commits.
     pub slots: Vec<(usize, usize)>,
 }
 
@@ -112,9 +183,6 @@ impl TokenSchedule {
 /// Builds the schedule for decoding one token with `ctx` tokens already
 /// cached (position `ctx` is being produced; its KV is written back).
 ///
-/// Single-sequence convenience over [`batched_token_schedule`] at
-/// `batch = 1` (same ops, same labels, same bursts).
-///
 /// # Panics
 ///
 /// Panics if `ctx >= image.ctx_capacity()`.
@@ -123,15 +191,8 @@ pub fn token_schedule(image: &ModelImage, ctx: usize, mode: PipelineMode) -> Tok
 }
 
 /// Builds the schedule for decoding one token for each of `batch`
-/// lockstep sequences, all at context length `ctx`.
-///
-/// Dense weight streams (embedding table rows aside) appear **once** and
-/// fan their compute out to all `batch` sequences
-/// ([`MemOp::compute_fanout`]); per-sequence traffic — the embedding row
-/// of each sequence's token, the KV history reads, the KV write-backs,
-/// and the scale-zero metadata flushes — is emitted per sequence against
-/// that sequence's own cache region. This is the batched-serving memory
-/// model: weight bytes are independent of `batch`, KV bytes linear in it.
+/// lockstep sequences in slots `0..batch`, all at context length `ctx`
+/// (the uniform [`ragged_token_schedule`]).
 ///
 /// # Panics
 ///
@@ -144,12 +205,6 @@ pub fn batched_token_schedule(
     batch: usize,
     mode: PipelineMode,
 ) -> TokenSchedule {
-    assert!(ctx < image.ctx_capacity(), "context beyond image capacity");
-    assert!(batch > 0, "batch must be at least one sequence");
-    assert!(
-        batch <= image.batch(),
-        "batch beyond image batch provisioning"
-    );
     let slots: Vec<(usize, usize)> = (0..batch).map(|s| (s, ctx)).collect();
     ragged_token_schedule(image, &slots, mode)
 }
@@ -157,14 +212,14 @@ pub fn batched_token_schedule(
 /// Builds the schedule for decoding one token for each sequence in
 /// `slots`, where each `(slot, ctx)` pair names the KV slot a sequence
 /// occupies and *that sequence's own* context length — the continuous-
-/// batching step. [`batched_token_schedule`] is the uniform special case
-/// (`slots = [(0, ctx), …, (B-1, ctx)]`, op-for-op identical).
+/// batching step.
 ///
-/// Shared weight streams still appear once with their compute fanned out
-/// to all participants; per-sequence traffic (embedding row, KV history
-/// read, KV write-back, metadata flush) is sized by each sequence's own
-/// position, so a step may mix a 3-token-old joiner with a 200-token
-/// veteran without padding either.
+/// A decode step is a one-token [`chunked_prefill_schedule`] chunk per
+/// sequence: shared weight streams appear once with their compute fanned
+/// out to every sequence, while the embedding row, KV history read, KV
+/// write-back, metadata flush and page-table traffic are sized by each
+/// sequence's own position, so a step may mix a 3-token-old joiner with
+/// a 200-token veteran without padding either.
 ///
 /// # Panics
 ///
@@ -177,204 +232,89 @@ pub fn ragged_token_schedule(
     mode: PipelineMode,
 ) -> TokenSchedule {
     assert!(!slots.is_empty(), "batch must be at least one sequence");
-    for (i, &(slot, ctx)) in slots.iter().enumerate() {
-        assert!(ctx < image.ctx_capacity(), "context beyond image capacity");
-        assert!(
-            slot < image.batch(),
-            "batch beyond image batch provisioning"
-        );
+    for (i, &(slot, _)) in slots.iter().enumerate() {
         assert!(
             !slots[..i].iter().any(|&(s, _)| s == slot),
             "duplicate slot in ragged schedule"
         );
     }
-    let model = image.model();
-    let d = model.d_model;
-    let hd = model.head_dim();
-    let heads = model.n_heads;
-    let batch = slots.len();
-    let b = batch as u64;
-    let fanout = batch as u32;
-    let mut ops: Vec<MemOp> = Vec::with_capacity(model.n_layers * (4 + 2 * batch) + 2);
-
-    // Miscellaneous SPU latencies, exposed only in coarse mode. The SPU
-    // works per activation vector, so in a batch each sequence pays its
-    // own pass. Softmax cost depends on each sequence's own position.
-    let rmsnorm = 2 * d as u64;
-    let rope_all = (heads + model.n_kv_heads) as u64 * hd as u64;
-    let softmax_all = |ctx: usize| 3 * (ctx as u64 + 1) * heads as u64;
-    let quant_all = 2 * 2 * model.kv_dim() as u64; // K and V, two passes
-    let silu = model.d_ff as u64;
-
-    // One embedding row per sequence (each decodes its own token). A
-    // shard image without the table receives hidden states over the
-    // interconnect instead — that traffic is priced by the cluster layer,
-    // not as DDR.
-    if image.owns_embedding() {
-        ops.push(MemOp::new(
-            "embedding".into(),
-            slots.iter().map(|_| image.embedding_row_burst(0)).collect(),
-        ));
-    }
-
-    // A paged image pays one page-table lookup per participating
-    // sequence before any fragmented KV burst can be issued — real
-    // metadata DDR traffic, not free bookkeeping.
-    if image.is_paged() {
-        ops.push(MemOp::meta(
-            "kv_pt_read".into(),
-            slots
-                .iter()
-                .map(|&(slot, _)| image.kv_page_table_read_burst(slot))
-                .collect(),
-        ));
-    }
-
-    for layer in 0..model.n_layers {
-        let projs = image.layer_projections(layer);
-        let find = |name: &str| {
-            projs
-                .iter()
-                .find(|p| p.name == name)
-                .unwrap_or_else(|| panic!("projection {name} missing"))
-        };
-
-        // Pre-attention RMSNorm exposes before Q in the coarse pipeline.
-        // Sequences with no history have no kv_read op to carry their
-        // softmax, so it serializes here instead.
-        let mut qkv = MemOp::fanned(
-            format!("L{layer}.qkv"),
-            vec![find("wq").burst(), find("wk").burst(), find("wv").burst()],
-            fanout,
-        );
-        if mode == PipelineMode::Coarse {
-            qkv.exposed_misc = (rmsnorm + rope_all + quant_all) * b
-                + slots
-                    .iter()
-                    .filter(|&&(_, ctx)| ctx == 0)
-                    .map(|&(_, ctx)| softmax_all(ctx))
-                    .sum::<u64>();
-        }
-        ops.push(qkv);
-
-        // KV history reads (the attention DOT and weighted-value sums):
-        // one stream per sequence, each over its own cache region at its
-        // own length.
-        for &(slot, ctx) in slots {
-            if ctx == 0 {
-                continue;
-            }
-            let mut bursts = image.kv_read_bursts_seq(layer, false, ctx, slot);
-            bursts.extend(image.kv_read_bursts_seq(layer, true, ctx, slot));
-            let mut kv_read = MemOp::new(format!("L{layer}.kv_read"), bursts);
-            if mode == PipelineMode::Coarse {
-                kv_read.exposed_misc = softmax_all(ctx);
-            }
-            ops.push(kv_read);
-        }
-
-        // Current tokens' KV write-backs (codes; metadata amortized).
-        for &(slot, ctx) in slots {
-            ops.push(MemOp::new(
-                format!("L{layer}.kv_write"),
-                vec![
-                    image.kv_write_burst_seq(layer, false, ctx, slot),
-                    image.kv_write_burst_seq(layer, true, ctx, slot),
-                ],
-            ));
-        }
-
-        ops.push(MemOp::fanned(
-            format!("L{layer}.wo"),
-            vec![find("wo").burst()],
-            fanout,
-        ));
-
-        let mut mlp = MemOp::fanned(
-            format!("L{layer}.mlp"),
-            vec![
-                find("w_gate").burst(),
-                find("w_up").burst(),
-                find("w_down").burst(),
-            ],
-            fanout,
-        );
-        if mode == PipelineMode::Coarse {
-            mlp.exposed_misc = (rmsnorm + silu) * b;
-        }
-        ops.push(mlp);
-    }
-
-    // Scale-zero FIFO flush: a sequence crossing a 16-token window
-    // boundary this step writes one beat per stream into its own
-    // metadata block. In a ragged step only the crossing sequences pay.
-    let streams = model.n_layers * model.n_kv_heads * 2;
-    let flush_bursts: Vec<BurstDescriptor> = slots
+    let chunks: Vec<PrefillChunk> = slots
         .iter()
-        .filter(|&&(_, ctx)| (ctx + 1).is_multiple_of(16))
-        .flat_map(|&(slot, ctx)| {
-            let window = (ctx as u64 + 1) / 16 - 1;
-            (0..streams).map(move |s| image.kv_meta_write_burst_seq(s, window, slot))
+        .map(|&(slot, ctx)| PrefillChunk {
+            slot,
+            start: ctx,
+            len: 1,
         })
         .collect();
-    if !flush_bursts.is_empty() {
-        ops.push(MemOp::new("kv_meta_flush".into(), flush_bursts));
-    }
-
-    // A sequence whose write-back lands on a fresh page appends one
-    // page-table entry — the one-beat allocation cost of on-demand
-    // paging, paid exactly when a page boundary is crossed.
-    if let Some(pt) = image.page_tokens() {
-        let pt_bursts: Vec<BurstDescriptor> = slots
-            .iter()
-            .filter(|&&(_, ctx)| ctx.is_multiple_of(pt))
-            .map(|&(slot, ctx)| image.kv_page_table_write_burst(slot, ctx / pt))
-            .collect();
-        if !pt_bursts.is_empty() {
-            ops.push(MemOp::meta("kv_pt_write".into(), pt_bursts));
-        }
-    }
-
-    // Only the stage owning the head prices a logits pass.
-    if image.owns_head() {
-        let mut head = MemOp::fanned("lm_head".into(), vec![image.lm_head().burst()], fanout);
-        if mode == PipelineMode::Coarse {
-            head.exposed_misc = rmsnorm * b;
-        }
-        ops.push(head);
-    }
-
-    TokenSchedule {
-        ops,
-        ctx: slots.iter().map(|&(_, ctx)| ctx).max().unwrap_or(0),
-        batch,
-        slots: slots.to_vec(),
-    }
+    chunked_prefill_schedule(image, &chunks, mode)
 }
 
-/// One contiguous span of a sequence's prompt processed in a single
-/// chunked-prefill step: tokens `start .. start + len` of the sequence
-/// occupying KV slot `slot`.
+/// One contiguous span of a sequence's positions processed in a single
+/// step: tokens `start .. start + len` of the sequence occupying KV slot
+/// `slot`. A decode step is a chunk of one token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PrefillChunk {
     /// KV slot the sequence occupies.
     pub slot: usize,
-    /// First prompt position this chunk covers (tokens `0..start` are
-    /// already cached from earlier chunks).
+    /// First position this chunk covers (tokens `0..start` are already
+    /// cached from earlier steps).
     pub start: usize,
     /// Tokens in this chunk (> 0).
     pub len: usize,
 }
 
-/// Builds the schedule for one chunked-prefill step: each weight stream
-/// is fetched **once** and its compute fanned out across every prompt
-/// token of every chunk (`fanout = Σ len`), the defining win of prefill
-/// over token-by-token decode. Per chunk the step reads that sequence's
+impl PrefillChunk {
+    /// The positions the chunk writes.
+    fn span(&self) -> Range<usize> {
+        self.start..self.start + self.len
+    }
+}
+
+/// The scale-zero flush bursts of every 16-token window that `positions`
+/// of `slot` complete: one beat per KV stream into that sequence's own
+/// metadata block.
+fn meta_window_bursts(
+    image: &ModelImage,
+    slot: usize,
+    positions: Range<usize>,
+) -> impl Iterator<Item = BurstDescriptor> + '_ {
+    let model = image.model();
+    let streams = model.n_layers * model.n_kv_heads * 2;
+    positions
+        .filter(|p| (p + 1).is_multiple_of(16))
+        .flat_map(move |p| {
+            let window = (p as u64 + 1) / 16 - 1;
+            (0..streams).map(move |s| image.kv_meta_write_burst_seq(s, window, slot))
+        })
+}
+
+/// The page-table entry of every page that `positions` of `slot` start
+/// (none on a contiguous image).
+fn page_append_bursts(
+    image: &ModelImage,
+    slot: usize,
+    positions: Range<usize>,
+) -> impl Iterator<Item = BurstDescriptor> + '_ {
+    let page = image.page_tokens();
+    positions.filter_map(move |p| {
+        let pt = page?;
+        p.is_multiple_of(pt)
+            .then(|| image.kv_page_table_write_burst(slot, p / pt))
+    })
+}
+
+/// Builds the schedule of one step over `chunks` — the one schedule
+/// builder every step kind goes through. Each weight stream is fetched
+/// **once** and its compute fanned out across every token of every
+/// chunk (`fanout = Σ len`), the defining win of prefill over
+/// token-by-token decode. Per chunk the step reads that sequence's
 /// cached history `[0, start)` once per layer (the chunk's own K/V stay
 /// on-chip and never round-trip through DDR), writes back `len` new KV
 /// positions, and flushes the scale-zero metadata of every 16-token
-/// window the chunk completes. Only one LM-head pass per *chunk* is
-/// scheduled — prefill discards intermediate logits.
+/// window the chunk completes; on a paged image it also looks up the
+/// sequence's page table once and appends an entry for every page the
+/// chunk starts. Only one LM-head pass per *chunk* is scheduled — prefill
+/// discards intermediate logits, and a decode chunk has just one token.
 ///
 /// # Panics
 ///
@@ -403,43 +343,47 @@ pub fn chunked_prefill_schedule(
         );
     }
     let model = image.model();
-    let d = model.d_model;
-    let hd = model.head_dim();
     let heads = model.n_heads;
     let total: usize = chunks.iter().map(|c| c.len).sum();
     let t = total as u64;
     let fanout = total as u32;
-    let head_fanout = chunks.len() as u32;
     let mut ops: Vec<MemOp> = Vec::with_capacity(model.n_layers * (4 + 2 * chunks.len()) + 2);
 
-    let rmsnorm = 2 * d as u64;
-    let rope_all = (heads + model.n_kv_heads) as u64 * hd as u64;
-    // Token at position p attends to p + 1 keys; sum over the chunk.
+    // Miscellaneous SPU latencies, exposed only in coarse mode. The SPU
+    // works per activation vector, so every token pays its own pass, and
+    // a token at position p runs softmax over p + 1 keys.
+    let coarse = |cycles: u64| match mode {
+        PipelineMode::Coarse => cycles,
+        PipelineMode::Fused => 0,
+    };
+    let rmsnorm = 2 * model.d_model as u64;
+    let rope_all = (heads + model.n_kv_heads) as u64 * model.head_dim() as u64;
     let softmax_chunk = |c: &PrefillChunk| {
-        (c.start..c.start + c.len)
+        c.span()
             .map(|p| 3 * (p as u64 + 1) * heads as u64)
             .sum::<u64>()
     };
-    let quant_all = 2 * 2 * model.kv_dim() as u64;
+    let quant_all = 2 * 2 * model.kv_dim() as u64; // K and V, two passes
     let silu = model.d_ff as u64;
 
-    // Every prompt token fetches its embedding row (first stage only —
-    // later shards receive hidden states over the interconnect).
+    // Every token fetches its embedding row (first stage only — later
+    // shards receive hidden states over the interconnect, priced by the
+    // cluster layer rather than as DDR).
     if image.owns_embedding() {
         ops.push(MemOp::new(
-            "embedding".into(),
-            chunks
-                .iter()
-                .flat_map(|c| (0..c.len).map(|_| image.embedding_row_burst(0)))
-                .collect(),
+            OpKind::Embedding,
+            None,
+            (0..total).map(|_| image.embedding_row_burst(0)).collect(),
+            1,
         ));
     }
 
-    // Paged images: one page-table lookup per chunk before its
-    // fragmented history reads and page-mapped writes can be issued.
+    // A paged image pays one page-table lookup per chunk before any
+    // fragmented KV burst can be issued — real metadata DDR traffic, not
+    // free bookkeeping.
     if image.is_paged() {
         ops.push(MemOp::meta(
-            "kv_pt_read".into(),
+            OpKind::KvPtRead,
             chunks
                 .iter()
                 .map(|c| image.kv_page_table_read_burst(c.slot))
@@ -449,120 +393,104 @@ pub fn chunked_prefill_schedule(
 
     for layer in 0..model.n_layers {
         let projs = image.layer_projections(layer);
-        let find = |name: &str| {
-            projs
+        let stream = |names: &[&str]| -> Vec<BurstDescriptor> {
+            names
                 .iter()
-                .find(|p| p.name == name)
-                .unwrap_or_else(|| panic!("projection {name} missing"))
+                .map(|&name| {
+                    projs
+                        .iter()
+                        .find(|p| p.name == name)
+                        .unwrap_or_else(|| panic!("projection {name} missing"))
+                        .burst()
+                })
+                .collect()
         };
+        let at = Some(layer);
 
-        let mut qkv = MemOp::fanned(
-            format!("L{layer}.qkv"),
-            vec![find("wq").burst(), find("wk").burst(), find("wv").burst()],
-            fanout,
-        );
-        if mode == PipelineMode::Coarse {
-            qkv.exposed_misc = (rmsnorm + rope_all + quant_all) * t
+        // Pre-attention RMSNorm exposes before Q in the coarse pipeline.
+        // Chunks with no history have no kv_read op to carry their
+        // softmax, so it serializes here instead.
+        let mut qkv = MemOp::new(OpKind::Qkv, at, stream(&["wq", "wk", "wv"]), fanout);
+        qkv.exposed_misc = coarse(
+            (rmsnorm + rope_all + quant_all) * t
                 + chunks
                     .iter()
                     .filter(|c| c.start == 0)
                     .map(softmax_chunk)
-                    .sum::<u64>();
-        }
+                    .sum::<u64>(),
+        );
         ops.push(qkv);
 
-        // Each chunk reads its sequence's cached history [0, start) once
-        // per layer; attention among the chunk's own tokens uses the K/V
-        // still resident on-chip.
-        for c in chunks {
-            if c.start == 0 {
-                continue;
-            }
+        // KV history reads (the attention DOT and weighted-value sums):
+        // one stream per chunk over its own cache region; attention among
+        // the chunk's own tokens uses the K/V still resident on-chip.
+        for c in chunks.iter().filter(|c| c.start > 0) {
             let mut bursts = image.kv_read_bursts_seq(layer, false, c.start, c.slot);
             bursts.extend(image.kv_read_bursts_seq(layer, true, c.start, c.slot));
-            let mut kv_read = MemOp::new(format!("L{layer}.kv_read"), bursts);
-            kv_read.compute_fanout = c.len as u32;
-            if mode == PipelineMode::Coarse {
-                kv_read.exposed_misc = softmax_chunk(c);
-            }
+            let mut kv_read = MemOp::new(OpKind::KvRead, at, bursts, c.len as u32);
+            kv_read.exposed_misc = coarse(softmax_chunk(c));
             ops.push(kv_read);
         }
 
-        // Every chunk token's K/V codes are written back.
+        // Every chunk token's K/V codes are written back (metadata
+        // amortized into the window flushes below).
         for c in chunks {
-            ops.push(MemOp::new(
-                format!("L{layer}.kv_write"),
-                (c.start..c.start + c.len)
-                    .flat_map(|p| {
-                        [
-                            image.kv_write_burst_seq(layer, false, p, c.slot),
-                            image.kv_write_burst_seq(layer, true, p, c.slot),
-                        ]
-                    })
-                    .collect(),
-            ));
+            let bursts = c
+                .span()
+                .flat_map(|p| {
+                    [
+                        image.kv_write_burst_seq(layer, false, p, c.slot),
+                        image.kv_write_burst_seq(layer, true, p, c.slot),
+                    ]
+                })
+                .collect();
+            ops.push(MemOp::new(OpKind::KvWrite, at, bursts, 1));
         }
 
-        ops.push(MemOp::fanned(
-            format!("L{layer}.wo"),
-            vec![find("wo").burst()],
-            fanout,
-        ));
+        ops.push(MemOp::new(OpKind::Wo, at, stream(&["wo"]), fanout));
 
-        let mut mlp = MemOp::fanned(
-            format!("L{layer}.mlp"),
-            vec![
-                find("w_gate").burst(),
-                find("w_up").burst(),
-                find("w_down").burst(),
-            ],
+        let mut mlp = MemOp::new(
+            OpKind::Mlp,
+            at,
+            stream(&["w_gate", "w_up", "w_down"]),
             fanout,
         );
-        if mode == PipelineMode::Coarse {
-            mlp.exposed_misc = (rmsnorm + silu) * t;
-        }
+        mlp.exposed_misc = coarse((rmsnorm + silu) * t);
         ops.push(mlp);
     }
 
-    // Metadata flush for every 16-token window a chunk completes.
-    let streams = model.n_layers * model.n_kv_heads * 2;
-    let flush_bursts: Vec<BurstDescriptor> = chunks
+    // Scale-zero FIFO flush for every 16-token window a chunk completes:
+    // only the crossing sequences pay.
+    let flush: Vec<BurstDescriptor> = chunks
         .iter()
-        .flat_map(|c| {
-            (c.start..c.start + c.len)
-                .filter(|p| (p + 1).is_multiple_of(16))
-                .flat_map(move |p| {
-                    let window = (p as u64 + 1) / 16 - 1;
-                    (0..streams).map(move |s| image.kv_meta_write_burst_seq(s, window, c.slot))
-                })
-        })
+        .flat_map(|c| meta_window_bursts(image, c.slot, c.span()))
         .collect();
-    if !flush_bursts.is_empty() {
-        ops.push(MemOp::new("kv_meta_flush".into(), flush_bursts));
+    if !flush.is_empty() {
+        ops.push(MemOp::new(OpKind::KvMetaFlush, None, flush, 1));
     }
 
-    // Page-table appends for every page boundary a chunk crosses.
-    if let Some(pt) = image.page_tokens() {
-        let pt_bursts: Vec<BurstDescriptor> = chunks
-            .iter()
-            .flat_map(|c| {
-                (c.start..c.start + c.len)
-                    .filter(|p| p.is_multiple_of(pt))
-                    .map(move |p| image.kv_page_table_write_burst(c.slot, p / pt))
-            })
-            .collect();
-        if !pt_bursts.is_empty() {
-            ops.push(MemOp::meta("kv_pt_write".into(), pt_bursts));
-        }
+    // A chunk whose write-backs land on a fresh page appends one
+    // page-table entry per page — the one-beat allocation cost of
+    // on-demand paging, paid exactly when a page boundary is crossed.
+    let appends: Vec<BurstDescriptor> = chunks
+        .iter()
+        .flat_map(|c| page_append_bursts(image, c.slot, c.span()))
+        .collect();
+    if !appends.is_empty() {
+        ops.push(MemOp::meta(OpKind::KvPtWrite, appends));
     }
 
     // Only each chunk's last token needs logits, and only on the stage
     // that owns the head.
     if image.owns_head() {
-        let mut head = MemOp::fanned("lm_head".into(), vec![image.lm_head().burst()], head_fanout);
-        if mode == PipelineMode::Coarse {
-            head.exposed_misc = rmsnorm * chunks.len() as u64;
-        }
+        let n = chunks.len();
+        let mut head = MemOp::new(
+            OpKind::LmHead,
+            None,
+            vec![image.lm_head().burst()],
+            n as u32,
+        );
+        head.exposed_misc = coarse(rmsnorm * n as u64);
         ops.push(head);
     }
 
@@ -671,55 +599,38 @@ pub fn speculative_verify_schedule(
         .collect();
     let mut sched = chunked_prefill_schedule(image, &chunks, mode);
 
-    let model = image.model();
-    let total: usize = windows.iter().map(|w| w.drafted + 1).sum();
     // Unlike prefill, every verify position's logits are consumed by
     // accept/reject — the head's compute fans across all of them.
-    if let Some(head) = sched.ops.iter_mut().find(|o| o.label == "lm_head") {
+    let total = sched.batch;
+    if let Some(head) = sched.ops.iter_mut().find(|o| o.kind == OpKind::LmHead) {
         head.compute_fanout = total as u32;
         if mode == PipelineMode::Coarse {
-            head.exposed_misc = 2 * model.d_model as u64 * total as u64;
+            head.exposed_misc = 2 * image.model().d_model as u64 * total as u64;
         }
     }
 
     // Rollback: re-write every scale-zero window the rejected suffix
-    // flushed, invalidating the dead packs in place.
-    let streams = model.n_layers * model.n_kv_heads * 2;
-    let meta_bursts: Vec<BurstDescriptor> = windows
+    // flushed, invalidating the dead packs in place, and — on a paged
+    // image — truncate every page-table entry it appended (the allocator
+    // hands the pages back).
+    let rejected = |w: &SpecWindow| w.keep()..w.end() + 1;
+    let meta: Vec<BurstDescriptor> = windows
         .iter()
-        .flat_map(|w| {
-            (w.keep()..=w.end())
-                .filter(|p| (p + 1).is_multiple_of(16))
-                .flat_map(move |p| {
-                    let window = (p as u64 + 1) / 16 - 1;
-                    (0..streams).map(move |s| image.kv_meta_write_burst_seq(s, window, w.slot))
-                })
-        })
+        .flat_map(|w| meta_window_bursts(image, w.slot, rejected(w)))
         .collect();
-    if !meta_bursts.is_empty() {
-        // Write bursts carry no VPU beats, so `MemOp::new` prices this
-        // as pure metadata traffic — same shape as `kv_meta_flush`.
+    if !meta.is_empty() {
         sched
             .ops
-            .push(MemOp::new("kv_meta_rollback".into(), meta_bursts));
+            .push(MemOp::new(OpKind::KvMetaRollback, None, meta, 1));
     }
-
-    // Rollback on a paged image: truncate every page-table entry the
-    // rejected suffix appended (the allocator hands the pages back).
-    if let Some(pt) = image.page_tokens() {
-        let pt_bursts: Vec<BurstDescriptor> = windows
-            .iter()
-            .flat_map(|w| {
-                (w.keep()..=w.end())
-                    .filter(|p| p.is_multiple_of(pt))
-                    .map(move |p| image.kv_page_table_write_burst(w.slot, p / pt))
-            })
-            .collect();
-        if !pt_bursts.is_empty() {
-            sched
-                .ops
-                .push(MemOp::meta("kv_pt_rollback".into(), pt_bursts));
-        }
+    let truncations: Vec<BurstDescriptor> = windows
+        .iter()
+        .flat_map(|w| page_append_bursts(image, w.slot, rejected(w)))
+        .collect();
+    if !truncations.is_empty() {
+        sched
+            .ops
+            .push(MemOp::meta(OpKind::KvPtRollback, truncations));
     }
 
     sched.batch = windows.iter().map(SpecWindow::committed).sum();
@@ -746,20 +657,30 @@ mod tests {
             .expect("test model fits")
     }
 
+    /// The ops of `kind` at `layer` (`None`: step-wide ops), in issue
+    /// order.
+    fn ops(sched: &TokenSchedule, kind: OpKind, layer: Option<usize>) -> Vec<&MemOp> {
+        sched
+            .ops
+            .iter()
+            .filter(|o| (o.kind, o.layer) == (kind, layer))
+            .collect()
+    }
+
+    /// Bytes of the ops whose kind satisfies `keep`.
+    fn bytes_where(sched: &TokenSchedule, keep: impl Fn(OpKind) -> bool) -> u64 {
+        sched
+            .ops
+            .iter()
+            .filter(|o| keep(o.kind))
+            .map(MemOp::bytes)
+            .sum()
+    }
+
     /// Bytes split into the two halves of the batched memory model:
     /// `(shared weight-stream bytes, per-sequence bytes)`.
     fn split_bytes(sched: &TokenSchedule) -> (u64, u64) {
-        let per_seq: u64 = sched
-            .ops
-            .iter()
-            .filter(|o| {
-                o.label.contains("kv_read")
-                    || o.label.contains("kv_write")
-                    || o.label == "kv_meta_flush"
-                    || o.label == "embedding"
-            })
-            .map(MemOp::bytes)
-            .sum();
+        let per_seq = bytes_where(sched, OpKind::per_sequence);
         (sched.total_bytes() - per_seq, per_seq)
     }
 
@@ -769,17 +690,7 @@ mod tests {
         let sched = token_schedule(&image, 4, PipelineMode::Fused);
         // Every projection byte appears exactly once.
         let weight_bytes: u64 = image.weight_stream_bytes();
-        let sched_weight_bytes: u64 = sched
-            .ops
-            .iter()
-            .filter(|o| {
-                o.label.contains(".qkv")
-                    || o.label.contains(".wo")
-                    || o.label.contains(".mlp")
-                    || o.label == "lm_head"
-            })
-            .map(MemOp::bytes)
-            .sum();
+        let sched_weight_bytes = bytes_where(&sched, |k| !k.per_sequence());
         assert_eq!(sched_weight_bytes, weight_bytes);
     }
 
@@ -809,18 +720,18 @@ mod tests {
     #[test]
     fn zero_context_schedules_no_history_reads() {
         let sched = token_schedule(&image(), 0, PipelineMode::Fused);
-        assert!(!sched.ops.iter().any(|o| o.label.contains("kv_read")));
+        assert!(!sched.ops.iter().any(|o| o.kind == OpKind::KvRead));
         // But KV write-back still happens.
-        assert!(sched.ops.iter().any(|o| o.label.contains("kv_write")));
+        assert!(sched.ops.iter().any(|o| o.kind == OpKind::KvWrite));
     }
 
     #[test]
     fn meta_flush_every_16_tokens() {
         let image = image();
         let s15 = token_schedule(&image, 15, PipelineMode::Fused);
-        assert!(s15.ops.iter().any(|o| o.label == "kv_meta_flush"));
+        assert!(s15.ops.iter().any(|o| o.kind == OpKind::KvMetaFlush));
         let s14 = token_schedule(&image, 14, PipelineMode::Fused);
-        assert!(!s14.ops.iter().any(|o| o.label == "kv_meta_flush"));
+        assert!(!s14.ops.iter().any(|o| o.kind == OpKind::KvMetaFlush));
     }
 
     #[test]
@@ -829,7 +740,7 @@ mod tests {
         let write_op = sched
             .ops
             .iter()
-            .find(|o| o.label.contains("kv_write"))
+            .find(|o| o.kind == OpKind::KvWrite)
             .expect("has write op");
         assert_eq!(write_op.vpu_beats, 0);
         assert!(write_op.bytes() > 0);
@@ -859,7 +770,7 @@ mod tests {
                 assert_eq!(single.batch, 1);
                 assert_eq!(single.ops.len(), batched.ops.len());
                 for (a, b) in single.ops.iter().zip(&batched.ops) {
-                    assert_eq!(a.label, b.label);
+                    assert_eq!((a.kind, a.layer), (b.kind, b.layer));
                     assert_eq!(a.bytes(), b.bytes());
                     assert_eq!(a.vpu_beats, b.vpu_beats);
                     assert_eq!(a.exposed_misc, b.exposed_misc);
@@ -892,10 +803,8 @@ mod tests {
     fn shared_streams_fan_out_per_sequence_streams_do_not() {
         let sched = batched_token_schedule(&batched_image(4), 16, 4, PipelineMode::Fused);
         for op in &sched.ops {
-            let per_seq =
-                op.label.contains("kv_") || op.label == "kv_meta_flush" || op.label == "embedding";
-            let expect = if per_seq { 1 } else { 4 };
-            assert_eq!(op.compute_fanout, expect, "fanout of {}", op.label);
+            let expect = if op.kind.per_sequence() { 1 } else { 4 };
+            assert_eq!(op.compute_fanout, expect, "fanout of {:?}", op.kind);
         }
     }
 
@@ -910,7 +819,7 @@ mod tests {
                 assert_eq!(batched.ops.len(), ragged.ops.len());
                 assert_eq!(batched.slots, ragged.slots);
                 for (a, b) in batched.ops.iter().zip(&ragged.ops) {
-                    assert_eq!(a.label, b.label);
+                    assert_eq!((a.kind, a.layer), (b.kind, b.layer));
                     assert_eq!(a.bytes(), b.bytes());
                     assert_eq!(a.vpu_beats, b.vpu_beats);
                     assert_eq!(a.exposed_misc, b.exposed_misc);
@@ -946,17 +855,17 @@ mod tests {
         let flush = sched
             .ops
             .iter()
-            .find(|o| o.label == "kv_meta_flush")
+            .find(|o| o.kind == OpKind::KvMetaFlush)
             .expect("crossing sequence flushes");
         let single = token_schedule(&image, 15, PipelineMode::Fused);
         let single_flush = single
             .ops
             .iter()
-            .find(|o| o.label == "kv_meta_flush")
+            .find(|o| o.kind == OpKind::KvMetaFlush)
             .unwrap();
         assert_eq!(flush.bytes(), single_flush.bytes());
         let none = ragged_token_schedule(&image, &[(0, 4), (1, 14)], PipelineMode::Fused);
-        assert!(!none.ops.iter().any(|o| o.label == "kv_meta_flush"));
+        assert!(!none.ops.iter().any(|o| o.kind == OpKind::KvMetaFlush));
     }
 
     #[test]
@@ -984,26 +893,22 @@ mod tests {
         let sched = chunked_prefill_schedule(&image, &chunks, PipelineMode::Fused);
         assert_eq!(sched.batch, 12);
         // Weight streams appear once, fanned to the 12 prompt tokens.
-        let qkv = sched.ops.iter().find(|o| o.label == "L0.qkv").unwrap();
+        let qkv = ops(&sched, OpKind::Qkv, Some(0))[0];
         assert_eq!(qkv.compute_fanout, 12);
         let single = token_schedule(&image, 0, PipelineMode::Fused);
-        let sq = single.ops.iter().find(|o| o.label == "L0.qkv").unwrap();
+        let sq = ops(&single, OpKind::Qkv, Some(0))[0];
         assert_eq!(qkv.bytes(), sq.bytes(), "weights fetched once per step");
         // LM head runs once per chunk, not per token.
-        let head = sched.ops.iter().find(|o| o.label == "lm_head").unwrap();
+        let head = sched.ops.iter().find(|o| o.kind == OpKind::LmHead).unwrap();
         assert_eq!(head.compute_fanout, 2);
         // Only slot 1 reads history (slot 0 starts from scratch).
-        let reads: Vec<_> = sched
-            .ops
-            .iter()
-            .filter(|o| o.label == "L0.kv_read")
-            .collect();
+        let reads: Vec<_> = ops(&sched, OpKind::KvRead, Some(0));
         assert_eq!(reads.len(), 1);
         // Every chunk token writes its KV back.
         let writes: u64 = sched
             .ops
             .iter()
-            .filter(|o| o.label == "L0.kv_write")
+            .filter(|o| (o.kind, o.layer) == (OpKind::KvWrite, Some(0)))
             .map(|o| o.bursts.len() as u64)
             .sum();
         assert_eq!(writes, 2 * 12);
@@ -1044,11 +949,7 @@ mod tests {
     fn batched_kv_reads_touch_distinct_regions() {
         let image = batched_image(2);
         let sched = batched_token_schedule(&image, 8, 2, PipelineMode::Fused);
-        let reads: Vec<_> = sched
-            .ops
-            .iter()
-            .filter(|o| o.label == "L0.kv_read")
-            .collect();
+        let reads: Vec<_> = ops(&sched, OpKind::KvRead, Some(0));
         assert_eq!(reads.len(), 2);
         assert_ne!(reads[0].bursts[0].addr, reads[1].bursts[0].addr);
         assert_eq!(reads[0].bytes(), reads[1].bytes());
@@ -1067,12 +968,7 @@ mod tests {
 
     /// Bytes in the page-table metadata ops alone.
     fn pt_bytes(sched: &TokenSchedule) -> u64 {
-        sched
-            .ops
-            .iter()
-            .filter(|o| o.label.starts_with("kv_pt_"))
-            .map(MemOp::bytes)
-            .sum()
+        bytes_where(sched, |k| matches!(k, OpKind::KvPtRead | OpKind::KvPtWrite))
     }
 
     #[test]
@@ -1094,24 +990,24 @@ mod tests {
         // One lookup per sequence; appends only for boundary-crossing
         // writes (ctx 16 starts logical page 1, ctx 0 page 0).
         let p = ragged_token_schedule(&paged, &slots, PipelineMode::Fused);
-        let read = p.ops.iter().find(|o| o.label == "kv_pt_read").unwrap();
+        let read = p.ops.iter().find(|o| o.kind == OpKind::KvPtRead).unwrap();
         assert_eq!(read.bursts.len(), 4);
-        let write = p.ops.iter().find(|o| o.label == "kv_pt_write").unwrap();
+        let write = p.ops.iter().find(|o| o.kind == OpKind::KvPtWrite).unwrap();
         assert_eq!(write.bursts.len(), 2);
         let none = ragged_token_schedule(&paged, &[(0, 3), (1, 17)], PipelineMode::Fused);
-        assert!(!none.ops.iter().any(|o| o.label == "kv_pt_write"));
+        assert!(!none.ops.iter().any(|o| o.kind == OpKind::KvPtWrite));
     }
 
     #[test]
     fn paged_reads_fragment_into_per_page_bursts() {
         let paged = paged_image(2);
         let sched = ragged_token_schedule(&paged, &[(0, 31)], PipelineMode::Fused);
-        let read = sched.ops.iter().find(|o| o.label == "L0.kv_read").unwrap();
+        let read = ops(&sched, OpKind::KvRead, Some(0))[0];
         // 31 tokens span two 16-token pages, K and V each: 4 bursts.
         assert_eq!(read.bursts.len(), 4);
         let flat = batched_image(2);
         let fsched = ragged_token_schedule(&flat, &[(0, 31)], PipelineMode::Fused);
-        let fread = fsched.ops.iter().find(|o| o.label == "L0.kv_read").unwrap();
+        let fread = ops(&fsched, OpKind::KvRead, Some(0))[0];
         assert_eq!(fread.bursts.len(), 2);
         assert_eq!(read.bytes(), fread.bytes());
         assert_eq!(read.vpu_beats, fread.vpu_beats);
@@ -1138,9 +1034,9 @@ mod tests {
         assert_eq!(p.total_bytes() - pt_bytes(&p), f.total_bytes());
         // Chunk 0 crosses positions 0 and 16 (2 appends); chunk 1
         // crosses position 16 (1 append).
-        let write = p.ops.iter().find(|o| o.label == "kv_pt_write").unwrap();
+        let write = p.ops.iter().find(|o| o.kind == OpKind::KvPtWrite).unwrap();
         assert_eq!(write.bursts.len(), 3);
-        let read = p.ops.iter().find(|o| o.label == "kv_pt_read").unwrap();
+        let read = p.ops.iter().find(|o| o.kind == OpKind::KvPtRead).unwrap();
         assert_eq!(read.bursts.len(), 2, "one lookup per chunk");
     }
 
@@ -1160,7 +1056,10 @@ mod tests {
         assert_eq!(spec.total_bytes(), dec.total_bytes());
         assert_eq!(spec.batch, 1);
         assert_eq!(spec.slots, vec![(0, 9)]);
-        assert!(!spec.ops.iter().any(|o| o.label.ends_with("_rollback")));
+        assert!(!spec
+            .ops
+            .iter()
+            .any(|o| matches!(o.kind, OpKind::KvMetaRollback | OpKind::KvPtRollback)));
     }
 
     #[test]
@@ -1175,20 +1074,20 @@ mod tests {
         let spec = speculative_verify_schedule(&image, &w, PipelineMode::Fused);
         // The dense streams appear once, at the bytes of a single decode
         // step, with compute fanned across the K + 1 verify positions.
-        let qkv = spec.ops.iter().find(|o| o.label == "L0.qkv").unwrap();
+        let qkv = ops(&spec, OpKind::Qkv, Some(0))[0];
         assert_eq!(qkv.compute_fanout, 5);
         let single = token_schedule(&image, 8, PipelineMode::Fused);
-        let sq = single.ops.iter().find(|o| o.label == "L0.qkv").unwrap();
+        let sq = ops(&single, OpKind::Qkv, Some(0))[0];
         assert_eq!(qkv.bytes(), sq.bytes(), "weights fetched once per window");
         // Unlike prefill, every verify position needs logits.
-        let head = spec.ops.iter().find(|o| o.label == "lm_head").unwrap();
+        let head = spec.ops.iter().find(|o| o.kind == OpKind::LmHead).unwrap();
         assert_eq!(head.compute_fanout, 5);
         // The step commits accepted + 1 tokens, not K + 1.
         assert_eq!(spec.batch, 3);
         assert_eq!(spec.slots, vec![(0, 10)]);
         // Coarse mode exposes one final RMSNorm per verify position.
         let coarse = speculative_verify_schedule(&image, &w, PipelineMode::Coarse);
-        let head = coarse.ops.iter().find(|o| o.label == "lm_head").unwrap();
+        let head = ops(&coarse, OpKind::LmHead, None)[0];
         assert_eq!(
             head.exposed_misc,
             2 * image.model().d_model as u64 * 5,
@@ -1214,9 +1113,9 @@ mod tests {
             },
         ];
         let spec = speculative_verify_schedule(&image, &ws, PipelineMode::Fused);
-        let qkv = spec.ops.iter().find(|o| o.label == "L0.qkv").unwrap();
+        let qkv = ops(&spec, OpKind::Qkv, Some(0))[0];
         assert_eq!(qkv.compute_fanout, 4 + 3);
-        let head = spec.ops.iter().find(|o| o.label == "lm_head").unwrap();
+        let head = spec.ops.iter().find(|o| o.kind == OpKind::LmHead).unwrap();
         assert_eq!(head.compute_fanout, 4 + 3);
         assert_eq!(spec.batch, 4 + 1, "committed = Σ (accepted + 1)");
         assert_eq!(spec.slots, vec![(0, 7), (1, 9)]);
@@ -1238,7 +1137,7 @@ mod tests {
         let rb = spec
             .ops
             .iter()
-            .find(|o| o.label == "kv_meta_rollback")
+            .find(|o| o.kind == OpKind::KvMetaRollback)
             .expect("rejected window flush is rolled back");
         let m = image.model();
         assert_eq!(rb.bursts.len(), m.n_layers * m.n_kv_heads * 2);
@@ -1251,7 +1150,10 @@ mod tests {
             accepted: 8,
         }];
         let spec = speculative_verify_schedule(&image, &all, PipelineMode::Fused);
-        assert!(!spec.ops.iter().any(|o| o.label.ends_with("_rollback")));
+        assert!(!spec
+            .ops
+            .iter()
+            .any(|o| matches!(o.kind, OpKind::KvMetaRollback | OpKind::KvPtRollback)));
         // A rejected span that crosses no flush boundary costs nothing.
         let cheap = [SpecWindow {
             slot: 0,
@@ -1260,7 +1162,7 @@ mod tests {
             accepted: 2,
         }];
         let spec = speculative_verify_schedule(&image, &cheap, PipelineMode::Fused);
-        assert!(!spec.ops.iter().any(|o| o.label == "kv_meta_rollback"));
+        assert!(!spec.ops.iter().any(|o| o.kind == OpKind::KvMetaRollback));
     }
 
     #[test]
@@ -1279,24 +1181,32 @@ mod tests {
         let rb = p
             .ops
             .iter()
-            .find(|o| o.label == "kv_pt_rollback")
+            .find(|o| o.kind == OpKind::KvPtRollback)
             .expect("paged rollback truncates the table");
         assert_eq!(rb.bursts.len(), 1);
         assert_eq!(rb.vpu_beats, 0);
         let f = speculative_verify_schedule(&flat, &w, PipelineMode::Fused);
-        assert!(!f.ops.iter().any(|o| o.label == "kv_pt_rollback"));
+        assert!(!f.ops.iter().any(|o| o.kind == OpKind::KvPtRollback));
         // Modulo rollback + page-table metadata, both images move the
         // same verify bytes.
         let meta: u64 = p
             .ops
             .iter()
-            .filter(|o| o.label.starts_with("kv_pt_") || o.label == "kv_meta_rollback")
+            .filter(|o| {
+                matches!(
+                    o.kind,
+                    OpKind::KvPtRead
+                        | OpKind::KvPtWrite
+                        | OpKind::KvPtRollback
+                        | OpKind::KvMetaRollback
+                )
+            })
             .map(MemOp::bytes)
             .sum();
         let f_meta: u64 = f
             .ops
             .iter()
-            .filter(|o| o.label == "kv_meta_rollback")
+            .filter(|o| o.kind == OpKind::KvMetaRollback)
             .map(MemOp::bytes)
             .sum();
         assert_eq!(p.total_bytes() - meta, f.total_bytes() - f_meta);
@@ -1336,10 +1246,10 @@ mod tests {
             // one shard: embedding on the first, head on the last, each
             // layer's weights/KV/metadata on its owner.
             assert_eq!(a.total_bytes() + b.total_bytes(), whole.total_bytes());
-            assert!(a.ops.iter().any(|o| o.label == "embedding"));
-            assert!(a.ops.iter().all(|o| o.label != "lm_head"));
-            assert!(b.ops.iter().all(|o| o.label != "embedding"));
-            assert!(b.ops.iter().any(|o| o.label == "lm_head"));
+            assert!(a.ops.iter().any(|o| o.kind == OpKind::Embedding));
+            assert!(a.ops.iter().all(|o| o.kind != OpKind::LmHead));
+            assert!(b.ops.iter().all(|o| o.kind != OpKind::Embedding));
+            assert!(b.ops.iter().any(|o| o.kind == OpKind::LmHead));
         }
         // Prefill conserves bytes across the split too.
         let chunks = [
@@ -1372,12 +1282,7 @@ mod properties {
         let per_seq: u64 = sched
             .ops
             .iter()
-            .filter(|o| {
-                o.label.contains("kv_read")
-                    || o.label.contains("kv_write")
-                    || o.label == "kv_meta_flush"
-                    || o.label == "embedding"
-            })
+            .filter(|o| o.kind.per_sequence())
             .map(MemOp::bytes)
             .sum();
         (sched.total_bytes() - per_seq, per_seq)

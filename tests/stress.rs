@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use zllm::accel::config::PipelineMode;
 use zllm::accel::image::ModelImage;
-use zllm::accel::schedule::token_schedule;
+use zllm::accel::schedule::{token_schedule, OpKind};
 use zllm::accel::{AccelConfig, DecodeEngine};
 use zllm::layout::weight::WeightFormat;
 use zllm::model::ModelConfig;
@@ -73,10 +73,7 @@ proptest! {
         let weight_bytes: u64 = fused
             .ops
             .iter()
-            .filter(|o| {
-                o.label.contains(".qkv") || o.label.contains(".wo")
-                    || o.label.contains(".mlp") || o.label == "lm_head"
-            })
+            .filter(|o| matches!(o.kind, OpKind::Qkv | OpKind::Wo | OpKind::Mlp | OpKind::LmHead))
             .map(|o| o.bytes())
             .sum();
         prop_assert_eq!(weight_bytes, image.weight_stream_bytes());
