@@ -165,16 +165,6 @@ impl ShardedEngine {
         self.stages.len()
     }
 
-    /// The interconnect between stages.
-    pub fn interconnect(&self) -> InterconnectConfig {
-        self.interconnect
-    }
-
-    /// Per-sequence context capacity (identical on every stage).
-    pub fn ctx_capacity(&self) -> usize {
-        self.stages[0].image().ctx_capacity()
-    }
-
     /// Concurrent sequence slots (identical on every stage).
     pub fn slots(&self) -> usize {
         self.stages[0].image().batch()
@@ -211,11 +201,6 @@ impl ShardedEngine {
         self.stages[stage].image().kv_budget_bytes()
     }
 
-    /// Tokens per KV page when the stages are paged, `None` otherwise.
-    pub fn page_tokens(&self) -> Option<usize> {
-        self.stages[self.bottleneck].image().page_tokens()
-    }
-
     /// One page's KV bytes on the **bottleneck** stage — the pipeline's
     /// actual-growth admission currency.
     ///
@@ -224,14 +209,6 @@ impl ShardedEngine {
     /// Panics when the engine is not paged.
     pub fn kv_page_bytes(&self) -> u64 {
         self.stages[self.bottleneck].image().kv_page_bytes()
-    }
-
-    /// [`ShardedEngine::kv_request_bytes`] rounded up to whole pages at
-    /// the bottleneck stage.
-    pub fn page_rounded_request_bytes(&self, tokens: usize, page_tokens: usize) -> u64 {
-        self.stages[self.bottleneck]
-            .image()
-            .page_rounded_request_bytes(tokens, page_tokens)
     }
 
     /// Prices one ragged decode step (`(slot, ctx)` pairs, as

@@ -2,14 +2,15 @@
 //!
 //! [`ClusterServer`] replays a request trace against a fleet of
 //! [`ShardedEngine`] pipelines. A [`PlacementPolicy`] routes each
-//! arrival to one pipeline; that pipeline's own
-//! [`AdmissionController`] then enforces slots, KV bytes and per-class
-//! FIFO exactly as the single-board [`crate::Server`] does. The
-//! pipelines share one discrete-event clock: the simulator always
-//! advances to the earliest pending event (a step completing on some
-//! pipeline, or the next arrival), so pipelines interleave
-//! deterministically — completions before arrivals on ties, lower
-//! pipeline index first.
+//! arrival to one pipeline. That pipeline's scheduling core, the same
+//! one the single-board [`crate::Server`] drives, then enforces slots,
+//! KV bytes and per-class FIFO through its own
+//! [`AdmissionController`](crate::AdmissionController), plans each step
+//! at launch and books it at completion. The pipelines share one
+//! discrete-event clock: the simulator always advances to the earliest
+//! pending event (a step completing on some pipeline, or the next
+//! arrival), so pipelines interleave deterministically — completions
+//! before arrivals on ties, lower pipeline index first.
 //!
 //! Step timing uses the pipeline cadence (stages overlapped on
 //! successive micro-batches): each step occupies its pipeline for
@@ -17,15 +18,15 @@
 //! additionally pays the fill residual — the cost of filling the
 //! pipeline behind it — without holding the machine.
 
-use crate::admission::{AdmissionConfig, AdmissionController, Rejection};
+use crate::admission::AdmissionConfig;
 use crate::cluster::engine::ShardedEngine;
 use crate::cluster::interconnect::InterconnectConfig;
 use crate::cluster::router::{PipelineLoad, PlacementPolicy};
-use crate::request::{DropReason, Request, RequestOutcome};
-use crate::server::{newest_lower_class, percentile, Active, PagedConfig};
+use crate::request::{Request, RequestOutcome};
+use crate::sched::{Core, OutcomeFold};
+use crate::server::PagedConfig;
 use zllm_accel::{AccelConfig, PrefillChunk};
 use zllm_layout::addr_map::AllocError;
-use zllm_layout::kv_page::PagedKvAllocator;
 use zllm_model::ModelConfig;
 
 /// Cluster configuration: fleet geometry plus per-pipeline serving
@@ -92,10 +93,10 @@ impl ClusterConfig {
 
 /// What a pipeline is currently busy doing.
 enum StepKind {
-    /// Chunked prefill: `(active index, tokens)` per advanced sequence.
-    Prefill(Vec<(usize, usize)>),
-    /// One ragged decode step over the listed active indices (every
-    /// active sequence, minus any page-starved ones sitting it out).
+    /// Chunked prefill over these chunks.
+    Prefill(Vec<PrefillChunk>),
+    /// One ragged decode step: the tokens each active sequence commits
+    /// (0 for a page-starved one sitting the step out).
     Decode(Vec<usize>),
 }
 
@@ -110,50 +111,24 @@ struct StepInFlight {
     fill_residual_s: f64,
 }
 
-/// One pipeline: a sharded engine, its admission controller, and its
-/// in-flight state.
+/// One pipeline: a sharded engine, the scheduling core over it, and its
+/// step in flight.
 struct Pipeline {
     engine: ShardedEngine,
-    admission: AdmissionController,
-    active: Vec<Active>,
-    /// KV bytes queued-but-unadmitted requests will reserve (router
-    /// visibility into demand the controller has accepted).
-    pending_bytes: u64,
-    /// Bottleneck-stage page pool under paged serving.
-    pool: Option<PagedKvAllocator>,
-    preempted: u64,
+    core: Core,
     step: Option<StepInFlight>,
-    decode_steps: u64,
-    prefill_steps: u64,
-    generated_tokens: u64,
-    prompt_tokens: u64,
 }
 
 impl Pipeline {
     fn load(&self) -> PipelineLoad {
+        let c = &self.core;
         PipelineLoad {
-            reserved_bytes: self.admission.reserved_bytes(),
-            pending_bytes: self.pending_bytes,
-            budget_bytes: self.admission.budget_bytes(),
-            queue_depth: self.admission.queued(),
-            active: self.active.len(),
+            reserved_bytes: c.admission().reserved_bytes(),
+            pending_bytes: c.pending_bytes,
+            budget_bytes: c.admission().budget_bytes(),
+            queue_depth: c.admission().queued(),
+            active: c.active().len(),
         }
-    }
-
-    /// Evicts `active[idx]` for reclaim: frees its pages and charge and
-    /// requeues the request at the head of its class, quoted back at
-    /// its page-rounded worst case (preempt-and-recompute).
-    fn preempt(&mut self, idx: usize, now: f64) {
-        let pool = self.pool.as_mut().expect("paged pipeline");
-        let a = self.active.remove(idx);
-        let worst = self
-            .engine
-            .page_rounded_request_bytes(a.request.total_tokens(), pool.page_tokens());
-        pool.release(a.slot);
-        self.admission.release(a.slot, a.bytes);
-        self.admission.requeue_front(a.request, worst, now);
-        self.pending_bytes += worst;
-        self.preempted += 1;
     }
 }
 
@@ -279,36 +254,24 @@ impl ClusterServer {
                     cfg.interconnect,
                 )?,
             };
-            let admission = AdmissionController::new(AdmissionConfig {
-                slots: cfg.slots,
-                budget_bytes: engine.kv_budget_bytes(),
-                queue_cap: cfg.queue_cap,
-                starvation_bound_s: cfg.starvation_bound_s,
-            });
-            let pool = cfg.paged.as_ref().map(|p| {
-                let total = (engine.kv_budget_bytes() / engine.kv_page_bytes()) as usize;
-                PagedKvAllocator::new(total, cfg.slots, p.page_tokens)
-            });
+            let core = Core::new(
+                AdmissionConfig {
+                    slots: cfg.slots,
+                    budget_bytes: engine.kv_budget_bytes(),
+                    queue_cap: cfg.queue_cap,
+                    starvation_bound_s: cfg.starvation_bound_s,
+                },
+                cfg.ctx_capacity,
+                cfg.prefill_chunk,
+                cfg.paged.as_ref().map(|p| (p, engine.kv_page_bytes())),
+            );
             pipes.push(Pipeline {
                 engine,
-                admission,
-                active: Vec::new(),
-                pending_bytes: 0,
-                pool,
-                preempted: 0,
+                core,
                 step: None,
-                decode_steps: 0,
-                prefill_steps: 0,
-                generated_tokens: 0,
-                prompt_tokens: 0,
             });
         }
         Ok(ClusterServer { cfg, pipes })
-    }
-
-    /// The configuration this cluster was built with.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
     }
 
     /// The sharded engine behind pipeline `pipe` (telemetry access:
@@ -367,100 +330,25 @@ impl ClusterServer {
     }
 
     /// Routes one arrival to a pipeline and offers it to that pipeline's
-    /// admission controller.
+    /// scheduling core.
     fn ingest(&mut self, r: Request, outcomes: &mut Vec<RequestOutcome>) {
         let loads: Vec<PipelineLoad> = self.pipes.iter().map(Pipeline::load).collect();
-        let pipe = self.cfg.policy.place(&loads, &r);
-        let p = &mut self.pipes[pipe];
-        let dropped = if r.total_tokens() > self.cfg.ctx_capacity {
-            p.admission.note_infeasible();
-            Some(DropReason::Infeasible)
-        } else if let (Some(pool), Some(pc)) = (&p.pool, &self.cfg.paged) {
-            // Paged feasibility at the bottleneck stage: the prompt must
-            // clear the watermark and the whole sequence must fit the
-            // pool alone. Quoted at the page-rounded worst case.
-            let pt = pc.page_tokens;
-            let wm = (pc.watermark * pool.total_pages() as f64).floor() as usize;
-            let prompt_pages = r.prompt_tokens.div_ceil(pt);
-            let total_pages = r.total_tokens().div_ceil(pt);
-            if prompt_pages > wm || total_pages > pool.total_pages() {
-                p.admission.note_infeasible();
-                Some(DropReason::Infeasible)
-            } else {
-                let bytes = p.engine.page_rounded_request_bytes(r.total_tokens(), pt);
-                match p.admission.offer(r.clone(), bytes, r.arrival_s) {
-                    Ok(()) => {
-                        p.pending_bytes += bytes;
-                        None
-                    }
-                    Err(Rejection::Infeasible) => Some(DropReason::Infeasible),
-                    Err(Rejection::QueueFull) => Some(DropReason::QueueFull),
-                }
-            }
-        } else {
-            let bytes = p.engine.kv_request_bytes(r.total_tokens());
-            match p.admission.offer(r.clone(), bytes, r.arrival_s) {
-                Ok(()) => {
-                    p.pending_bytes += bytes;
-                    None
-                }
-                Err(Rejection::Infeasible) => Some(DropReason::Infeasible),
-                Err(Rejection::QueueFull) => Some(DropReason::QueueFull),
-            }
-        };
-        if let Some(reason) = dropped {
-            outcomes.push(RequestOutcome {
-                request: r,
-                admitted_s: None,
-                first_token_s: None,
-                finish_s: None,
-                generated: 0,
-                token_latency_sum_s: 0.0,
-                token_latency_max_s: 0.0,
-                dropped: Some(reason),
-            });
-        }
+        let p = &mut self.pipes[self.cfg.policy.place(&loads, &r)];
+        let bytes = p.engine.kv_request_bytes(r.total_tokens());
+        p.core.offer(r, bytes, outcomes);
     }
 
-    /// Applies the effects of pipeline `pipe`'s finished step, retires
-    /// completed sequences, and starts its next step.
+    /// Books pipeline `pipe`'s finished step, retires completed
+    /// sequences, and starts its next step.
     fn complete_step(&mut self, pipe: usize, now: f64, outcomes: &mut Vec<RequestOutcome>) {
         let p = &mut self.pipes[pipe];
         let step = p.step.take().expect("a step was in flight");
         match step.kind {
-            StepKind::Prefill(owners) => {
-                for (i, len) in owners {
-                    p.active[i].prefilled += len;
-                    p.prompt_tokens += len as u64;
-                }
-            }
-            StepKind::Decode(part) => {
-                p.generated_tokens += part.len() as u64;
-                for &i in &part {
-                    let a = &mut p.active[i];
-                    a.generated += 1;
-                    if a.generated == 1 {
-                        a.first_token_s = Some(now + step.fill_residual_s);
-                    } else {
-                        a.token_latency_sum_s += step.step_s;
-                        a.token_latency_max_s = a.token_latency_max_s.max(step.step_s);
-                    }
-                }
-                // Evict-on-finish: a paged sequence returns its pages
-                // the instant it completes.
-                let mut i = 0;
-                while i < p.active.len() {
-                    if p.active[i].done() {
-                        let a = p.active.remove(i);
-                        if let Some(pool) = p.pool.as_mut() {
-                            pool.release(a.slot);
-                        }
-                        p.admission.release(a.slot, a.bytes);
-                        outcomes.push(a.finish(now));
-                    } else {
-                        i += 1;
-                    }
-                }
+            StepKind::Prefill(chunks) => p.core.book_prefill(&chunks),
+            StepKind::Decode(committed) => {
+                let first_token_s = now + step.fill_residual_s;
+                p.core.book_decode(&committed, step.step_s, first_token_s);
+                p.core.retire(now, outcomes);
             }
         }
         self.start_step(pipe, now);
@@ -472,180 +360,18 @@ impl ClusterServer {
     /// active.
     fn start_step(&mut self, pipe: usize, now: f64) {
         let p = &mut self.pipes[pipe];
-        if let Some(pc) = self.cfg.paged.clone() {
-            // Actual-growth admission at the bottleneck stage, with
-            // deadline-aware preemption for a blocked Interactive head —
-            // the same policy as the single-board paged server.
-            let page_bytes = p.engine.kv_page_bytes();
-            let pt = pc.page_tokens;
-            while p.active.len() < p.engine.slots() {
-                let pool = p.pool.as_ref().expect("paged pipeline");
-                let wm_pages = (pc.watermark * pool.total_pages() as f64).floor() as usize;
-                let used = pool.used_pages();
-                let free = pool.free_pages();
-                let granted = p.admission.try_admit_charged(
-                    now,
-                    |r| r.prompt_tokens.div_ceil(pt) as u64 * page_bytes,
-                    |r, _| {
-                        let need = r.prompt_tokens.div_ceil(pt);
-                        used + need <= wm_pages && need <= free
-                    },
-                );
-                match granted {
-                    Some(g) => {
-                        let pool = p.pool.as_mut().expect("paged pipeline");
-                        assert!(
-                            pool.grow_to(g.slot, g.request.prompt_tokens),
-                            "accept gate reserved the prompt pages"
-                        );
-                        p.pending_bytes -= p
-                            .engine
-                            .page_rounded_request_bytes(g.request.total_tokens(), pt);
-                        p.active.push(Active {
-                            request: g.request,
-                            slot: g.slot,
-                            bytes: g.bytes,
-                            admitted_s: g.admitted_s,
-                            prefilled: 0,
-                            generated: 0,
-                            first_token_s: None,
-                            token_latency_sum_s: 0.0,
-                            token_latency_max_s: 0.0,
-                        });
-                    }
-                    None => {
-                        let (head_prio, head_prompt) = match p.admission.peek_head(now) {
-                            Some(h) => (h.class.priority(), h.prompt_tokens),
-                            None => break,
-                        };
-                        if head_prio != 0 || p.admission.free_slots() == 0 {
-                            break;
-                        }
-                        let need = head_prompt.div_ceil(pt);
-                        if used + need <= wm_pages && need <= free {
-                            break; // blocked elsewhere; reclaim cannot help
-                        }
-                        match newest_lower_class(&p.active, head_prio) {
-                            Some(i) => p.preempt(i, now),
-                            None => break,
-                        }
-                    }
-                }
-            }
-        } else {
-            while p.active.len() < p.engine.slots() {
-                match p.admission.try_admit(now) {
-                    Some(g) => {
-                        p.pending_bytes -= g.bytes;
-                        p.active.push(Active {
-                            request: g.request,
-                            slot: g.slot,
-                            bytes: g.bytes,
-                            admitted_s: g.admitted_s,
-                            prefilled: 0,
-                            generated: 0,
-                            first_token_s: None,
-                            token_latency_sum_s: 0.0,
-                            token_latency_max_s: 0.0,
-                        });
-                    }
-                    None => break,
-                }
-            }
-        }
-        if p.active.is_empty() {
+        p.core.admit(now);
+        if p.core.active().is_empty() {
             return;
         }
-        let report;
-        let kind;
-        if p.active.iter().any(Active::needs_prefill) {
-            let mut order: Vec<usize> = (0..p.active.len())
-                .filter(|&i| p.active[i].needs_prefill())
-                .collect();
-            order.sort_by_key(|&i| (p.active[i].request.class.priority(), p.active[i].request.id));
-            let mut budget = self.cfg.prefill_chunk;
-            let mut chunks = Vec::new();
-            let mut owners = Vec::new();
-            for i in order {
-                if budget == 0 {
-                    break;
-                }
-                let a = &p.active[i];
-                let len = (a.request.prompt_tokens - a.prefilled).min(budget);
-                chunks.push(PrefillChunk {
-                    slot: a.slot,
-                    start: a.prefilled,
-                    len,
-                });
-                owners.push((i, len));
-                budget -= len;
-            }
-            report = p.engine.prefill_step(&chunks);
-            p.prefill_steps += 1;
-            kind = StepKind::Prefill(owners);
+        let chunks = p.core.plan_prefill();
+        let (report, kind) = if chunks.is_empty() {
+            let committed = p.core.ready_for_decode(now);
+            let report = p.engine.decode_step(&p.core.decode_slots(&committed));
+            (report, StepKind::Decode(committed))
         } else {
-            // Page growth: every participant must own the page its next
-            // token writes into; starved sequences reclaim via
-            // deadline-aware preemption, else sit the step out, and a
-            // fully wedged pipeline force-evicts its newest admission.
-            let mut ready = vec![true; p.active.len()];
-            if p.pool.is_some() {
-                let page_bytes = p.engine.kv_page_bytes();
-                loop {
-                    let pool = p.pool.as_mut().expect("paged pipeline");
-                    ready = vec![false; p.active.len()];
-                    let mut starved: Vec<usize> = Vec::new();
-                    for (i, ok) in ready.iter_mut().enumerate() {
-                        let want = p.active[i].ctx() + 1;
-                        let have = pool.pages_of(p.active[i].slot).len();
-                        let need = pool.pages_needed(want);
-                        if need <= have {
-                            *ok = true;
-                        } else if pool.grow_to(p.active[i].slot, want) {
-                            let delta = (need - have) as u64 * page_bytes;
-                            p.admission.charge(delta);
-                            p.active[i].bytes += delta;
-                            *ok = true;
-                        } else {
-                            starved.push(i);
-                        }
-                    }
-                    if starved.is_empty() {
-                        break;
-                    }
-                    let urgent = starved
-                        .iter()
-                        .map(|&i| p.active[i].request.class.priority())
-                        .min()
-                        .expect("starved nonempty");
-                    let victim = match newest_lower_class(&p.active, urgent) {
-                        Some(i) => Some(i),
-                        None if starved.len() == p.active.len() => {
-                            (0..p.active.len()).max_by(|&x, &y| {
-                                p.active[x]
-                                    .admitted_s
-                                    .partial_cmp(&p.active[y].admitted_s)
-                                    .expect("finite")
-                                    .then(p.active[x].request.id.cmp(&p.active[y].request.id))
-                            })
-                        }
-                        None => None, // the starved minority sits this step out
-                    };
-                    match victim {
-                        Some(i) => p.preempt(i, now),
-                        None => break,
-                    }
-                }
-            }
-            let part: Vec<usize> = (0..p.active.len()).filter(|&i| ready[i]).collect();
-            let slots: Vec<(usize, usize)> = part
-                .iter()
-                .map(|&i| (p.active[i].slot, p.active[i].ctx()))
-                .collect();
-            report = p.engine.decode_step(&slots);
-            p.decode_steps += 1;
-            kind = StepKind::Decode(part);
-        }
+            (p.engine.prefill_step(&chunks), StepKind::Prefill(chunks))
+        };
         let step_s = report.cadence_ns * 1e-9;
         p.step = Some(StepInFlight {
             kind,
@@ -657,57 +383,22 @@ impl ClusterServer {
 
     /// Folds outcomes and fleet state into the aggregate report.
     fn summarize(&self, outcomes: Vec<RequestOutcome>, sim_seconds: f64) -> ClusterReport {
-        let mut offered = 0;
-        let mut admitted = 0;
-        let mut rejected_queue_full = 0;
-        let mut rejected_infeasible = 0;
-        let mut kv_peak_bytes = 0;
-        let mut kv_budget_bytes = 0;
-        let mut queue_peak = 0;
-        let mut activation_bytes = 0;
-        let mut token_id_bytes = 0;
-        let mut concurrent_peak = 0;
-        let mut preempted = 0;
-        for p in &self.pipes {
-            let (o, a, q, i) = p.admission.counts();
-            offered += o;
-            admitted += a;
-            rejected_queue_full += q;
-            rejected_infeasible += i;
-            let (peak, depth) = p.admission.peaks();
-            kv_peak_bytes += peak;
-            queue_peak = queue_peak.max(depth);
-            kv_budget_bytes += p.admission.budget_bytes();
-            activation_bytes += p.engine.activation_bytes();
-            token_id_bytes += p.engine.token_id_bytes();
-            concurrent_peak += p.admission.peak_concurrent();
-            preempted += p.preempted;
-        }
-        let completed = outcomes.iter().filter(|o| o.finish_s.is_some()).count() as u64;
-        let met: Vec<&RequestOutcome> = outcomes
+        let total = |f: fn(&Pipeline) -> u64| self.pipes.iter().map(f).sum::<u64>();
+        let (offered, admitted, rejected_queue_full, rejected_infeasible) = self
+            .pipes
             .iter()
-            .filter(|o| o.deadline_met(self.cfg.deadline_scale))
-            .collect();
-        let good_tokens: u64 = met.iter().map(|o| o.generated as u64).sum();
-        let mut ttfts: Vec<f64> = outcomes
-            .iter()
-            .filter_map(|o| o.ttft_s())
-            .map(|t| t * 1e3)
-            .collect();
-        ttfts.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let mut token_means: Vec<f64> = outcomes
-            .iter()
-            .filter_map(|o| o.mean_token_latency_s())
-            .map(|t| t * 1e3)
-            .collect();
-        token_means.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let per_s = |tokens: u64| {
-            if sim_seconds > 0.0 {
-                tokens as f64 / sim_seconds
-            } else {
-                0.0
-            }
-        };
+            .map(|p| p.core.admission().counts())
+            .fold((0, 0, 0, 0), |t, c| {
+                (t.0 + c.0, t.1 + c.1, t.2 + c.2, t.3 + c.3)
+            });
+        let generated_tokens = total(|p| p.core.generated_tokens);
+        let fold = OutcomeFold::new(
+            &outcomes,
+            self.cfg.deadline_scale,
+            generated_tokens,
+            sim_seconds,
+        );
+        let admissions = || self.pipes.iter().map(|p| p.core.admission());
         ClusterReport {
             pipelines: self.cfg.pipelines,
             depth: self.cfg.depth,
@@ -716,28 +407,28 @@ impl ClusterServer {
             sim_seconds,
             offered,
             admitted,
-            completed,
+            completed: fold.completed,
             rejected_queue_full,
             rejected_infeasible,
-            deadline_met: met.len() as u64,
-            generated_tokens: self.pipes.iter().map(|p| p.generated_tokens).sum(),
-            prompt_tokens: self.pipes.iter().map(|p| p.prompt_tokens).sum(),
-            decode_steps: self.pipes.iter().map(|p| p.decode_steps).sum(),
-            prefill_steps: self.pipes.iter().map(|p| p.prefill_steps).sum(),
-            tokens_per_s: per_s(self.pipes.iter().map(|p| p.generated_tokens).sum()),
-            goodput_tokens_per_s: per_s(good_tokens),
-            ttft_p50_ms: percentile(&ttfts, 0.50),
-            ttft_p95_ms: percentile(&ttfts, 0.95),
-            ttft_p99_ms: percentile(&ttfts, 0.99),
-            token_p50_ms: percentile(&token_means, 0.50),
-            token_p95_ms: percentile(&token_means, 0.95),
-            kv_peak_bytes,
-            kv_budget_bytes,
-            queue_peak,
-            activation_bytes,
-            token_id_bytes,
-            concurrent_peak,
-            preempted,
+            deadline_met: fold.deadline_met,
+            generated_tokens,
+            prompt_tokens: total(|p| p.core.prompt_tokens),
+            decode_steps: total(|p| p.core.decode_steps),
+            prefill_steps: total(|p| p.core.prefill_steps),
+            tokens_per_s: fold.tokens_per_s,
+            goodput_tokens_per_s: fold.goodput_tokens_per_s,
+            ttft_p50_ms: fold.ttft_ms[0],
+            ttft_p95_ms: fold.ttft_ms[1],
+            ttft_p99_ms: fold.ttft_ms[2],
+            token_p50_ms: fold.token_ms[0],
+            token_p95_ms: fold.token_ms[1],
+            kv_peak_bytes: total(|p| p.core.admission().peaks().0),
+            kv_budget_bytes: total(|p| p.core.admission().budget_bytes()),
+            queue_peak: admissions().map(|a| a.peaks().1).max().unwrap_or(0),
+            activation_bytes: total(|p| p.engine.activation_bytes()),
+            token_id_bytes: total(|p| p.engine.token_id_bytes()),
+            concurrent_peak: admissions().map(|a| a.peak_concurrent()).sum(),
+            preempted: total(|p| p.core.preempted),
             outcomes,
         }
     }
@@ -863,8 +554,8 @@ mod tests {
             20
         );
         for pipe in 0..2 {
-            let (peak, _) = c.pipes[pipe].admission.peaks();
-            assert!(peak <= c.pipes[pipe].admission.budget_bytes());
+            let (peak, _) = c.pipes[pipe].core.admission().peaks();
+            assert!(peak <= c.pipes[pipe].core.admission().budget_bytes());
         }
     }
 

@@ -13,16 +13,20 @@
 //!   the longest prompt, nobody joins mid-gang, and slots drain idle as
 //!   short members finish.
 //!
-//! Both run behind the same KV-capacity admission controller, so the
-//! comparison isolates the scheduling discipline. All latencies are
-//! virtual seconds derived from the DDR/VPU pricing model — the same
-//! trace on the same configuration reproduces bit-identical reports.
+//! Both run on the same scheduling core (admission, paging, reclaim,
+//! prefill planning and token booking, shared with every cluster
+//! pipeline), so the comparison isolates the scheduling discipline. The
+//! server is its driver: it ingests arrivals between steps, prices each
+//! planned step on its engine, advances the clock, and sizes speculative
+//! verify windows. All latencies are virtual seconds derived from the
+//! DDR/VPU pricing model — the same trace on the same configuration
+//! reproduces bit-identical reports.
 
-use crate::admission::{AdmissionConfig, AdmissionController, Rejection};
-use crate::request::{DropReason, Request, RequestOutcome};
-use zllm_accel::{AccelConfig, DecodeEngine, DraftCost, PrefillChunk, SpecWindow};
+use crate::admission::AdmissionConfig;
+use crate::request::{Request, RequestOutcome};
+use crate::sched::{Core, OutcomeFold};
+use zllm_accel::{AccelConfig, DecodeEngine, DraftCost, SpecWindow};
 use zllm_layout::addr_map::AllocError;
-use zllm_layout::kv_page::PagedKvAllocator;
 use zllm_model::ModelConfig;
 use zllm_rng::StdRng;
 
@@ -192,49 +196,6 @@ impl ServerConfig {
     }
 }
 
-/// An in-flight sequence: the admitted request plus its progress.
-/// Shared with the cluster layer, whose pipelines track the same
-/// lifecycle.
-#[derive(Debug, Clone)]
-pub(crate) struct Active {
-    pub(crate) request: Request,
-    pub(crate) slot: usize,
-    pub(crate) bytes: u64,
-    pub(crate) admitted_s: f64,
-    pub(crate) prefilled: usize,
-    pub(crate) generated: usize,
-    pub(crate) first_token_s: Option<f64>,
-    pub(crate) token_latency_sum_s: f64,
-    pub(crate) token_latency_max_s: f64,
-}
-
-impl Active {
-    pub(crate) fn needs_prefill(&self) -> bool {
-        self.prefilled < self.request.prompt_tokens
-    }
-
-    pub(crate) fn ctx(&self) -> usize {
-        self.request.prompt_tokens + self.generated
-    }
-
-    pub(crate) fn done(&self) -> bool {
-        self.generated >= self.request.decode_tokens()
-    }
-
-    pub(crate) fn finish(self, now: f64) -> RequestOutcome {
-        RequestOutcome {
-            request: self.request,
-            admitted_s: Some(self.admitted_s),
-            first_token_s: self.first_token_s,
-            finish_s: Some(now),
-            generated: self.generated,
-            token_latency_sum_s: self.token_latency_sum_s,
-            token_latency_max_s: self.token_latency_max_s,
-            dropped: None,
-        }
-    }
-}
-
 /// The aggregate result of replaying one trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
@@ -298,50 +259,6 @@ pub struct ServeReport {
     /// Draft tokens accepted by verification (the committed tokens
     /// beyond the one-per-window baseline).
     pub spec_accepted: u64,
-}
-
-/// Index of the newest-admitted active sequence whose class priority is
-/// strictly lower (numerically greater) than `than_priority` — the
-/// deadline-aware preemption victim. Ties break toward the higher id.
-pub(crate) fn newest_lower_class(active: &[Active], than_priority: usize) -> Option<usize> {
-    active
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.request.class.priority() > than_priority)
-        .max_by(|(_, x), (_, y)| {
-            x.admitted_s
-                .partial_cmp(&y.admitted_s)
-                .expect("finite")
-                .then(x.request.id.cmp(&y.request.id))
-        })
-        .map(|(i, _)| i)
-}
-
-/// Evicts an active sequence for reclaim: frees its pages and charge,
-/// and puts the request back at the **head** of its class queue quoted
-/// at its page-rounded worst case. Preempt-and-recompute: the sequence
-/// restarts from prefill when re-admitted.
-fn preempt(
-    active: &mut Vec<Active>,
-    idx: usize,
-    pool: &mut PagedKvAllocator,
-    admission: &mut AdmissionController,
-    worst_bytes: u64,
-    now: f64,
-) {
-    let a = active.remove(idx);
-    pool.release(a.slot);
-    admission.release(a.slot, a.bytes);
-    admission.requeue_front(a.request, worst_bytes, now);
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice (0 when empty).
-pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
 }
 
 /// The serving simulator: a decode engine plus admission control and a
@@ -425,17 +342,6 @@ impl Server {
         self.budget_bytes
     }
 
-    /// Page-pool geometry under paged serving: `(page bytes, total
-    /// pages, watermark pages new admissions may fill)`.
-    fn pool_geometry(&self) -> Option<(u64, usize, usize)> {
-        let p = self.cfg.paged.as_ref()?;
-        let page_bytes = self.engine.image().kv_page_bytes();
-        let total = (self.budget_bytes / page_bytes) as usize;
-        assert!(total > 0, "KV budget holds less than one page");
-        let wm = (p.watermark * total as f64).floor() as usize;
-        Some((page_bytes, total, wm))
-    }
-
     /// Replays a trace (must be sorted by arrival time) to completion
     /// and returns the aggregate report. Also publishes `serve.*`
     /// counters and gauges into the engine's metrics registry; counters
@@ -449,32 +355,29 @@ impl Server {
             trace.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s),
             "trace must be sorted by arrival time"
         );
-        let mut admission = AdmissionController::new(AdmissionConfig {
-            slots: self.cfg.slots,
-            budget_bytes: self.budget_bytes,
-            queue_cap: self.cfg.queue_cap,
-            starvation_bound_s: self.cfg.starvation_bound_s,
-        });
+        let cfg = &self.cfg;
+        let mut core = Core::new(
+            AdmissionConfig {
+                slots: cfg.slots,
+                budget_bytes: self.budget_bytes,
+                queue_cap: cfg.queue_cap,
+                starvation_bound_s: cfg.starvation_bound_s,
+            },
+            cfg.ctx_capacity,
+            cfg.prefill_chunk,
+            cfg.paged
+                .as_ref()
+                .map(|p| (p, self.engine.image().kv_page_bytes())),
+        );
         let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(trace.len());
-        let mut active: Vec<Active> = Vec::new();
-        let geometry = self.pool_geometry();
-        let mut pool = geometry.map(|(_, total, _)| {
-            let p = self.cfg.paged.as_ref().expect("paged geometry");
-            PagedKvAllocator::new(total, self.cfg.slots, p.page_tokens)
-        });
-        let mut preempted = 0u64;
         let mut next = 0usize; // next trace entry to ingest
         let mut now = 0.0f64;
         // Lockstep gang state: the padded prompt length of the current
         // gang (None when the machine is between gangs).
         let mut gang_pad: Option<usize> = None;
-        let mut decode_steps = 0u64;
-        let mut prefill_steps = 0u64;
-        let mut generated_tokens = 0u64;
-        let mut prompt_tokens = 0u64;
         // Speculation state: the seeded acceptance generator plus the
         // drafted/accepted tallies for the report.
-        let mut spec_rng = self.cfg.speculative.map(|s| StdRng::seed_from_u64(s.seed));
+        let mut spec_rng = cfg.speculative.map(|s| StdRng::seed_from_u64(s.seed));
         let mut spec_drafted = 0u64;
         let mut spec_accepted = 0u64;
 
@@ -483,138 +386,19 @@ impl Server {
             while next < trace.len() && trace[next].arrival_s <= now {
                 let r = trace[next].clone();
                 next += 1;
-                self.ingest(r, &mut admission, &mut outcomes);
+                let bytes = self.engine.image().kv_request_bytes(r.total_tokens());
+                core.offer(r, bytes, &mut outcomes);
             }
-            // Admit from the queues under the discipline's rules.
-            match self.cfg.mode {
-                BatchingMode::Continuous => {
-                    if let (Some(pool), Some((page_bytes, _, wm_pages))) = (pool.as_mut(), geometry)
-                    {
-                        // Actual-growth admission: charge the prompt's
-                        // pages, gated by the watermark; an Interactive
-                        // head blocked on pages preempts the newest
-                        // lower-class sequence rather than waiting.
-                        let pt = pool.page_tokens();
-                        while active.len() < self.cfg.slots {
-                            let used = pool.used_pages();
-                            let free = pool.free_pages();
-                            let granted = admission.try_admit_charged(
-                                now,
-                                |r| r.prompt_tokens.div_ceil(pt) as u64 * page_bytes,
-                                |r, _| {
-                                    let need = r.prompt_tokens.div_ceil(pt);
-                                    used + need <= wm_pages && need <= free
-                                },
-                            );
-                            match granted {
-                                Some(g) => {
-                                    assert!(
-                                        pool.grow_to(g.slot, g.request.prompt_tokens),
-                                        "accept gate reserved the prompt pages"
-                                    );
-                                    active.push(Active {
-                                        request: g.request,
-                                        slot: g.slot,
-                                        bytes: g.bytes,
-                                        admitted_s: g.admitted_s,
-                                        prefilled: 0,
-                                        generated: 0,
-                                        first_token_s: None,
-                                        token_latency_sum_s: 0.0,
-                                        token_latency_max_s: 0.0,
-                                    });
-                                }
-                                None => {
-                                    let (head_prio, head_prompt) = match admission.peek_head(now) {
-                                        Some(h) => (h.class.priority(), h.prompt_tokens),
-                                        None => break,
-                                    };
-                                    if head_prio != 0 || admission.free_slots() == 0 {
-                                        break;
-                                    }
-                                    let need = head_prompt.div_ceil(pt);
-                                    if used + need <= wm_pages && need <= free {
-                                        break; // blocked elsewhere; reclaim cannot help
-                                    }
-                                    match newest_lower_class(&active, head_prio) {
-                                        Some(i) => {
-                                            let worst =
-                                                self.engine.image().page_rounded_request_bytes(
-                                                    active[i].request.total_tokens(),
-                                                    pt,
-                                                );
-                                            preempt(
-                                                &mut active,
-                                                i,
-                                                pool,
-                                                &mut admission,
-                                                worst,
-                                                now,
-                                            );
-                                            preempted += 1;
-                                        }
-                                        None => break,
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        while active.len() < self.cfg.slots {
-                            match admission.try_admit(now) {
-                                Some(g) => active.push(Active {
-                                    request: g.request,
-                                    slot: g.slot,
-                                    bytes: g.bytes,
-                                    admitted_s: g.admitted_s,
-                                    prefilled: 0,
-                                    generated: 0,
-                                    first_token_s: None,
-                                    token_latency_sum_s: 0.0,
-                                    token_latency_max_s: 0.0,
-                                }),
-                                None => break,
-                            }
-                        }
-                    }
+            // Admit under the discipline's rules: a lockstep gang forms
+            // only on an idle machine.
+            match cfg.mode {
+                BatchingMode::Continuous => core.admit(now),
+                BatchingMode::Lockstep if core.active().is_empty() => {
+                    gang_pad = core.admit_gang(now);
                 }
-                BatchingMode::Lockstep => {
-                    // A gang forms only on an idle machine and pads every
-                    // member to the longest prompt; the padded context
-                    // must still fit the image for the slowest member.
-                    if active.is_empty() {
-                        gang_pad = None;
-                        let (mut pad, mut longest_tail) = (0usize, 0usize);
-                        let cap = self.cfg.ctx_capacity;
-                        while active.len() < self.cfg.slots {
-                            let g = admission.try_admit_where(now, |r| {
-                                pad.max(r.prompt_tokens) + longest_tail.max(r.max_new_tokens) <= cap
-                            });
-                            match g {
-                                Some(g) => {
-                                    pad = pad.max(g.request.prompt_tokens);
-                                    longest_tail = longest_tail.max(g.request.max_new_tokens);
-                                    active.push(Active {
-                                        request: g.request,
-                                        slot: g.slot,
-                                        bytes: g.bytes,
-                                        admitted_s: g.admitted_s,
-                                        prefilled: 0,
-                                        generated: 0,
-                                        first_token_s: None,
-                                        token_latency_sum_s: 0.0,
-                                        token_latency_max_s: 0.0,
-                                    });
-                                }
-                                None => break,
-                            }
-                        }
-                        if !active.is_empty() {
-                            gang_pad = Some(pad);
-                        }
-                    }
-                }
+                BatchingMode::Lockstep => {}
             }
-            if active.is_empty() {
+            if core.active().is_empty() {
                 // Idle: jump to the next arrival, or stop when both the
                 // trace and the queues are exhausted (an empty machine
                 // always admits the head, so an idle machine with no
@@ -626,403 +410,125 @@ impl Server {
                 break;
             }
 
-            if active.iter().any(Active::needs_prefill) {
-                // One shared chunked-prefill step: highest class first,
-                // then admission order, bounded by the chunk budget.
-                let mut order: Vec<usize> = (0..active.len())
-                    .filter(|&i| active[i].needs_prefill())
-                    .collect();
-                order.sort_by(|&a, &b| {
-                    let ka = (active[a].request.class.priority(), active[a].request.id);
-                    let kb = (active[b].request.class.priority(), active[b].request.id);
-                    ka.cmp(&kb)
-                });
-                let mut budget = self.cfg.prefill_chunk;
-                let mut chunks = Vec::new();
-                let mut owners = Vec::new();
-                for i in order {
-                    if budget == 0 {
-                        break;
-                    }
-                    let a = &active[i];
-                    let len = (a.request.prompt_tokens - a.prefilled).min(budget);
-                    chunks.push(PrefillChunk {
-                        slot: a.slot,
-                        start: a.prefilled,
-                        len,
-                    });
-                    owners.push((i, len));
-                    budget -= len;
-                }
-                let r = self.engine.prefill_chunked(&chunks);
-                now += r.wall_ns * 1e-9;
-                prefill_steps += 1;
-                for (i, len) in owners {
-                    active[i].prefilled += len;
-                    prompt_tokens += len as u64;
-                }
+            let chunks = core.plan_prefill();
+            if !chunks.is_empty() {
+                now += self.engine.prefill_chunked(&chunks).wall_ns * 1e-9;
+                core.book_prefill(&chunks);
                 continue;
             }
 
-            // Page growth: the decode step writes each participant's
-            // next token, so every participant must own the page that
-            // token lands in. Starved sequences reclaim via
-            // deadline-aware preemption, else sit the step out; if
-            // nobody can move, the newest admission is force-evicted so
-            // the machine keeps making progress.
-            let mut ready = vec![true; active.len()];
-            if let (Some(pool), Some((page_bytes, _, _))) = (pool.as_mut(), geometry) {
-                loop {
-                    ready = vec![false; active.len()];
-                    let mut starved: Vec<usize> = Vec::new();
-                    for i in 0..active.len() {
-                        let want = active[i].ctx() + 1;
-                        let have = pool.pages_of(active[i].slot).len();
-                        let need = pool.pages_needed(want);
-                        if need <= have {
-                            ready[i] = true;
-                        } else if pool.grow_to(active[i].slot, want) {
-                            let delta = (need - have) as u64 * page_bytes;
-                            admission.charge(delta);
-                            active[i].bytes += delta;
-                            ready[i] = true;
-                        } else {
-                            starved.push(i);
-                        }
-                    }
-                    if starved.is_empty() {
-                        break;
-                    }
-                    let urgent = starved
-                        .iter()
-                        .map(|&i| active[i].request.class.priority())
-                        .min()
-                        .expect("starved nonempty");
-                    let victim = match newest_lower_class(&active, urgent) {
-                        Some(i) => Some(i),
-                        // Zero progress: force-evict the newest
-                        // admission regardless of class. (Unreachable
-                        // with one sequence — ingest guarantees a lone
-                        // sequence's total pages fit the pool.)
-                        None if starved.len() == active.len() => {
-                            (0..active.len()).max_by(|&x, &y| {
-                                active[x]
-                                    .admitted_s
-                                    .partial_cmp(&active[y].admitted_s)
-                                    .expect("finite")
-                                    .then(active[x].request.id.cmp(&active[y].request.id))
-                            })
-                        }
-                        None => None, // the starved minority sits this step out
-                    };
-                    match victim {
-                        Some(i) => {
-                            let worst = self.engine.image().page_rounded_request_bytes(
-                                active[i].request.total_tokens(),
-                                pool.page_tokens(),
-                            );
-                            preempt(&mut active, i, pool, &mut admission, worst, now);
-                            preempted += 1;
-                        }
-                        None => break,
-                    }
-                }
-            }
-
             // One decode step for every page-ready active sequence.
-            // `committed[i]` is how many tokens participant `i` banked
-            // this step: 1 on a plain step, `accepted + 1` on a
-            // speculative verify window, 0 for a sequence sitting the
-            // step out.
-            let mut committed = vec![0usize; active.len()];
-            let step_s = match self.cfg.mode {
-                BatchingMode::Continuous => match self.cfg.speculative {
-                    Some(spec) => {
-                        let mut windows: Vec<SpecWindow> = Vec::new();
-                        let mut owners: Vec<usize> = Vec::new();
-                        for i in 0..active.len() {
-                            if !ready[i] {
-                                continue;
-                            }
-                            let ctx = active[i].ctx();
-                            let remaining = active[i].request.decode_tokens() - active[i].generated;
-                            // Never draft past the request's remaining
-                            // tokens or the context capacity: a window
-                            // commits at most `k + 1` tokens and writes
-                            // KV for `k + 1` positions.
-                            let mut k = spec
-                                .k
-                                .min(remaining - 1)
-                                .min(self.cfg.ctx_capacity - 1 - ctx);
-                            // The transient overhang: the verify window
-                            // writes up to `k` tokens past the next
-                            // committed position, so those pages must
-                            // be owned — and charged — before the step.
-                            // If the pool cannot host the overhang the
-                            // window degrades to the plain one-token
-                            // verify rather than stealing pages.
-                            if k > 0 {
-                                if let (Some(pool), Some((page_bytes, _, _))) =
-                                    (pool.as_mut(), geometry)
-                                {
-                                    let have = pool.pages_of(active[i].slot).len();
-                                    let need = pool.pages_needed(ctx + 1 + k);
-                                    if need > have {
-                                        if pool.grow_to(active[i].slot, ctx + 1 + k) {
-                                            let delta = (need - have) as u64 * page_bytes;
-                                            admission.charge(delta);
-                                            active[i].bytes += delta;
-                                        } else {
-                                            k = 0;
-                                        }
-                                    }
-                                }
-                            }
-                            let rng = spec_rng.as_mut().expect("speculative rng");
-                            let mut accepted = 0;
-                            for _ in 0..k {
-                                if rng.gen_bool(spec.accept_rate) {
-                                    accepted += 1;
-                                } else {
-                                    break;
-                                }
-                            }
-                            windows.push(SpecWindow {
-                                slot: active[i].slot,
-                                ctx,
-                                drafted: k,
-                                accepted,
-                            });
-                            owners.push(i);
-                        }
-                        let draft = DraftCost::FlatNs {
-                            ns_per_token: spec.draft_ns_per_token,
-                        };
-                        let r = self.engine.decode_speculative(&windows, &draft);
-                        for (w, &i) in windows.iter().zip(&owners) {
-                            committed[i] = w.accepted + 1;
-                            spec_drafted += w.drafted as u64;
-                            spec_accepted += w.accepted as u64;
-                            // Rejected tokens uncharge: shrink back to
-                            // the committed context and return the
-                            // overhang pages to the pool.
-                            if let (Some(pool), Some((page_bytes, _, _))) =
-                                (pool.as_mut(), geometry)
-                            {
-                                let freed = pool.shrink_to(active[i].slot, w.keep()).len() as u64;
-                                if freed > 0 {
-                                    let delta = freed * page_bytes;
-                                    admission.uncharge(delta);
-                                    active[i].bytes -= delta;
-                                }
-                            }
-                        }
-                        r.wall_ns * 1e-9
-                    }
-                    None => {
-                        let slots: Vec<(usize, usize)> = active
-                            .iter()
-                            .zip(&ready)
-                            .filter(|(_, r)| **r)
-                            .map(|(a, _)| (a.slot, a.ctx()))
-                            .collect();
-                        for (c, r) in committed.iter_mut().zip(&ready) {
-                            if *r {
-                                *c = 1;
-                            }
-                        }
-                        self.engine.decode_token_ragged(&slots).wall_ns * 1e-9
-                    }
-                },
-                BatchingMode::Lockstep => {
+            // `committed[i]` is how many tokens sequence `i` banks this
+            // step: 1 on a plain step, `accepted + 1` on a speculative
+            // verify window, 0 for a sequence sitting the step out.
+            let mut committed = core.ready_for_decode(now);
+            let step_s = match (cfg.mode, cfg.speculative) {
+                (BatchingMode::Lockstep, _) => {
                     // All alive members have generated the same count;
                     // everyone is priced at the padded context.
                     let pad = gang_pad.expect("gang in progress");
-                    let ctx = pad + active[0].generated;
-                    committed.fill(1);
-                    self.engine.decode_token_batch(ctx, active.len()).wall_ns * 1e-9
+                    let ctx = pad + core.active()[0].generated;
+                    self.engine
+                        .decode_token_batch(ctx, core.active().len())
+                        .wall_ns
+                        * 1e-9
+                }
+                (BatchingMode::Continuous, None) => {
+                    let slots = core.decode_slots(&committed);
+                    self.engine.decode_token_ragged(&slots).wall_ns * 1e-9
+                }
+                (BatchingMode::Continuous, Some(spec)) => {
+                    let rng = spec_rng.as_mut().expect("speculative rng");
+                    let mut windows: Vec<SpecWindow> = Vec::new();
+                    let mut owners: Vec<usize> = Vec::new();
+                    for i in (0..committed.len()).filter(|&i| committed[i] > 0) {
+                        let a = &core.active()[i];
+                        let (slot, ctx) = (a.slot, a.ctx());
+                        // Never draft past the request's remaining
+                        // tokens or the context capacity: a window
+                        // commits at most `k + 1` tokens and writes KV
+                        // for `k + 1` positions.
+                        let remaining = a.request.decode_tokens() - a.generated;
+                        let mut k = spec.k.min(remaining - 1).min(cfg.ctx_capacity - 1 - ctx);
+                        // The transient overhang: the verify window
+                        // writes up to `k` tokens past the next
+                        // committed position, so those pages must be
+                        // owned — and charged — before the step. If the
+                        // pool cannot host the overhang the window
+                        // degrades to the plain one-token verify rather
+                        // than stealing pages.
+                        if k > 0 && !core.grow(i, ctx + 1 + k) {
+                            k = 0;
+                        }
+                        let accepted = (0..k)
+                            .take_while(|_| rng.gen_bool(spec.accept_rate))
+                            .count();
+                        windows.push(SpecWindow {
+                            slot,
+                            ctx,
+                            drafted: k,
+                            accepted,
+                        });
+                        owners.push(i);
+                    }
+                    let draft = DraftCost::FlatNs {
+                        ns_per_token: spec.draft_ns_per_token,
+                    };
+                    let r = self.engine.decode_speculative(&windows, &draft);
+                    for (w, &i) in windows.iter().zip(&owners) {
+                        committed[i] = w.accepted + 1;
+                        spec_drafted += w.drafted as u64;
+                        spec_accepted += w.accepted as u64;
+                        // Rejected tokens uncharge: shrink back to the
+                        // committed context and return the overhang
+                        // pages to the pool.
+                        core.shrink(i, w.keep());
+                    }
+                    r.wall_ns * 1e-9
                 }
             };
             now += step_s;
-            decode_steps += 1;
-            generated_tokens += committed.iter().map(|&c| c as u64).sum::<u64>();
-            for (a, &c) in active.iter_mut().zip(&committed) {
-                if c == 0 {
-                    continue;
-                }
-                // A verify window lands all its tokens at once; each is
-                // booked at the window's amortized per-token latency.
-                let per_token_s = step_s / c as f64;
-                for _ in 0..c {
-                    a.generated += 1;
-                    if a.generated == 1 {
-                        a.first_token_s = Some(now);
-                    } else {
-                        a.token_latency_sum_s += per_token_s;
-                        a.token_latency_max_s = a.token_latency_max_s.max(per_token_s);
-                    }
-                }
-            }
-            // Retire finished sequences (preserving step order for the
-            // survivors keeps the ragged slot vectors deterministic).
-            // Evict-on-finish: a paged sequence returns its pages the
-            // instant it completes.
-            let mut i = 0;
-            while i < active.len() {
-                if active[i].done() {
-                    let a = active.remove(i);
-                    if let Some(pool) = pool.as_mut() {
-                        pool.release(a.slot);
-                    }
-                    admission.release(a.slot, a.bytes);
-                    outcomes.push(a.finish(now));
-                } else {
-                    i += 1;
-                }
-            }
+            core.book_decode(&committed, step_s, now);
+            core.retire(now, &mut outcomes);
         }
 
         outcomes.sort_by_key(|o| o.request.id);
-        let report = self.summarize(
-            outcomes,
-            now,
-            &admission,
-            decode_steps,
-            prefill_steps,
-            generated_tokens,
-            prompt_tokens,
-            preempted,
-            spec_drafted,
-            spec_accepted,
-        );
-        self.publish(&report);
-        report
-    }
-
-    /// Offers one arrival to admission, recording a drop outcome when it
-    /// is turned away.
-    fn ingest(
-        &self,
-        r: Request,
-        admission: &mut AdmissionController,
-        outcomes: &mut Vec<RequestOutcome>,
-    ) {
-        let dropped = if r.total_tokens() > self.cfg.ctx_capacity {
-            admission.note_infeasible();
-            Some(DropReason::Infeasible)
-        } else if let Some((page_bytes, total, wm)) = self.pool_geometry() {
-            // Paged feasibility: the prompt must clear the admission
-            // watermark and the whole sequence must fit the pool alone
-            // (which guarantees growth can always be force-evicted back
-            // to progress). Quoted at the page-rounded worst case.
-            let pt = self.cfg.paged.as_ref().expect("paged geometry").page_tokens;
-            let prompt_pages = r.prompt_tokens.div_ceil(pt);
-            let total_pages = r.total_tokens().div_ceil(pt);
-            if prompt_pages > wm || total_pages > total {
-                admission.note_infeasible();
-                Some(DropReason::Infeasible)
-            } else {
-                let bytes = total_pages as u64 * page_bytes;
-                match admission.offer(r.clone(), bytes, r.arrival_s) {
-                    Ok(()) => None,
-                    Err(Rejection::Infeasible) => Some(DropReason::Infeasible),
-                    Err(Rejection::QueueFull) => Some(DropReason::QueueFull),
-                }
-            }
-        } else {
-            let bytes = self.engine.image().kv_request_bytes(r.total_tokens());
-            match admission.offer(r.clone(), bytes, r.arrival_s) {
-                Ok(()) => None,
-                Err(Rejection::Infeasible) => Some(DropReason::Infeasible),
-                Err(Rejection::QueueFull) => Some(DropReason::QueueFull),
-            }
-        };
-        if let Some(reason) = dropped {
-            outcomes.push(RequestOutcome {
-                request: r,
-                admitted_s: None,
-                first_token_s: None,
-                finish_s: None,
-                generated: 0,
-                token_latency_sum_s: 0.0,
-                token_latency_max_s: 0.0,
-                dropped: Some(reason),
-            });
-        }
-    }
-
-    /// Folds outcomes and admission state into the aggregate report.
-    #[allow(clippy::too_many_arguments)]
-    fn summarize(
-        &self,
-        outcomes: Vec<RequestOutcome>,
-        sim_seconds: f64,
-        admission: &AdmissionController,
-        decode_steps: u64,
-        prefill_steps: u64,
-        generated_tokens: u64,
-        prompt_tokens: u64,
-        preempted: u64,
-        spec_drafted: u64,
-        spec_accepted: u64,
-    ) -> ServeReport {
-        let (offered, admitted, rejected_queue_full, rejected_infeasible) = admission.counts();
-        let (kv_peak_bytes, queue_peak) = admission.peaks();
-        let completed = outcomes.iter().filter(|o| o.finish_s.is_some()).count() as u64;
-        let met: Vec<&RequestOutcome> = outcomes
-            .iter()
-            .filter(|o| o.deadline_met(self.cfg.deadline_scale))
-            .collect();
-        let good_tokens: u64 = met.iter().map(|o| o.generated as u64).sum();
-        let mut ttfts: Vec<f64> = outcomes
-            .iter()
-            .filter_map(|o| o.ttft_s())
-            .map(|t| t * 1e3)
-            .collect();
-        ttfts.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let mut token_means: Vec<f64> = outcomes
-            .iter()
-            .filter_map(|o| o.mean_token_latency_s())
-            .map(|t| t * 1e3)
-            .collect();
-        token_means.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let per_s = |tokens: u64| {
-            if sim_seconds > 0.0 {
-                tokens as f64 / sim_seconds
-            } else {
-                0.0
-            }
-        };
-        ServeReport {
-            mode: self.cfg.mode,
-            sim_seconds,
+        let (offered, admitted, rejected_queue_full, rejected_infeasible) =
+            core.admission().counts();
+        let (kv_peak_bytes, queue_peak) = core.admission().peaks();
+        let fold = OutcomeFold::new(&outcomes, cfg.deadline_scale, core.generated_tokens, now);
+        let report = ServeReport {
+            mode: cfg.mode,
+            sim_seconds: now,
             offered,
             admitted,
-            completed,
+            completed: fold.completed,
             rejected_queue_full,
             rejected_infeasible,
-            deadline_met: met.len() as u64,
-            generated_tokens,
-            prompt_tokens,
-            decode_steps,
-            prefill_steps,
-            tokens_per_s: per_s(generated_tokens),
-            goodput_tokens_per_s: per_s(good_tokens),
-            ttft_p50_ms: percentile(&ttfts, 0.50),
-            ttft_p95_ms: percentile(&ttfts, 0.95),
-            ttft_p99_ms: percentile(&ttfts, 0.99),
-            token_p50_ms: percentile(&token_means, 0.50),
-            token_p95_ms: percentile(&token_means, 0.95),
-            token_p99_ms: percentile(&token_means, 0.99),
+            deadline_met: fold.deadline_met,
+            generated_tokens: core.generated_tokens,
+            prompt_tokens: core.prompt_tokens,
+            decode_steps: core.decode_steps,
+            prefill_steps: core.prefill_steps,
+            tokens_per_s: fold.tokens_per_s,
+            goodput_tokens_per_s: fold.goodput_tokens_per_s,
+            ttft_p50_ms: fold.ttft_ms[0],
+            ttft_p95_ms: fold.ttft_ms[1],
+            ttft_p99_ms: fold.ttft_ms[2],
+            token_p50_ms: fold.token_ms[0],
+            token_p95_ms: fold.token_ms[1],
+            token_p99_ms: fold.token_ms[2],
             kv_peak_bytes,
             kv_budget_bytes: self.budget_bytes,
             queue_peak,
-            concurrent_peak: admission.peak_concurrent(),
-            preempted,
+            concurrent_peak: core.admission().peak_concurrent(),
+            preempted: core.preempted,
             spec_drafted,
             spec_accepted,
             outcomes,
-        }
+        };
+        self.publish(&report);
+        report
     }
 
     /// Publishes the report into the engine's metrics registry under the
@@ -1079,6 +585,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::DropReason;
     use crate::traffic::{generate, ArrivalModel, TrafficConfig};
     use zllm_model::ModelConfig;
 
