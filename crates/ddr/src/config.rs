@@ -200,11 +200,6 @@ impl DdrConfig {
         2.0 * self.clock_mhz * 1e6 * (self.bus_bits as f64 / 8.0) / 1e9
     }
 
-    /// Peak bytes per DRAM clock cycle.
-    pub fn peak_bytes_per_cycle(&self) -> f64 {
-        2.0 * self.bus_bits as f64 / 8.0
-    }
-
     /// Converts DRAM cycles to nanoseconds.
     pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
         cycles as f64 * 1e3 / self.clock_mhz
@@ -317,7 +312,6 @@ mod tests {
         assert_eq!(ddr.bytes_per_access(), 64);
         assert_eq!(ddr.cycles_per_access(), 4);
         assert_eq!(ddr.accesses_per_row(), 128);
-        assert_eq!(ddr.peak_bytes_per_cycle(), 16.0);
     }
 
     #[test]

@@ -101,21 +101,9 @@ impl MemorySystem {
         self.ctrl.counters()
     }
 
-    /// Enables or disables the controller's closed-form fast path (on by
-    /// default; both paths are bit-identical — see
-    /// [`DdrController::set_fast_path`]).
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.ctrl.set_fast_path(enabled);
-    }
-
     /// The DDR configuration.
     pub fn ddr_config(&self) -> &DdrConfig {
         self.ctrl.config()
-    }
-
-    /// The AXI fabric configuration.
-    pub fn axi_config(&self) -> AxiConfig {
-        self.axi
     }
 
     /// Prices a stream of bursts issued back-to-back in order, returning

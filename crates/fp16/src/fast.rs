@@ -34,7 +34,7 @@ static TABLE: OnceLock<Vec<u32>> = OnceLock::new();
 /// Enables or disables the fast kernels process-wide.
 ///
 /// Results are bit-identical either way — the toggle only selects the
-/// implementation, exactly like `MemorySystem::set_fast_path` on the
+/// implementation, exactly like `DdrController::set_fast_path` on the
 /// trace-driven side.
 pub fn set_fast_kernels(enabled: bool) {
     ENABLED.store(enabled, Ordering::Relaxed);
