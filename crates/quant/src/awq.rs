@@ -61,23 +61,15 @@ impl AwqQuantizedMatrix {
     /// `Ŵ[i][j] = dequant(W·s)[i][j] / s_j`, row-major.
     pub fn dequantize(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.rows * self.cols);
-        let mut row = Vec::with_capacity(self.cols);
-        self.dequantize_with(&mut row, &mut out);
-        out
-    }
-
-    /// [`AwqQuantizedMatrix::dequantize`] into caller-provided buffers:
-    /// `row` is per-row dequantization scratch, `out` receives the matrix
-    /// (cleared first). Values are identical to the allocating variant.
-    pub fn dequantize_with(&self, row: &mut Vec<f32>, out: &mut Vec<f32>) {
-        out.clear();
-        out.reserve(self.rows * self.cols);
         for r in &self.rows_q {
-            r.dequantize_into(row);
-            for (j, v) in row.iter().enumerate() {
-                out.push(v / self.channel_scales[j]);
-            }
+            out.extend(
+                r.dequantize()
+                    .iter()
+                    .zip(&self.channel_scales)
+                    .map(|(v, s)| v / s),
+            );
         }
+        out
     }
 
     /// Applies the runtime input transform: divides an activation vector by
@@ -119,7 +111,7 @@ impl Default for AwqConfig {
 /// * `calib` — calibration activations, row-major `n × cols` (at least one).
 ///
 /// Returns the quantized matrix with the α minimising the layer output MSE
-/// over the calibration set.
+/// over the calibration set; the first of equal errors wins.
 ///
 /// # Panics
 ///
@@ -132,6 +124,33 @@ pub fn quantize_awq(
     calib: &[f32],
     config: &AwqConfig,
 ) -> AwqQuantizedMatrix {
+    let mut best: Option<(f64, AwqQuantizedMatrix)> = None;
+    for (err, candidate) in evaluate_grid(weights, rows, cols, calib, config) {
+        match &best {
+            Some((e, _)) if *e <= err => {}
+            _ => best = Some((err, candidate)),
+        }
+    }
+    best.expect("alpha grid is non-empty").1
+}
+
+/// Every α candidate of the grid with its calibration-output MSE, in grid
+/// order.
+///
+/// With fast kernels off, each candidate is materialized as a full Ŵ and
+/// multiplied by the serial [`matmul`]: the reference evaluation. With
+/// them on, candidates fan out across worker threads with one reusable
+/// workspace per thread, and each is evaluated one weight row at a time
+/// through [`calib_dots`]. Both paths compute every output as the same
+/// serial f32 sum and every error over the same output order, so each
+/// error is bit-identical for any thread count.
+fn evaluate_grid(
+    weights: &[f32],
+    rows: usize,
+    cols: usize,
+    calib: &[f32],
+    config: &AwqConfig,
+) -> Vec<(f64, AwqQuantizedMatrix)> {
     assert_eq!(weights.len(), rows * cols, "weight dimensions inconsistent");
     assert!(
         !calib.is_empty() && calib.len().is_multiple_of(cols),
@@ -155,48 +174,48 @@ pub fn quantize_awq(
         }
     }
 
-    // Reference outputs (exact f32 GEMM).
-    let reference = matmul(weights, rows, cols, calib, n_calib);
-
-    // Each α candidate is independent: quantize, reconstruct, evaluate.
-    // With fast kernels on, candidates fan out across worker threads with
-    // one reusable workspace per thread (zero per-candidate allocation
-    // beyond the candidate tensor itself); errors come back in grid order
-    // so the serial first-wins scan below picks the same α bit-for-bit for
-    // any thread count.
-    let evaluated: Vec<(f64, AwqQuantizedMatrix)> = if zllm_fp16::fast_kernels_enabled() {
-        zllm_par::par_map_init(
-            config.alpha_grid.clone(),
-            AwqWorkspace::default,
-            |ws, alpha| {
-                let candidate =
-                    quantize_with_alpha_ws(weights, rows, cols, &mag, alpha, config.quant, ws);
-                candidate.dequantize_with(&mut ws.row, &mut ws.w_hat);
-                matmul_into(&ws.w_hat, rows, cols, calib, n_calib, &mut ws.outputs);
-                (mse(&reference, &ws.outputs), candidate)
-            },
-        )
-    } else {
-        config
+    if !zllm_fp16::fast_kernels_enabled() {
+        let reference = matmul(weights, rows, cols, calib, n_calib);
+        return config
             .alpha_grid
             .iter()
             .map(|&alpha| {
                 let candidate = quantize_with_alpha(weights, rows, cols, &mag, alpha, config.quant);
-                let w_hat = candidate.dequantize();
-                let outputs = matmul(&w_hat, rows, cols, calib, n_calib);
+                let outputs = matmul(&candidate.dequantize(), rows, cols, calib, n_calib);
                 (mse(&reference, &outputs), candidate)
             })
-            .collect()
-    };
+            .collect();
+    }
 
-    let mut best: Option<(f64, AwqQuantizedMatrix)> = None;
-    for (err, candidate) in evaluated {
-        match &best {
-            Some((e, _)) if *e <= err => {}
-            _ => best = Some((err, candidate)),
+    // The calibration set as `cols × n`, so one weight element meets all
+    // `n` activations it multiplies in one contiguous run.
+    let mut xt = vec![0.0f32; cols * n_calib];
+    for (i, xrow) in calib.chunks(cols).enumerate() {
+        for (j, &v) in xrow.iter().enumerate() {
+            xt[j * n_calib + i] = v;
         }
     }
-    best.expect("alpha grid is non-empty").1
+    let mut reference = vec![0.0f32; n_calib * rows];
+    for (r, wrow) in weights.chunks(cols).enumerate() {
+        calib_dots(wrow, &xt, r, &mut reference);
+    }
+    zllm_par::par_map_init(
+        config.alpha_grid.clone(),
+        AwqWorkspace::default,
+        |ws, alpha| {
+            let candidate =
+                quantize_with_alpha_ws(weights, rows, cols, &mag, alpha, config.quant, ws);
+            ws.outputs.resize(n_calib * rows, 0.0);
+            for (r, row_q) in candidate.rows_q.iter().enumerate() {
+                row_q.dequantize_into(&mut ws.row);
+                for (v, s) in ws.row.iter_mut().zip(&candidate.channel_scales) {
+                    *v /= s;
+                }
+                calib_dots(&ws.row, &xt, r, &mut ws.outputs);
+            }
+            (mse(&reference, &ws.outputs), candidate)
+        },
+    )
 }
 
 /// Per-thread scratch for the parallel α search: every buffer the
@@ -207,11 +226,9 @@ struct AwqWorkspace {
     scales: Vec<f32>,
     /// One scaled weight row awaiting quantization.
     scaled: Vec<f32>,
-    /// Per-row dequantization scratch.
+    /// One reconstructed row of Ŵ.
     row: Vec<f32>,
-    /// Reconstructed effective weights Ŵ.
-    w_hat: Vec<f32>,
-    /// Candidate layer outputs over the calibration set.
+    /// Candidate layer outputs over the calibration set, `n × rows`.
     outputs: Vec<f32>,
 }
 
@@ -276,18 +293,10 @@ fn quantize_with_alpha_ws(
     }
 }
 
-/// Row-major GEMM helper: `out[n][r] = Σ_j w[r][j] · x[n][j]`.
+/// Row-major GEMM helper: `out[n][r] = Σ_j w[r][j] · x[n][j]`, each
+/// output one serial sum from 0.0 in column order.
 fn matmul(w: &[f32], rows: usize, cols: usize, x: &[f32], n: usize) -> Vec<f32> {
-    let mut out = Vec::with_capacity(n * rows);
-    matmul_into(w, rows, cols, x, n, &mut out);
-    out
-}
-
-/// [`matmul`] into a caller-provided buffer (cleared first). Each output's
-/// serial accumulation order is unchanged, so results are bit-identical.
-fn matmul_into(w: &[f32], rows: usize, cols: usize, x: &[f32], n: usize, out: &mut Vec<f32>) {
-    out.clear();
-    out.resize(n * rows, 0.0);
+    let mut out = vec![0.0f32; n * rows];
     for (i, xrow) in x.chunks(cols).enumerate() {
         for (r, wrow) in w.chunks(cols).enumerate() {
             let mut acc = 0.0f32;
@@ -297,6 +306,51 @@ fn matmul_into(w: &[f32], rows: usize, cols: usize, x: &[f32], n: usize, out: &m
             out[i * rows + r] = acc;
         }
     }
+    out
+}
+
+/// Weight row `r` against the whole calibration set: writes
+/// `out[i·rows + r] = Σ_j w[j] · xt[j·n + i]` for every calibration row
+/// `i`, with `xt` the calibration rows transposed to `cols × n` and `out`
+/// the `n × rows` output matrix, laid out as [`matmul`]'s.
+///
+/// Each output is the same serial sum from 0.0 in column order as
+/// [`matmul`]'s. Only independent sums sit side by side, in blocks of
+/// 16, then 8, then single outputs, so the blocks compile to packed
+/// arithmetic without reassociating anything.
+fn calib_dots(w: &[f32], xt: &[f32], r: usize, out: &mut [f32]) {
+    let n = xt.len() / w.len();
+    let rows = out.len() / n;
+    let mut store = |i0: usize, acc: &[f32]| {
+        for (i, &v) in (i0..).zip(acc) {
+            out[i * rows + r] = v;
+        }
+    };
+    let mut i = 0;
+    while n - i >= 16 {
+        store(i, &dot_block::<16>(w, xt, i));
+        i += 16;
+    }
+    if n - i >= 8 {
+        store(i, &dot_block::<8>(w, xt, i));
+        i += 8;
+    }
+    for i in i..n {
+        store(i, &dot_block::<1>(w, xt, i));
+    }
+}
+
+/// Outputs `i0 .. i0 + B` of [`calib_dots`], one accumulator each.
+#[inline]
+fn dot_block<const B: usize>(w: &[f32], xt: &[f32], i0: usize) -> [f32; B] {
+    let mut acc = [0.0f32; B];
+    for (&wj, xrow) in w.iter().zip(xt.chunks_exact(xt.len() / w.len())) {
+        let x: &[f32; B] = xrow[i0..i0 + B].try_into().expect("block inside the row");
+        for (a, &xv) in acc.iter_mut().zip(x) {
+            *a += wj * xv;
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -304,16 +358,15 @@ mod tests {
     use super::*;
     use zllm_rng::StdRng;
 
-    /// Synthetic layer with one salient input channel — the scenario AWQ
-    /// is designed for.
-    fn salient_case(seed: u64) -> (Vec<f32>, usize, usize, Vec<f32>) {
+    /// Synthetic `rows × cols` layer and `n` calibration rows with one
+    /// salient input channel — the scenario AWQ is designed for.
+    fn layer(seed: u64, rows: usize, cols: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (rows, cols) = (8, 64);
         let weights: Vec<f32> = (0..rows * cols)
             .map(|_| rng.gen_range(-1.0f32..1.0))
             .collect();
         // Channel 3 carries activations 50× larger than the rest.
-        let calib: Vec<f32> = (0..16 * cols)
+        let calib: Vec<f32> = (0..n * cols)
             .map(|i| {
                 let base = rng.gen_range(-1.0f32..1.0);
                 if i % cols == 3 {
@@ -323,6 +376,12 @@ mod tests {
                 }
             })
             .collect();
+        (weights, calib)
+    }
+
+    fn salient_case(seed: u64) -> (Vec<f32>, usize, usize, Vec<f32>) {
+        let (rows, cols) = (8, 64);
+        let (weights, calib) = layer(seed, rows, cols, 16);
         (weights, rows, cols, calib)
     }
 
@@ -402,32 +461,93 @@ mod tests {
         }
     }
 
+    /// Every candidate's bits: α, channel scales, codes, FP16 scales and
+    /// zero points.
+    fn candidate_bits(m: &AwqQuantizedMatrix) -> Vec<u32> {
+        let mut bits = vec![m.alpha().to_bits()];
+        bits.extend(m.channel_scales().iter().map(|s| s.to_bits()));
+        for row in m.rows_q() {
+            bits.extend(row.codes().iter().map(|&c| u32::from(c)));
+            bits.extend(row.scales().iter().map(|s| u32::from(s.to_bits())));
+            bits.extend(row.zeros().iter().map(|&z| u32::from(z)));
+        }
+        bits
+    }
+
+    /// Runs the grid with fast kernels off (the serial reference) and on
+    /// at several thread counts, and requires every α's error and
+    /// candidate to match bit for bit.
+    fn assert_kernel_paths_agree(
+        case: &str,
+        weights: &[f32],
+        rows: usize,
+        calib: &[f32],
+        cfg: &AwqConfig,
+    ) -> Vec<f64> {
+        let cols = weights.len() / rows;
+        zllm_fp16::set_fast_kernels(false);
+        let slow = evaluate_grid(weights, rows, cols, calib, cfg);
+        zllm_fp16::set_fast_kernels(true);
+        for threads in [Some(1), Some(4), None] {
+            zllm_par::set_max_threads(threads);
+            let fast = evaluate_grid(weights, rows, cols, calib, cfg);
+            assert_eq!(fast.len(), slow.len());
+            for (k, ((fe, f), (se, s))) in fast.iter().zip(&slow).enumerate() {
+                let at = format!("{case}, α #{k}, threads {threads:?}");
+                assert_eq!(fe.to_bits(), se.to_bits(), "{at}: error {fe} vs {se}");
+                assert_eq!(candidate_bits(f), candidate_bits(s), "{at}: candidate");
+            }
+        }
+        zllm_par::set_max_threads(None);
+        slow.iter().map(|(e, _)| *e).collect()
+    }
+
     #[test]
     fn search_result_is_independent_of_fast_kernels_and_threads() {
-        let (weights, rows, cols, calib) = salient_case(23);
         let cfg = AwqConfig {
             quant: GroupQuantConfig::new(32, 4),
             ..AwqConfig::default()
         };
-        zllm_fp16::set_fast_kernels(false);
-        let slow = quantize_awq(&weights, rows, cols, &calib, &cfg);
-        zllm_fp16::set_fast_kernels(true);
-        for threads in [Some(1), Some(4), None] {
-            zllm_par::set_max_threads(threads);
-            let fast = quantize_awq(&weights, rows, cols, &calib, &cfg);
-            assert_eq!(
-                fast.alpha().to_bits(),
-                slow.alpha().to_bits(),
-                "threads {threads:?}"
-            );
-            assert_eq!(fast.channel_scales(), slow.channel_scales());
-            for (a, b) in fast.rows_q().iter().zip(slow.rows_q()) {
-                assert_eq!(a.codes(), b.codes());
-                assert_eq!(a.scales(), b.scales());
-                assert_eq!(a.zeros(), b.zeros());
-            }
+        // Calibration counts that run every block of the kernel and its
+        // scalar tail.
+        for n in [1, 3, 8, 15, 16, 17, 24, 33] {
+            let (weights, calib) = layer(23 + n as u64, 8, 64, n);
+            assert_kernel_paths_agree(&format!("n = {n}"), &weights, 8, &calib, &cfg);
         }
-        zllm_par::set_max_threads(None);
+        // A trailing partial group (72 = 2·32 + 8), on one row and on five.
+        for rows in [1, 5] {
+            let (weights, calib) = layer(29, rows, 72, 17);
+            let case = format!("partial group, {rows} rows");
+            assert_kernel_paths_agree(&case, &weights, rows, &calib, &cfg);
+        }
+        // ±0, subnormals and very large values among weights and
+        // activations: once with finite errors, once overflowing to
+        // infinities and NaN errors.
+        let finite = ([0.0, -0.0, 1e-40, -3e-42, 40.0, -55.0], [1e6, -3e7]);
+        let overflowing = ([0.0, -0.0, 1e-40, -3e-42, 6.5e4, 1e30], [1e20, -3e38]);
+        for (case, (w_extremes, x_large)) in [("finite", finite), ("overflowing", overflowing)] {
+            let (mut weights, mut calib) = layer(31, 6, 64, 19);
+            for (i, w) in weights.iter_mut().enumerate().step_by(5) {
+                *w = w_extremes[i % w_extremes.len()];
+            }
+            let x_extremes = [0.0, -0.0, 1e-41, -1e-39, x_large[0], x_large[1]];
+            for (i, x) in calib.iter_mut().enumerate().step_by(3) {
+                *x = x_extremes[i % x_extremes.len()];
+            }
+            let errors = assert_kernel_paths_agree(case, &weights, 6, &calib, &cfg);
+            let finite = errors.iter().all(|e| e.is_finite());
+            assert_eq!(finite, case == "finite", "{case}: {errors:?}");
+        }
+        // A repeated α gives bit-equal errors on both paths, so the
+        // first-wins scan sees a true tie.
+        let repeated = AwqConfig {
+            alpha_grid: vec![0.5, 0.0, 0.5, 0.25, 0.0],
+            ..cfg
+        };
+        let (weights, calib) = layer(37, 8, 64, 24);
+        let errors = assert_kernel_paths_agree("repeated α", &weights, 8, &calib, &repeated);
+        assert_eq!(errors[0].to_bits(), errors[2].to_bits(), "α = 0.5 twice");
+        assert_eq!(errors[1].to_bits(), errors[4].to_bits(), "α = 0 twice");
     }
 
     #[test]

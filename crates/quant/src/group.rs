@@ -157,19 +157,26 @@ impl QuantizedTensor {
         (q - z) as f32 * self.scales[g].to_f32()
     }
 
-    /// Dequantizes the whole tensor.
+    /// Dequantizes the whole tensor, element by element through
+    /// [`QuantizedTensor::dequantize_at`].
     pub fn dequantize(&self) -> Vec<f32> {
         (0..self.len).map(|i| self.dequantize_at(i)).collect()
     }
 
     /// [`QuantizedTensor::dequantize`] into a caller-provided buffer
     /// (cleared first) — identical values, no allocation once the buffer
-    /// has capacity. The quantization searches use this to evaluate
-    /// candidates without per-candidate allocation.
+    /// has capacity. Each group's scale and zero point are decoded once,
+    /// then every element takes the same `(q − z) · s` as
+    /// [`QuantizedTensor::dequantize_at`]. The quantization searches use
+    /// this to evaluate candidates.
     pub fn dequantize_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.reserve(self.len);
-        out.extend((0..self.len).map(|i| self.dequantize_at(i)));
+        let groups = self.codes.chunks(self.config.group_size);
+        for ((codes, &z), s) in groups.zip(&self.zeros).zip(&self.scales) {
+            let (z, s) = (i32::from(z), s.to_f32());
+            out.extend(codes.iter().map(|&q| (i32::from(q) - z) as f32 * s));
+        }
     }
 
     /// Dequantizes to FP16 (the datatype entering the VPU lanes).
@@ -218,12 +225,11 @@ impl GroupQuantizer {
     pub fn quantize(&self, values: &[f32]) -> QuantizedTensor {
         let gs = self.config.group_size;
         let levels = self.config.levels() as f32;
-        let max_code = self.config.max_code();
-        let mut codes = Vec::with_capacity(values.len());
-        let mut scales = Vec::new();
-        let mut zeros = Vec::new();
+        let mut codes = vec![0; values.len()];
+        let mut scales = Vec::with_capacity(values.len().div_ceil(gs));
+        let mut zeros = Vec::with_capacity(scales.capacity());
 
-        for group in values.chunks(gs) {
+        for (group, group_codes) in values.chunks(gs).zip(codes.chunks_mut(gs)) {
             let (min, max) = group
                 .iter()
                 .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| {
@@ -238,12 +244,12 @@ impl GroupQuantizer {
             let scale_f32 = if range > 0.0 { range / levels } else { 1.0 };
             let scale = F16::from_f32(scale_f32);
             let s = scale.to_f32().max(f32::MIN_POSITIVE);
-            let zero = (-min / s).round().clamp(0.0, levels) as u8;
+            let zero = round_code(-min / s, levels);
             scales.push(scale);
             zeros.push(zero);
-            for &v in group {
-                let q = (v / s + zero as f32).round().clamp(0.0, levels) as u8;
-                codes.push(q.min(max_code));
+            let z = f32::from(zero);
+            for (q, &v) in group_codes.iter_mut().zip(group) {
+                *q = round_code(v / s + z, levels);
             }
         }
 
@@ -260,6 +266,26 @@ impl GroupQuantizer {
     pub fn config(&self) -> GroupQuantConfig {
         self.config
     }
+}
+
+/// `x.round().clamp(0.0, levels) as u8` for an integer `levels` ≤ 255,
+/// without the libm `roundf` call `f32::round` compiles to on baseline
+/// x86-64, so the code loop vectorizes.
+///
+/// Clamping first gives the same code, because rounding is monotone and
+/// keeps the integer bounds in place; NaN clamps to 0, where the
+/// saturating cast puts it. On `[0, levels]`, adding 2²³ rounds to an
+/// integer, ties to even, and leaves it in the low mantissa bits; an
+/// exact tie that went down to the even neighbour steps back up, which
+/// is `round`'s half away from zero.
+#[inline]
+fn round_code(x: f32, levels: f32) -> u8 {
+    const TWO_POW_23: f32 = 8_388_608.0;
+    let x = if x > 0.0 { x } else { 0.0 };
+    let x = if x < levels { x } else { levels };
+    let shifted = x + TWO_POW_23;
+    let tie_went_down = x - (shifted - TWO_POW_23) == 0.5;
+    shifted.to_bits() as u8 + u8::from(tie_went_down)
 }
 
 #[cfg(test)]
@@ -337,6 +363,96 @@ mod tests {
         let step = q.scales()[1].to_f32();
         assert!((step - 14.9 / 15.0).abs() < 0.01);
         assert!((d[149] - 14.9).abs() <= 0.55 * step + 1e-3);
+
+        // The per-group `dequantize_into` reproduces `dequantize_at` bit
+        // for bit on whole and partial trailing groups, at several code
+        // widths, with signed zeros and subnormals among the values.
+        let mut out = vec![7.0; 3];
+        for (len, group_size, bits) in [
+            (150, 128, 4),
+            (7, 3, 2),
+            (65, 64, 8),
+            (1, 32, 1),
+            (96, 32, 3),
+        ] {
+            let values: Vec<f32> = (0..len)
+                .map(|i| match i % 9 {
+                    0 => -0.0,
+                    4 => 1e-40,
+                    _ => ((i * 37) % 23) as f32 / 7.0 - 1.5,
+                })
+                .collect();
+            let q = GroupQuantizer::new(GroupQuantConfig::new(group_size, bits)).quantize(&values);
+            q.dequantize_into(&mut out);
+            assert_eq!(out.len(), len);
+            for (i, v) in out.iter().enumerate() {
+                let want = q.dequantize_at(i);
+                assert_eq!(
+                    v.to_bits(),
+                    want.to_bits(),
+                    "len {len}, group {group_size}, elem {i}"
+                );
+            }
+        }
+    }
+
+    /// What [`round_code`] replaces.
+    fn round_code_reference(x: f32, levels: f32) -> u8 {
+        x.round().clamp(0.0, levels) as u8
+    }
+
+    #[test]
+    fn round_code_matches_round_clamp_at_every_width() {
+        for bits in 1..=8 {
+            let levels = GroupQuantConfig::new(32, bits).levels() as f32;
+            let check = |x: f32| {
+                let (got, want) = (round_code(x, levels), round_code_reference(x, levels));
+                assert_eq!(got, want, "x = {x:e} ({:#010x}), {bits} bits", x.to_bits());
+            };
+            for x in [
+                f32::NAN,
+                -f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                0.0,
+                -0.0,
+                f32::MIN_POSITIVE,
+                -f32::MIN_POSITIVE,
+                1e-45,
+                -1e-45,
+                f32::MAX,
+                f32::MIN,
+                8_388_608.0,
+                8_388_607.5,
+                16_777_217.0,
+            ] {
+                check(x);
+            }
+            // Every half-integer tie and its neighbours, then a dense sweep.
+            for m in -2..=levels as i32 + 2 {
+                let tie = m as f32 + 0.5;
+                for x in [tie.next_down(), tie, tie.next_up(), m as f32] {
+                    check(x);
+                }
+            }
+            let steps = (levels as i32 + 4) * 4096;
+            for k in 0..=steps {
+                check(-2.0 + k as f32 / 4096.0);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "all 2^32 f32 patterns (~35 s); CI runs it by name with --ignored"]
+    fn round_code_matches_round_clamp_exhaustively() {
+        for bits in 0..=u32::MAX {
+            let x = f32::from_bits(bits);
+            assert_eq!(
+                round_code(x, 15.0),
+                round_code_reference(x, 15.0),
+                "pattern {bits:#010x}"
+            );
+        }
     }
 
     #[test]

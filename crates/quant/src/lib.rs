@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod awq;
-pub mod clip;
 pub mod entropy;
 pub mod error;
 pub mod gptq;
