@@ -40,6 +40,15 @@ impl ActHistory {
         self.len = (self.len + 1).min(4);
     }
 
+    /// The history with every entry, stale ones too, moved `by` cycles
+    /// modulo 2^64 (`S.wrapping_neg()` makes it relative to cycle `S`).
+    fn shifted(self, by: u64) -> ActHistory {
+        ActHistory {
+            times: self.times.map(|t| t.wrapping_add(by)),
+            ..self
+        }
+    }
+
     /// The earliest cycle the next activate may issue: tRRD after the
     /// latest activate and tFAW after the fourth-latest.
     fn pacing(&self, trrd: u64, tfaw: u64) -> u64 {
@@ -78,13 +87,6 @@ impl RowOpen {
     }
 }
 
-/// How every opener of a whole row window found its bank.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Opened {
-    Misses,
-    Conflicts,
-}
-
 /// A run of a stretch's accesses with no refresh between them: access
 /// `j ≥ start` starts its data transfer at bus cycle `bus + (j - start)·cpa`.
 #[derive(Debug, Clone, Copy)]
@@ -112,6 +114,142 @@ impl Segments {
         };
         s.bus + (j - s.start) * self.cpa
     }
+}
+
+/// What pricing a refresh segment depends on, every time taken relative
+/// to the segment's first bus slot `S` (see [`DdrController::stretch`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SegmentKey {
+    /// Row-window offset of the segment's first access.
+    offset: u64,
+    /// `next_refresh - S`, which fixes the segment's length.
+    to_refresh: u64,
+    write: bool,
+    /// `S` minus the slot the previous segment's grid gives the first
+    /// access, which fixes the arrivals read from that grid.
+    lag: u64,
+    /// The activate history, relative to `S`.
+    acts: ActHistory,
+}
+
+/// A number of row windows as `rows·banks_per_group + banks`, so that it
+/// moves a window on without a division.
+#[derive(Debug, Clone, Copy, Default)]
+struct WindowDelta {
+    rows: u64,
+    banks: u64,
+}
+
+impl WindowDelta {
+    fn new(windows: u64, bpg: u64) -> WindowDelta {
+        WindowDelta {
+            rows: windows / bpg,
+            banks: windows % bpg,
+        }
+    }
+
+    /// Window `(bank_in_group, row)` moved on by `self`.
+    fn add(self, bank_in_group: u64, row: u64, bpg: u64) -> (u64, u64) {
+        let b = bank_in_group + self.banks;
+        if b < bpg {
+            (b, row + self.rows)
+        } else {
+            (b - bpg, row + self.rows + 1)
+        }
+    }
+}
+
+/// How a walked refresh segment priced, relative to its first slot `S`
+/// and its first row window.
+#[derive(Debug, Clone)]
+struct SegmentOutcome {
+    key: SegmentKey,
+    /// Its hits, misses and conflicts.
+    counts: (u64, u64, u64),
+    /// The activate history at the segment's end, relative to `S`.
+    acts: ActHistory,
+    /// How many banks are open at the end: exactly those it activated.
+    opened: usize,
+}
+
+/// A bank a segment left open: its group, the window that opened it and
+/// its activate time relative to `S`.
+type OpenedBank = (u64, WindowDelta, u64);
+
+/// Segment outcomes in a direct-mapped table indexed by the key's window
+/// offset, `to_refresh mod cpa` and direction, each checked against its
+/// full key, with room per slot for one record per bank. Both vectors are
+/// allocated once, at the first record.
+#[derive(Debug, Clone, Default)]
+struct SegmentMemo {
+    slots: Vec<Option<SegmentOutcome>>,
+    opened: Vec<OpenedBank>,
+}
+
+impl SegmentMemo {
+    /// The table's length: `window·cpa·2`, at most 4,096 for geometries
+    /// with very long row windows.
+    fn len(geo: &Geometry) -> u64 {
+        (geo.window * geo.cpa * 2).min(1 << 12)
+    }
+
+    fn slot(key: &SegmentKey, geo: &Geometry) -> usize {
+        let i = (key.offset * geo.cpa + key.to_refresh % geo.cpa) * 2 + key.write as u64;
+        (i % Self::len(geo)) as usize
+    }
+
+    /// The outcome recorded under `key` and the banks it left open.
+    fn get(&self, key: &SegmentKey, geo: &Geometry) -> Option<(&SegmentOutcome, &[OpenedBank])> {
+        let i = Self::slot(key, geo);
+        let out = self.slots.get(i)?.as_ref().filter(|o| o.key == *key)?;
+        let banks = (geo.bgc * geo.bpg) as usize;
+        Some((out, &self.opened[i * banks..][..out.opened]))
+    }
+
+    /// Records how segment `rec` priced, given the stretch's counts, banks
+    /// and activate history at its refresh. A refresh closed every bank at
+    /// its start, so the banks open now are those it activated.
+    fn record(
+        &mut self,
+        rec: Recording,
+        counts: (u64, u64, u64),
+        (banks, acts): (&[Bank], ActHistory),
+        geo: &Geometry,
+    ) {
+        let Geometry { bgc, bpg, .. } = *geo;
+        let stride = (bgc * bpg) as usize;
+        if self.slots.is_empty() {
+            let n = Self::len(geo) as usize;
+            self.slots.resize(n, None);
+            self.opened.resize(n * stride, OpenedBank::default());
+        }
+        let i = Self::slot(&rec.key, geo);
+        let mut n = 0;
+        for (b, bank) in (0u64..).zip(banks) {
+            if let Some(row) = bank.open_row {
+                let by = WindowDelta::new(row * bpg + b / bgc - rec.window, bpg);
+                self.opened[i * stride + n] = (b % bgc, by, bank.act_at.wrapping_sub(rec.bus));
+                n += 1;
+            }
+        }
+        let (h, m, c) = rec.counts;
+        self.slots[i] = Some(SegmentOutcome {
+            key: rec.key,
+            counts: (counts.0 - h, counts.1 - m, counts.2 - c),
+            acts: acts.shifted(rec.bus.wrapping_neg()),
+            opened: n,
+        });
+    }
+}
+
+/// A segment being walked for the memo: its key, first slot and first
+/// window, and the stretch's counts at its start.
+#[derive(Debug, Clone, Copy)]
+struct Recording {
+    key: SegmentKey,
+    bus: u64,
+    window: u64,
+    counts: (u64, u64, u64),
 }
 
 /// The controller. Time is measured in DRAM clock cycles from construction.
@@ -151,11 +289,15 @@ pub struct DdrController {
     /// Address-map geometry derived from `cfg` once at construction, so
     /// a stretch walks the map without recomputing its constants.
     geo: Geometry,
-    /// Calls of [`Self::access`] so far, and row-window pieces walked by
-    /// [`Self::stretch`]. Outside the telemetry snapshot: they measure how
-    /// the simulator priced the accesses, not the device.
+    /// Refresh segments [`Self::stretch`] has walked, for replay.
+    memo: SegmentMemo,
+    /// Calls of [`Self::access`] so far, and row-window pieces walked and
+    /// refresh segments replayed by [`Self::stretch`]. Outside the
+    /// telemetry snapshot: they measure how the simulator priced the
+    /// accesses, not the device.
     per_access_steps: u64,
     window_steps: u64,
+    segment_replays: u64,
 }
 
 /// Derived address-map constants (see [`DdrConfig::map_address`]).
@@ -197,7 +339,8 @@ impl DdrController {
     ///
     /// # Panics
     ///
-    /// Panics if `lookahead` is zero.
+    /// Panics if `lookahead` is zero or the refresh timing is invalid (see
+    /// [`Self::with_counters`]).
     pub fn new(cfg: DdrConfig, lookahead: usize) -> DdrController {
         DdrController::with_counters(cfg, lookahead, DdrCounters::detached())
     }
@@ -207,9 +350,12 @@ impl DdrController {
     ///
     /// # Panics
     ///
-    /// Panics if `lookahead` is zero.
+    /// Panics if `lookahead` is zero, or if refresh never lets the bus
+    /// run: `trefi` is zero or `trfc` is not shorter than it.
     pub fn with_counters(cfg: DdrConfig, lookahead: usize, counters: DdrCounters) -> DdrController {
         assert!(lookahead > 0, "lookahead must be at least 1");
+        assert!(cfg.trefi > 0, "trefi must be at least 1");
+        assert!(cfg.trfc < cfg.trefi, "trfc must be shorter than trefi");
         let banks = vec![Bank::default(); cfg.banks as usize];
         let next_refresh = cfg.trefi as u64;
         let last_cas_per_group = vec![0u64; cfg.bank_groups.max(1) as usize];
@@ -227,8 +373,10 @@ impl DdrController {
             counters,
             fast_path: true,
             geo,
+            memo: SegmentMemo::default(),
             per_access_steps: 0,
             window_steps: 0,
+            segment_replays: 0,
         }
     }
 
@@ -378,12 +526,13 @@ impl DdrController {
     /// [`Self::set_fast_path`]) a burst is priced as one *stretch*: a run
     /// of accesses whose data transfers each start the moment the bus
     /// frees, advanced without calling [`Self::access`]. A stretch crosses
-    /// row windows and refresh epochs and skips repeating windows in
-    /// closed form (see `stretch`). It ends only at the end of the burst,
-    /// at a change of bus direction, or at the first access that would
-    /// wait for something other than the bus (an activate, the lookahead
-    /// window, tCCD_L or CAS latency); that access goes through
-    /// [`Self::access`] and a new stretch starts after it. The two paths
+    /// row windows and refresh epochs, and replays a refresh epoch whose
+    /// inputs match one the controller has priced before (see `stretch`).
+    /// It ends only at the end of the burst, at a change of bus direction,
+    /// or at the first access that would wait for something other than the
+    /// bus (an activate, the lookahead window, tCCD_L or CAS latency); that
+    /// access goes through [`Self::access`] and a new stretch starts after
+    /// it. The two paths
     /// produce **bit-identical** cycle counts, statistics, telemetry and
     /// controller state — see the differential tests and the `proptest`
     /// suite.
@@ -439,45 +588,34 @@ impl DdrController {
     /// stretch; so a segment shorter than that, other than the first, ends
     /// the stretch at its refresh.
     ///
-    /// **Window jump.** Let opener `g` of a whole row window of the
-    /// segment activate at `T + d_g`, `T` its slot. The activate time is
-    /// the later of a bank term and the tRRD/tFAW pacing, so `d_g` depends
-    /// only on
-    /// * the arrival offset, `-(lookahead - 1)·cpa` once `j - lookahead`
-    ///   lies in the segment;
-    /// * the bank: a miss adds nothing, a conflict adds tRP after
-    ///   `max(arrival, act_at + tRAS)`. When the window `bpg` windows
-    ///   earlier in the segment (`bpg` banks per group) activated this
-    ///   bank, that activate was bus-bound, so `act_at ≤ T -
-    ///   bpg·window·cpa - tRCD - latency`, and tRAS cannot bind once
-    ///   `tRAS + (lookahead - 1)·cpa ≤ tRCD + latency + bpg·window·cpa`;
-    /// * the pacing, which reads the last four activates: those of the
-    ///   previous `⌈4/bank_groups⌉` windows when all their openers
-    ///   activated.
-    ///
-    /// Suppose `⌈4/bank_groups⌉ + 1` consecutive whole windows of the
-    /// segment opened all their banks the same way (all misses, or all
-    /// conflicts) at equal offsets `d_g`, and the last of them arrives
-    /// from within the segment. Then the next window meets the same three
-    /// inputs if its openers are the same kind and tRAS cannot bind, so it
-    /// repeats the offsets, and by induction so does every later window.
-    /// For conflicts that holds for every later whole window of the
-    /// segment once the last `bpg + 1` windows all activated every bank
-    /// they opened: each later window reopens the banks a window `bpg`
-    /// earlier activated, one row further on. For misses it holds while
-    /// the later windows' banks are still idle. The stretch skips those
-    /// `K` windows arithmetically: it counts `K·bank_groups` misses or
-    /// conflicts and `K·(window - bank_groups)` hits, opens the banks of
-    /// the last `min(K, bpg)` windows at their activate times, records the
-    /// last four activates and walks on.
+    /// **Segment replay.** Take a segment other than the first, starting
+    /// at access `j ≥ bank_groups` on slot `S`, at least `lookahead`
+    /// accesses after the previous segment's start, and reaching its
+    /// refresh inside the burst: no head check runs in it and its early
+    /// arrivals come from the previous segment's slot grid. Every bank is
+    /// closed at `S`, and window `w` opens bank `w mod banks_per_group` of
+    /// each group at row `w / banks_per_group`, so an access finds its row
+    /// open exactly when its own window opened the bank in the segment.
+    /// The walk thus reads only the first window offset, `next_refresh -
+    /// S`, the direction, the previous grid's slot for access `j`, the
+    /// activate history and what it sets itself, and each decision compares
+    /// two times or two rows. Moving all times by Δ and all windows by `k`
+    /// moves its outcome by Δ and `k`. So the stretch records each such
+    /// segment it walks to its refresh under those inputs taken relative
+    /// to `S` (the history's length and all four entries), and replays a
+    /// later segment with an equal key in O(banks): it opens the recorded
+    /// banks at their shifted rows and activate times, restores the
+    /// history and adds the counts. Banks it does not open keep their
+    /// stale activate times, as [`Self::access`] leaves them.
     fn stretch(&mut self, addr: u64, max_n: u64, write: bool) -> u64 {
+        let geo = self.geo;
         let Geometry {
             bpa,
             cpa,
             bgc,
             bpg,
             window,
-        } = self.geo;
+        } = geo;
         let cfg = &self.cfg;
         let l = self.lookahead as u64;
         let lat = if write { cfg.cwl } else { cfg.cl } as u64;
@@ -486,9 +624,6 @@ impl DdrController {
         if self.last_write != Some(write) || cpa == 0 || lat > (l - 1) * cpa || tccd_l > bgc * cpa {
             return 0;
         }
-        let tras_free = cfg.tras as u64 + (l - 1) * cpa <= trcd + lat + bpg * window * cpa;
-        let jump_streak = 4u64.div_ceil(bgc) + 1;
-        let window_cycles = window * cpa;
 
         // Walk the address map one row window at a time.
         let a0 = addr / bpa;
@@ -506,10 +641,7 @@ impl DdrController {
             cur: head,
         };
         let (mut hits, mut misses, mut conflicts) = (0u64, 0u64, 0u64);
-        // Over the segment's whole windows so far: how many in a row
-        // activated every bank they opened (`run`), and how many in a row
-        // opened them the same way (`opened`) at equal offsets (`streak`).
-        let (mut run, mut streak, mut opened) = (0u64, 0u64, None);
+        let mut recording = None;
         let mut j = 0u64;
         let n = 'walk: loop {
             if j == max_n {
@@ -520,6 +652,12 @@ impl DdrController {
                 if segs.cur.start > 0 && j - segs.cur.start < l.max(bgc) {
                     break j;
                 }
+                if let Some(rec) = recording.take() {
+                    let state = (&self.banks[..], self.recent_acts);
+                    self.memo
+                        .record(rec, (hits, misses, conflicts), state, &self.geo);
+                }
+                let due = bus;
                 while bus >= self.next_refresh {
                     for b in &mut self.banks {
                         b.open_row = None;
@@ -530,7 +668,41 @@ impl DdrController {
                 }
                 segs.prev = segs.cur;
                 segs.cur = Segment { start: j, bus };
-                (run, streak, opened) = (0, 0, None);
+                let len = (self.next_refresh - bus).div_ceil(cpa);
+                if j >= bgc.max(segs.prev.start + l) && len >= l.max(bgc) && j + len < max_n {
+                    let key = SegmentKey {
+                        offset,
+                        to_refresh: self.next_refresh - bus,
+                        write,
+                        lag: bus - due,
+                        acts: self.recent_acts.shifted(bus.wrapping_neg()),
+                    };
+                    if let Some((out, opened)) = self.memo.get(&key, &geo) {
+                        for &(group, opened_by, act_at) in opened {
+                            let (b, r) = opened_by.add(bank_in_group, row, bpg);
+                            self.banks[(group + b * bgc) as usize] = Bank {
+                                open_row: Some(r),
+                                act_at: act_at.wrapping_add(bus),
+                            };
+                        }
+                        self.recent_acts = out.acts.shifted(bus);
+                        let (h, m, c) = out.counts;
+                        (hits, misses, conflicts) = (hits + h, misses + m, conflicts + c);
+                        self.segment_replays += 1;
+                        j += len;
+                        let to = offset + len;
+                        offset = to % window;
+                        (bank_in_group, row) =
+                            WindowDelta::new(to / window, bpg).add(bank_in_group, row, bpg);
+                        continue;
+                    }
+                    recording = Some(Recording {
+                        key,
+                        bus,
+                        window: row * bpg + bank_in_group,
+                        counts: (hits, misses, conflicts),
+                    });
+                }
             }
             // This piece of the window ends at the window's end, the next
             // refresh or the end of the burst. Its first `bank_groups`
@@ -540,9 +712,6 @@ impl DdrController {
             let end = seg_end.min(j + window - offset);
             let openers_end = end.min(j + bgc);
             self.window_steps += 1;
-            let prev_bank_in_group = (bank_in_group + bpg - 1) % bpg;
-            let (misses0, conflicts0) = (misses, conflicts);
-            let mut same = true;
             let mut bg = offset % bgc;
             while j < openers_end {
                 let bank = (bg + bank_in_group * bgc) as usize;
@@ -555,24 +724,16 @@ impl DdrController {
                 if ready + lat > segs.slot(j) {
                     break 'walk j;
                 }
-                let t_act = match open {
-                    RowOpen::Hit => {
-                        hits += 1;
-                        None
-                    }
+                match open {
+                    RowOpen::Hit => hits += 1,
                     RowOpen::Miss(t) => {
                         misses += 1;
-                        Some(t)
+                        self.activate(bank, row, t);
                     }
                     RowOpen::Conflict(t) => {
                         conflicts += 1;
-                        Some(t)
+                        self.activate(bank, row, t);
                     }
-                };
-                if let Some(t) = t_act {
-                    let prev = self.banks[(bg + prev_bank_in_group * bgc) as usize];
-                    same &= prev.act_at + window_cycles == t;
-                    self.activate(bank, row, t);
                 }
                 j += 1;
                 bg += 1;
@@ -583,67 +744,15 @@ impl DdrController {
             // The rest of the piece hits the rows just opened.
             hits += end - j;
             j = end;
-            let whole = offset == 0 && end - start == window;
             offset += end - start;
-            if offset < window {
-                continue;
+            if offset == window {
+                offset = 0;
+                bank_in_group += 1;
+                if bank_in_group == bpg {
+                    bank_in_group = 0;
+                    row += 1;
+                }
             }
-            offset = 0;
-            let (ref_bank_in_group, ref_row) = (bank_in_group, row);
-            bank_in_group += 1;
-            if bank_in_group == bpg {
-                bank_in_group = 0;
-                row += 1;
-            }
-            if !whole {
-                (run, streak, opened) = (0, 0, None);
-                continue;
-            }
-
-            let (m, c) = (misses - misses0, conflicts - conflicts0);
-            run = if m + c == bgc { run + 1 } else { 0 };
-            let kind = if m == bgc {
-                Some(Opened::Misses)
-            } else if c == bgc {
-                Some(Opened::Conflicts)
-            } else {
-                None
-            };
-            streak = match kind {
-                None => 0,
-                Some(_) if kind == opened && same => streak + 1,
-                Some(_) => 1,
-            };
-            opened = kind;
-            if streak < jump_streak || start < segs.cur.start + l {
-                continue;
-            }
-            let fit = (seg_end - j) / window;
-            let skip = match kind {
-                Some(Opened::Misses) => (0..fit)
-                    .take_while(|&k| {
-                        let b = (bank_in_group + k) % bpg;
-                        (0..bgc).all(|g| self.banks[(g + b * bgc) as usize].open_row.is_none())
-                    })
-                    .count() as u64,
-                Some(Opened::Conflicts) if tras_free && run > bpg => fit,
-                _ => 0,
-            };
-            if skip == 0 {
-                continue;
-            }
-            self.repeat_window(ref_bank_in_group, ref_row, skip, window_cycles);
-            if kind == Some(Opened::Misses) {
-                misses += skip * bgc;
-            } else {
-                conflicts += skip * bgc;
-            }
-            hits += skip * (window - bgc);
-            j += skip * window;
-            run += skip;
-            bank_in_group += skip;
-            row += bank_in_group / bpg;
-            bank_in_group %= bpg;
         };
 
         self.bus_next = segs.slot(n);
@@ -670,32 +779,6 @@ impl DdrController {
             self.completions.pop_front();
         }
         n
-    }
-
-    /// Opens the banks of the `skip` row windows after window
-    /// `(bank_in_group, row)` as that window opened its own, each window
-    /// `window_cycles` after the one before, and records the last four
-    /// activates.
-    fn repeat_window(&mut self, bank_in_group: u64, row: u64, skip: u64, window_cycles: u64) {
-        let Geometry { bgc, bpg, .. } = self.geo;
-        let act_at = |c: &Self, g: u64| c.banks[(g + bank_in_group * bgc) as usize].act_at;
-        let opens = skip * bgc;
-        for t in opens.saturating_sub(4)..opens {
-            let t_act = act_at(self, t % bgc) + (1 + t / bgc) * window_cycles;
-            self.recent_acts.push(t_act);
-        }
-        // A bank keeps the row of the last skipped window that opened it:
-        // only the last `bpg` windows' rows stay open.
-        for g in 0..bgc {
-            let t0 = act_at(self, g);
-            for k in skip.saturating_sub(bpg) + 1..=skip {
-                let w = bank_in_group + k;
-                self.banks[(g + w % bpg * bgc) as usize] = Bank {
-                    open_row: Some(row + w / bpg),
-                    act_at: t0 + k * window_cycles,
-                };
-            }
-        }
     }
 
     /// When access `j` of a stretch arrives: the completion `lookahead`
@@ -872,9 +955,14 @@ mod tests {
     }
 
     /// Replays `(addr, beats, write)` bursts through a fast-path and a
-    /// per-access controller and asserts bit-identical completion cycles,
-    /// statistics and timing state at every burst boundary.
-    fn assert_fast_matches_slow(cfg: DdrConfig, lookahead: usize, bursts: &[(u64, u32, bool)]) {
+    /// per-access controller, asserts bit-identical completion cycles,
+    /// statistics and timing state at every burst boundary, and returns
+    /// the fast-path controller.
+    fn assert_fast_matches_slow(
+        cfg: DdrConfig,
+        lookahead: usize,
+        bursts: &[(u64, u32, bool)],
+    ) -> DdrController {
         let mut fast = DdrController::new(cfg.clone(), lookahead);
         let mut slow = DdrController::new(cfg, lookahead);
         slow.set_fast_path(false);
@@ -889,6 +977,7 @@ mod tests {
                 "burst {i} timing state diverged"
             );
         }
+        fast
     }
 
     #[test]
@@ -937,9 +1026,9 @@ mod tests {
         }
     }
 
-    /// Activate pacing set just past the spacing the window jump relies
-    /// on, so a window that repeats its predecessor's timing does not
-    /// repeat the next one's.
+    /// Activate pacing set just past one row window's bus time, so each
+    /// window's activates slip behind the last one's and a refresh epoch's
+    /// activate history rarely repeats an earlier epoch's.
     fn adversarial_memories() -> [DdrConfig; 3] {
         [
             // tFAW just past one KV260 row window's 512 bus cycles: each
@@ -992,6 +1081,93 @@ mod tests {
             for lookahead in [32, 64] {
                 assert_fast_matches_slow(cfg.clone(), lookahead, &bursts);
             }
+        }
+    }
+
+    /// Reads and writes that each span dozens of refresh epochs: aligned
+    /// and misaligned starts, a turnaround between directions, a revisit
+    /// of the first region (its windows open on conflicts) and each
+    /// region streamed twice, so the second pass meets a warm memo.
+    const MULTI_EPOCH_STREAM: [(u64, u32, bool); 6] = [
+        (0, 150_000, false),
+        ((1 << 28) | 24, 100_000, true),
+        (64 * 37, 120_000, false),
+        (1 << 27, 100_000, false),
+        ((1 << 28) | 24, 100_000, true),
+        (1 << 27, 100_000, false),
+    ];
+
+    #[test]
+    fn fast_path_exact_on_long_multi_epoch_streams() {
+        let presets = [
+            DdrConfig::ddr4_2400_kv260(),
+            DdrConfig::lpddr4_2133_ultra96(),
+            DdrConfig::ddr4_2666_zcu102(),
+            DdrConfig::lpddr5_orin_nano(),
+            DdrConfig::lpddr5_6400_embedded(),
+        ];
+        let short_epochs = DdrConfig {
+            trefi: 400,
+            ..DdrConfig::ddr4_2400_kv260()
+        };
+        let n_presets = presets.len();
+        let configs = presets
+            .into_iter()
+            .chain(adversarial_memories())
+            .chain([short_epochs]);
+        for (i, cfg) in configs.enumerate() {
+            for lookahead in [1usize, 2, 8, 32, 64] {
+                let c = assert_fast_matches_slow(cfg.clone(), lookahead, &MULTI_EPOCH_STREAM);
+                // At datamover depth every preset streams bus-bound through
+                // epochs longer than its lookahead, so an epoch whose key
+                // an earlier one had is replayed.
+                if i < n_presets && lookahead >= 32 {
+                    assert!(
+                        c.segment_replays > 0,
+                        "preset {i} at lookahead {lookahead} replayed no refresh epoch"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_path_exact_when_a_refresh_falls_inside_the_first_lookahead() {
+        // KV260 timing with 2,000-cycle refresh epochs: a segment's 422
+        // accesses cover about three row windows, fewer than the four it
+        // takes to reopen a bank, so its first activates are still its
+        // banks' activate times when it ends. Two streams write the same
+        // 407 accesses, then eleven tCCD_L-paced or sixteen streamed row
+        // hits that take equally long, then read from the same window.
+        // Each read's stretch meets a refresh within its 64-access
+        // lookahead, and the segment after it has the same key on both
+        // streams; but that segment's first activates wait on completions
+        // from before the stretch, which differ. Priced from the memo the
+        // first stream left, the second must still match the per-access
+        // path.
+        let cfg = DdrConfig {
+            trefi: 2000,
+            ..DdrConfig::ddr4_2400_kv260()
+        };
+        let last_window = 4 * 8192;
+        let writes = [(0, 4, false), (8192, 407, true)];
+        let read = (last_window + 512, 485, false);
+        let paced = (0..11).map(|i| (last_window + 256 * i, 1, true));
+        let mut recorded = DdrController::new(cfg.clone(), 64);
+        for (addr, beats, write) in writes.into_iter().chain(paced).chain([read]) {
+            recorded.burst(addr, beats, write);
+        }
+        let mut fast = DdrController::new(cfg.clone(), 64);
+        fast.memo = recorded.memo;
+        let mut slow = DdrController::new(cfg, 64);
+        slow.set_fast_path(false);
+        for (addr, beats, write) in writes.into_iter().chain([(last_window, 16, true), read]) {
+            assert_eq!(
+                fast.burst(addr, beats, write),
+                slow.burst(addr, beats, write)
+            );
+            assert_eq!(fast.stats(), slow.stats());
+            assert_eq!(timing_state(&fast), timing_state(&slow));
         }
     }
 
@@ -1059,18 +1235,30 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_walks_at_most_eight_window_pieces_per_refresh_epoch() {
-        // Each epoch walks the window its refresh cuts, the few windows
-        // it takes for the activate timing to repeat, and the window the
-        // next refresh cuts; the rest of its ~18 windows are skipped in
-        // closed form.
+    fn fast_path_cold_64_mib_read_walks_at_most_1300_window_pieces() {
+        // A cold memo walks each refresh epoch whose key it has not met.
+        // A sequential read's epoch keys repeat with a period of 64
+        // epochs, so most of its 463 epochs are replayed.
         let c = sequential_64_mib_read();
-        let epochs = c.stats().refreshes + 1;
         assert!(
-            c.window_steps <= 8 * epochs,
-            "{} window pieces walked for {epochs} refresh epochs",
-            c.window_steps
+            c.window_steps <= 1300,
+            "{} window pieces walked, {} refresh epochs replayed",
+            c.window_steps,
+            c.segment_replays
         );
+    }
+
+    #[test]
+    fn fast_path_warm_64_mib_read_replays_its_refresh_epochs() {
+        // A second read on the same controller finds nearly every epoch
+        // in the memo: it walks only its head and tail segments and the
+        // few epochs whose key the first read did not meet.
+        let mut c = sequential_64_mib_read();
+        let (walked, replayed) = (c.window_steps, c.segment_replays);
+        c.burst(0, 1 << 20, false);
+        let (walked, replayed) = (c.window_steps - walked, c.segment_replays - replayed);
+        assert!(walked <= 32, "{walked} window pieces walked");
+        assert!(replayed >= 460, "{replayed} refresh epochs replayed");
     }
 
     #[test]
@@ -1079,20 +1267,48 @@ mod tests {
         let _ = DdrController::new(DdrConfig::default(), 0);
     }
 
+    #[test]
+    #[should_panic(expected = "trefi must be at least 1")]
+    fn zero_refresh_interval_rejected() {
+        let cfg = DdrConfig {
+            trefi: 0,
+            ..DdrConfig::default()
+        };
+        let _ = DdrController::new(cfg, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "trfc must be shorter than trefi")]
+    fn refresh_longer_than_its_interval_rejected() {
+        // Each refresh would end at or past the next one's due time, so
+        // the bus would never run again.
+        let cfg = DdrConfig {
+            trfc: 9360,
+            ..DdrConfig::ddr4_2400_kv260()
+        };
+        let _ = DdrController::new(cfg, 8);
+    }
+
     #[cfg(feature = "proptest")]
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
+        /// Many short and medium bursts, or a few long ones that each span
+        /// dozens of refresh epochs, so that later epochs replay.
         fn burst_streams() -> impl Strategy<Value = Vec<(u64, u32, bool)>> {
-            proptest::collection::vec(
-                (
-                    prop_oneof![0u64..(1 << 26), 0u64..(1 << 16)],
-                    prop_oneof![1u32..3000, 1u32..60_000],
-                    proptest::bool::ANY,
+            let addr = || prop_oneof![0u64..(1 << 26), 0u64..(1 << 16)];
+            prop_oneof![
+                proptest::collection::vec(
+                    (
+                        addr(),
+                        prop_oneof![1u32..3000, 1u32..60_000],
+                        proptest::bool::ANY,
+                    ),
+                    1..30,
                 ),
-                1..30,
-            )
+                proptest::collection::vec((addr(), 100_000u32..140_000, proptest::bool::ANY), 1..4,),
+            ]
         }
 
         /// Every preset at every lookahead depth, and the adversarial

@@ -85,11 +85,6 @@ impl FlashConfig {
         let ideal = bytes * 1000 / self.sustained_read_mbps.max(1);
         ideal as f64 / self.read_ns(bytes) as f64
     }
-
-    /// Effective bandwidth for a `bytes`-sized read, GB/s.
-    pub fn effective_gbps(&self, bytes: u64) -> f64 {
-        self.efficiency(bytes) * self.sustained_read_mbps as f64 / 1000.0
-    }
 }
 
 /// Cumulative totals of a [`FlashDevice`]'s link activity.
@@ -197,7 +192,6 @@ mod tests {
         let large = emmc.efficiency(100 << 20);
         assert!(small < large, "{small} !< {large}");
         assert!(large > 0.9);
-        assert!(emmc.effective_gbps(100 << 20) < 0.25);
     }
 
     #[test]

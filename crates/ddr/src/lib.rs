@@ -18,9 +18,9 @@
 //!   efficiency numbers the experiments report.
 //! * [`traffic`] — address-stream generators for the microbenchmarks.
 //! * [`flash`] / [`tiered`] — the storage tier below DDR: an eMMC/NVMe
-//!   device model and [`tiered::TieredMemorySystem`], which prices layer
-//!   fetches flash→DDR as explicit bursts on both buses so models bigger
-//!   than the board can stream their weights through a DDR-resident cache.
+//!   device model and [`tiered::stage_fetch`], which prices layer fetches
+//!   flash→DDR as explicit bursts on both buses so models bigger than the
+//!   board can stream their weights through a DDR-resident cache.
 //!
 //! One 512-bit PL beat equals one BL8 column access on the 64-bit DRAM bus,
 //! so the two clock domains are bandwidth-matched at 19.2 GB/s — exactly
@@ -49,4 +49,4 @@ pub use flash::{FlashConfig, FlashDevice, FlashStats, FlashTransfer};
 pub use stats::DdrStats;
 pub use system::{MemorySystem, TransferReport};
 pub use telemetry::DdrCounters;
-pub use tiered::{stage_fetch, TierFetch, TieredMemorySystem};
+pub use tiered::{stage_fetch, TierFetch};

@@ -1,10 +1,8 @@
-//! A two-tier memory system: DDR fronted by a flash storage device.
+//! Layer fetches from a flash storage device into DDR.
 //!
-//! [`TieredMemorySystem`] composes the existing [`MemorySystem`] (the DDR
-//! controller + AXI fabric the decode schedules are priced on) with a
-//! [`FlashDevice`] below it. Decode traffic passes straight through to the
-//! DDR model; a layer *fetch* is priced as explicit bursts on **both**
-//! buses:
+//! [`stage_fetch`] prices a layer fetch as explicit bursts on **both**
+//! buses, the [`FlashDevice`]'s link and the [`MemorySystem`] (the DDR
+//! controller + AXI fabric the decode schedules are priced on):
 //!
 //! - the flash link reads the layer sequentially (paying the device's IOP
 //!   latency and sustained-bandwidth wire time, serialized against every
@@ -16,14 +14,9 @@
 //! Staging is cut-through, not store-and-forward: data is written to DRAM
 //! in request-sized slices as it arrives off the link, so a fetch is ready
 //! when the *slower* of the two buses finishes, not after their sum.
-//!
-//! When nothing is fetched the wrapper adds zero cost: the DDR pricing
-//! path is the plain [`MemorySystem`] path, call for call. The
-//! all-resident differential test in `zllm-accel` pins this byte- and
-//! cycle-identically.
 
-use crate::flash::{FlashConfig, FlashDevice, FlashTransfer};
-use crate::system::{MemorySystem, TransferReport};
+use crate::flash::{FlashDevice, FlashTransfer};
+use crate::system::MemorySystem;
 use zllm_layout::BurstDescriptor;
 
 /// One layer fetch priced across the flash link and the DDR bus.
@@ -41,64 +34,11 @@ pub struct TierFetch {
     pub ready_ns: f64,
 }
 
-/// DDR plus a flash tier below it.
-#[derive(Debug)]
-pub struct TieredMemorySystem {
-    mem: MemorySystem,
-    flash: FlashDevice,
-}
-
-impl TieredMemorySystem {
-    /// Wraps an existing DDR system with a flash device below it.
-    pub fn new(mem: MemorySystem, flash: FlashConfig) -> TieredMemorySystem {
-        TieredMemorySystem {
-            mem,
-            flash: FlashDevice::new(flash),
-        }
-    }
-
-    /// The DDR tier.
-    pub fn mem(&self) -> &MemorySystem {
-        &self.mem
-    }
-
-    /// Mutable access to the DDR tier (fast-path toggle, direct pricing).
-    pub fn mem_mut(&mut self) -> &mut MemorySystem {
-        &mut self.mem
-    }
-
-    /// The flash tier.
-    pub fn flash(&self) -> &FlashDevice {
-        &self.flash
-    }
-
-    /// Prices decode traffic on the DDR tier — identical to
-    /// [`MemorySystem::transfer`].
-    pub fn transfer(&mut self, bursts: &[BurstDescriptor]) -> TransferReport {
-        self.mem.transfer(bursts)
-    }
-
-    /// Streaming variant — identical to [`MemorySystem::transfer_iter`].
-    pub fn transfer_iter<I>(&mut self, bursts: I) -> TransferReport
-    where
-        I: Iterator<Item = BurstDescriptor>,
-    {
-        self.mem.transfer_iter(bursts)
-    }
-
-    /// Prices one layer fetch: a sequential flash read starting no
-    /// earlier than `earliest_ns` (serialized on the link), plus the
-    /// staging writes into the layer's canonical DDR addresses through
-    /// the shared controller. `bursts` must describe the DDR destination;
-    /// they are forced to writes.
-    pub fn fetch(&mut self, bursts: &[BurstDescriptor], earliest_ns: f64) -> TierFetch {
-        stage_fetch(&mut self.mem, &mut self.flash, bursts, earliest_ns)
-    }
-}
-
-/// [`TieredMemorySystem::fetch`] over borrowed tiers — the entry point for
-/// callers that own the DDR system and the flash device as separate
-/// fields (the decode engine's tier state does).
+/// Prices one layer fetch: a sequential flash read starting no earlier
+/// than `earliest_ns` (serialized on the link), plus the staging writes
+/// into the layer's canonical DDR addresses through the shared
+/// controller. `bursts` must describe the DDR destination; they are
+/// forced to writes.
 pub fn stage_fetch(
     mem: &mut MemorySystem,
     flash: &mut FlashDevice,
@@ -129,6 +69,7 @@ pub fn stage_fetch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flash::FlashConfig;
 
     fn write_burst(beats: u32) -> BurstDescriptor {
         BurstDescriptor {
@@ -138,37 +79,30 @@ mod tests {
         }
     }
 
+    fn tiers() -> (MemorySystem, FlashDevice) {
+        (
+            MemorySystem::kv260(),
+            FlashDevice::new(FlashConfig::emmc_hs400()),
+        )
+    }
+
     #[test]
     fn fetch_prices_both_buses() {
-        let mut tiered = TieredMemorySystem::new(MemorySystem::kv260(), FlashConfig::emmc_hs400());
-        let f = tiered.fetch(&[write_burst(1 << 20)], 0.0); // 64 MiB
+        let (mut mem, mut flash) = tiers();
+        let f = stage_fetch(&mut mem, &mut flash, &[write_burst(1 << 20)], 0.0); // 64 MiB
         assert_eq!(f.bytes, 64 << 20);
         assert!(f.ddr_wall_ns > 0.0);
         // eMMC at ~0.25 GB/s is the slow bus; DDR staging hides under it.
         assert!(f.flash_done_ns > f.ddr_wall_ns);
         assert_eq!(f.ready_ns, f.flash_done_ns);
-        assert_eq!(tiered.flash().stats().bytes, 64 << 20);
+        assert_eq!(flash.stats().bytes, 64 << 20);
     }
 
     #[test]
     fn fetches_serialize_on_the_link() {
-        let mut tiered = TieredMemorySystem::new(MemorySystem::kv260(), FlashConfig::emmc_hs400());
-        let a = tiered.fetch(&[write_burst(1024)], 0.0);
-        let b = tiered.fetch(&[write_burst(1024)], 0.0);
+        let (mut mem, mut flash) = tiers();
+        let a = stage_fetch(&mut mem, &mut flash, &[write_burst(1024)], 0.0);
+        let b = stage_fetch(&mut mem, &mut flash, &[write_burst(1024)], 0.0);
         assert_eq!(b.flash_start_ns, a.flash_done_ns);
-    }
-
-    #[test]
-    fn passthrough_traffic_matches_plain_memory_system() {
-        let bursts: Vec<BurstDescriptor> = (0..64)
-            .map(|i| BurstDescriptor::new(i * 4096, 64))
-            .collect();
-        let mut plain = MemorySystem::kv260();
-        let mut tiered = TieredMemorySystem::new(MemorySystem::kv260(), FlashConfig::nvme_gen3());
-        let a = plain.transfer(&bursts);
-        let b = tiered.transfer(&bursts);
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.dram_cycles, b.dram_cycles);
-        assert_eq!(a.wall_ns, b.wall_ns);
     }
 }

@@ -31,26 +31,6 @@ pub fn strided(base: u64, count: usize, beats: u32, stride: u64) -> Vec<BurstDes
         .collect()
 }
 
-/// Read/write mix: alternates a read burst and a write burst, modelling the
-/// KV-cache fetch + write-back pattern.
-pub fn read_write_mix(
-    base: u64,
-    count: usize,
-    read_beats: u32,
-    write_beats: u32,
-) -> Vec<BurstDescriptor> {
-    let mut out = Vec::with_capacity(count * 2);
-    let stride = (read_beats + write_beats) as u64 * BEAT_BYTES as u64;
-    for i in 0..count as u64 {
-        out.push(BurstDescriptor::new(base + i * stride, read_beats));
-        out.push(BurstDescriptor::write(
-            base + i * stride + read_beats as u64 * BEAT_BYTES as u64,
-            write_beats,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,13 +60,5 @@ mod tests {
         assert_eq!(s.len(), 4);
         assert_eq!(s[1].addr - s[0].addr, 4096);
         assert_eq!(total_bytes(&s), 4 * 2 * 64);
-    }
-
-    #[test]
-    fn mix_alternates_directions() {
-        let s = read_write_mix(0, 3, 4, 2);
-        assert_eq!(s.len(), 6);
-        assert!(!s[0].write && s[1].write);
-        assert_eq!(s[1].addr, 4 * 64);
     }
 }
