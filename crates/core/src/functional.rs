@@ -41,12 +41,18 @@ impl QuantizedMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if the row count or any row's length mismatches.
+    /// Panics if the row count or any row's length mismatches, or if the
+    /// rows were quantized with different configurations (one matrix
+    /// streams in one weight format).
     pub fn from_rows(rows: usize, cols: usize, rows_q: Vec<QuantizedTensor>) -> QuantizedMatrix {
         assert_eq!(rows_q.len(), rows, "row count mismatch");
         assert!(
             rows_q.iter().all(|r| r.len() == cols),
             "row length mismatch"
+        );
+        assert!(
+            rows_q.windows(2).all(|p| p[0].config() == p[1].config()),
+            "rows quantized with different configurations"
         );
         QuantizedMatrix { rows, cols, rows_q }
     }
@@ -91,13 +97,16 @@ impl QuantizedMatrix {
     /// bit-identical to a one-sequence call with that sequence's
     /// activations.
     ///
-    /// With fast kernels enabled ([`zllm_fp16::fast_kernels_enabled`])
-    /// 4-bit groups take the fused path: the activations are decoded to
-    /// f32 once per call, each group decodes through its 16-entry
-    /// per-code table ([`Vpu::dequant_table16`]) into one f32 beat, and
-    /// every sequence runs the engine over that beat
-    /// ([`Vpu::dot_f32_scratch`]). Every per-element value, rounding and
-    /// counter increment is identical to the F16 beat path.
+    /// With fast kernels enabled ([`zllm_fp16::fast_kernels_enabled`]) a
+    /// matrix of codes at most 4 bits wide takes the row-tiled path: the
+    /// rows go four at a time, each row's group decodes through its
+    /// 16-entry per-code table ([`Vpu::dequant_table16`]), the four rows'
+    /// weights interleave lane by lane into one f32 beat, and every
+    /// sequence runs one engine pass over it ([`Vpu::dot4_f32`]) against
+    /// its activations, decoded once per call and replicated four times.
+    /// Every per-element value, rounding, accumulation order and counter
+    /// total is identical to the F16 beat path, which wider codes and
+    /// the scalar reference take.
     ///
     /// `outs` is resized to the batch; each entry receives that
     /// sequence's product (cleared first).
@@ -116,54 +125,43 @@ impl QuantizedMatrix {
         for x in xs {
             assert_eq!(x.len(), self.cols, "operand length mismatch");
         }
-        let b = xs.len();
-        let lanes = vpu.lanes();
-        outs.resize_with(b, Vec::new);
+        outs.resize_with(xs.len(), Vec::new);
         for out in outs.iter_mut() {
             out.clear();
             out.reserve(self.rows);
         }
-        let fused = zllm_fp16::fast_kernels_enabled();
-        let BatchMatvecScratch {
-            beat,
-            w32,
-            x32,
-            dots,
-            accs,
-        } = scratch;
-        if fused {
-            x32.resize_with(b, Vec::new);
-            for (decoded, x) in x32.iter_mut().zip(xs) {
-                decoded.clear();
-                decoded.extend(x.iter().map(|v| v.to_f32()));
-            }
+        let four_bit = self.rows_q.first().is_some_and(|r| r.config().bits <= 4);
+        if four_bit && zllm_fp16::fast_kernels_enabled() {
+            self.matvec_tiles(vpu, xs, scratch, outs);
+        } else {
+            self.matvec_rows(vpu, xs, scratch, outs);
         }
+    }
+
+    /// The F16 beat path: one row at a time, each group dequantized into
+    /// F16 lane operands and dotted per sequence and beat.
+    fn matvec_rows(
+        &self,
+        vpu: &Vpu,
+        xs: &[Vec<F16>],
+        scratch: &mut BatchMatvecScratch,
+        outs: &mut [Vec<F16>],
+    ) {
+        let lanes = vpu.lanes();
+        let BatchMatvecScratch { beat, accs, .. } = scratch;
         for row in &self.rows_q {
             let gs = row.config().group_size;
             accs.clear();
-            accs.resize(b, 0.0f32);
+            accs.resize(xs.len(), 0.0f32);
             for (g, chunk) in row.codes().chunks(gs).enumerate() {
                 let lo = g * gs;
-                if fused && chunk.iter().all(|&q| q < 16) {
-                    // One decoded beat per group for the whole batch.
-                    let lut = vpu.dequant_table16(row.zeros()[g], row.scales()[g]);
-                    w32.clear();
-                    w32.extend(chunk.iter().map(|&q| lut[q as usize]));
-                    for (acc, x) in accs.iter_mut().zip(x32.iter()) {
-                        for (wb, xb) in w32.chunks(lanes).zip(x[lo..lo + chunk.len()].chunks(lanes))
-                        {
-                            *acc += vpu.dot_f32_scratch(dots, wb, xb);
-                        }
-                    }
-                } else {
-                    vpu.dequantize_beat_into(chunk, row.zeros()[g], row.scales()[g], beat);
-                    for (acc, x) in accs.iter_mut().zip(xs) {
-                        for (wb, xb) in beat
-                            .chunks(lanes)
-                            .zip(x[lo..lo + chunk.len()].chunks(lanes))
-                        {
-                            *acc += vpu.dot(wb, xb);
-                        }
+                vpu.dequantize_beat_into(chunk, row.zeros()[g], row.scales()[g], beat);
+                for (acc, x) in accs.iter_mut().zip(xs) {
+                    for (wb, xb) in beat
+                        .chunks(lanes)
+                        .zip(x[lo..lo + chunk.len()].chunks(lanes))
+                    {
+                        *acc += vpu.dot(wb, xb);
                     }
                 }
             }
@@ -172,16 +170,83 @@ impl QuantizedMatrix {
             }
         }
     }
+
+    /// The row-tiled path for codes below 16: per tile of four rows and
+    /// per group, one lane-interleaved f32 weight beat (`w4[4i + r]` is
+    /// row `r`'s weight `i`; a partial tile's missing rows are +0.0) meets
+    /// each sequence's replicated activations (`x4[4i + r] = x[i]`) in
+    /// one engine pass per beat, and each real row's result adds into
+    /// that row's accumulator in group order.
+    fn matvec_tiles(
+        &self,
+        vpu: &Vpu,
+        xs: &[Vec<F16>],
+        scratch: &mut BatchMatvecScratch,
+        outs: &mut [Vec<F16>],
+    ) {
+        let span = 4 * vpu.lanes();
+        let BatchMatvecScratch {
+            w4, x4, dots, accs, ..
+        } = scratch;
+        x4.resize_with(xs.len(), Vec::new);
+        for (rep, x) in x4.iter_mut().zip(xs) {
+            rep.resize(4 * x.len(), 0.0);
+            for (lanes, v) in rep.chunks_exact_mut(4).zip(x) {
+                lanes.fill(v.to_f32());
+            }
+        }
+        for tile in self.rows_q.chunks(4) {
+            let gs = tile[0].config().group_size;
+            accs.clear();
+            accs.resize(4 * xs.len(), 0.0f32);
+            for (g, lo) in (0..self.cols).step_by(gs).enumerate() {
+                let len = gs.min(self.cols - lo);
+                let luts: [[f32; 16]; 4] = std::array::from_fn(|r| {
+                    tile.get(r).map_or([0.0; 16], |row| {
+                        vpu.dequant_table16(row.zeros()[g], row.scales()[g])
+                    })
+                });
+                // A missing row reads the first row's codes through its
+                // all-zero table.
+                let [c0, c1, c2, c3]: [&[u8]; 4] =
+                    std::array::from_fn(|r| &tile[r.min(tile.len() - 1)].codes()[lo..lo + len]);
+                let [l0, l1, l2, l3] = &luts;
+                w4.resize(4 * len, 0.0);
+                let codes = c0.iter().zip(c1).zip(c2).zip(c3);
+                for (w, (((&q0, &q1), &q2), &q3)) in w4.chunks_exact_mut(4).zip(codes) {
+                    let lanes = [
+                        l0[q0 as usize],
+                        l1[q1 as usize],
+                        l2[q2 as usize],
+                        l3[q3 as usize],
+                    ];
+                    w.copy_from_slice(&lanes);
+                }
+                for (acc, x) in accs.chunks_exact_mut(4).zip(x4.iter()) {
+                    for (wb, xb) in w4.chunks(span).zip(x[4 * lo..4 * (lo + len)].chunks(span)) {
+                        let sums = vpu.dot4_f32(dots, tile.len(), wb, xb);
+                        for (a, s) in acc.iter_mut().zip(sums) {
+                            *a += s;
+                        }
+                    }
+                }
+            }
+            for (out, acc) in outs.iter_mut().zip(accs.chunks_exact(4)) {
+                out.extend(acc[..tile.len()].iter().map(|&a| F16::from_f32(a)));
+            }
+        }
+    }
 }
 
 /// Reusable scratch for [`QuantizedMatrix::matvec_batch`]: the shared
-/// per-group weight beat (F16 on the scalar path, f32 on the fused one)
-/// plus per-sequence decoded activations and row accumulators.
+/// per-group weight beat (F16 on the row path, four rows lane-interleaved
+/// in f32 on the tiled one), the per-sequence activations decoded and
+/// replicated four times, and the row accumulators.
 #[derive(Debug, Clone, Default)]
 pub struct BatchMatvecScratch {
     beat: crate::vpu::WeightBeat,
-    w32: Vec<f32>,
-    x32: Vec<Vec<f32>>,
+    w4: Vec<f32>,
+    x4: Vec<Vec<f32>>,
     dots: zllm_fp16::vector::DotScratch,
     accs: Vec<f32>,
 }
@@ -1449,20 +1514,24 @@ mod tests {
 
         // 4-bit groups of 128, 48 (a short last group and beats shorter
         // than the lanes) and 16, plus 8-bit codes, which always take the
-        // F16 beat path.
-        let rows = 5;
+        // F16 beat path; whole row tiles of four, partial last tiles and
+        // matrices of less than one tile.
         let cols = 200;
-        let data: Vec<f32> = (0..rows * cols)
-            .map(|i| ((i * 41) % 67) as f32 / 67.0 - 0.5)
-            .collect();
-        for (cfg, lanes) in [
+        let configs = [
             (GroupQuantConfig::w4_g128(), 128),
             (GroupQuantConfig::new(48, 4), 32),
             (GroupQuantConfig::new(16, 4), 4),
             (GroupQuantConfig::new(64, 8), 128),
-        ] {
+        ];
+        let shapes = configs
+            .into_iter()
+            .flat_map(|c| [1usize, 3, 4, 5, 8, 11].map(|rows| (c, rows)));
+        for ((cfg, lanes), rows) in shapes {
+            let data: Vec<f32> = (0..rows * cols)
+                .map(|i| ((i * 41) % 67) as f32 / 67.0 - 0.5)
+                .collect();
             let qm = QuantizedMatrix::quantize(&data, rows, cols, cfg);
-            for batch in 1..=3usize {
+            for batch in 1..=5usize {
                 let xs: Vec<Vec<F16>> = (0..batch)
                     .map(|seq| {
                         (0..cols)
@@ -1487,7 +1556,7 @@ mod tests {
                         .collect();
                     (bits, reg.snapshot().counters)
                 };
-                assert_eq!(run(true), run(false), "{cfg:?}, batch {batch}");
+                assert_eq!(run(true), run(false), "{cfg:?}, {rows} rows, batch {batch}");
             }
         }
     }
@@ -1495,20 +1564,26 @@ mod tests {
     #[test]
     fn batch_decode_matches_independent_decoders() {
         let (_, _, qmodel) = setup(13);
-        let mut batch = AccelBatchDecoder::new(&qmodel, 3);
-        let mut singles: Vec<AccelDecoder> = (0..3).map(|_| AccelDecoder::new(&qmodel)).collect();
-        let steps = [[1usize, 50, 7], [9, 2, 101], [30, 30, 4]];
-        for step in steps {
-            let got = batch.decode_batch(&step);
-            for (seq, (dec, &tok)) in singles.iter_mut().zip(&step).enumerate() {
-                let want = dec.forward(tok);
-                let got_bits: Vec<u32> = got[seq].iter().map(|v| v.to_bits()).collect();
-                let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got_bits, want_bits, "sequence {seq} diverged");
+        let tokens = [1usize, 50, 7, 9, 2, 101, 30, 30, 4, 77, 12, 5, 64, 3, 19];
+        for width in [3usize, 4, 5] {
+            let mut batch = AccelBatchDecoder::new(&qmodel, width);
+            let mut singles: Vec<AccelDecoder> =
+                (0..width).map(|_| AccelDecoder::new(&qmodel)).collect();
+            for step in tokens.chunks_exact(width).take(3) {
+                let got = batch.decode_batch(step);
+                for (seq, (dec, &tok)) in singles.iter_mut().zip(step).enumerate() {
+                    let want = dec.forward(tok);
+                    let got_bits: Vec<u32> = got[seq].iter().map(|v| v.to_bits()).collect();
+                    let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(
+                        got_bits, want_bits,
+                        "batch {width}: sequence {seq} diverged"
+                    );
+                }
             }
+            assert_eq!(batch.pos(), 3);
+            assert_eq!(batch.batch(), width);
         }
-        assert_eq!(batch.pos(), 3);
-        assert_eq!(batch.batch(), 3);
     }
 
     #[test]

@@ -99,22 +99,34 @@ impl Vpu {
         self.engine.dot(w, x).to_f32()
     }
 
-    /// One engine invocation over operands given as their exact f32
-    /// decodes (see [`zllm_fp16::vector::DotEngine::dot_f32_with`]), with
-    /// caller-provided engine scratch — the fused matvec decodes each
-    /// weight beat once and threads a single scratch through every beat
-    /// of every row and sequence. Counter behaviour and result bits match
-    /// [`Vpu::dot`] on the F16 operands.
-    pub fn dot_f32_scratch(&self, scratch: &mut DotScratch, w32: &[f32], x32: &[f32]) -> f32 {
-        self.counters.dot_beats.inc();
-        self.engine.dot_f32_with(scratch, w32, x32).to_f32()
+    /// One engine pass over a tile of up to four weight rows, lane
+    /// interleaved with their activations (see
+    /// [`zllm_fp16::vector::DotEngine::dot4_f32_with`]), with
+    /// caller-provided engine scratch. Counts `rows` dot beats, one per
+    /// real row: a partial tile pads its missing rows with +0.0 weights,
+    /// whose results the caller drops. Result `r` is bit-identical to
+    /// [`Vpu::dot`] on row `r`'s F16 operands.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows > 4` or the operands do not fit one beat.
+    pub fn dot4_f32(
+        &self,
+        scratch: &mut DotScratch,
+        rows: usize,
+        w4: &[f32],
+        x4: &[f32],
+    ) -> [f32; 4] {
+        assert!(rows <= 4, "a tile holds at most four rows");
+        self.counters.dot_beats.add(rows as u64);
+        self.engine.dot4_f32_with(scratch, w4, x4).map(F16::to_f32)
     }
 
     /// The per-code dequantization table of one 4-bit group: entry `q` is
     /// the exact f32 decode of the F16 weight [`Vpu::dequantize_beat`]
     /// would produce for code `q`. Counts as one dequantized beat, like
-    /// `dequantize_beat_into` — the fused matvec calls exactly one of the
-    /// two per group.
+    /// `dequantize_beat_into` — the matvec calls exactly one of the two
+    /// per row and group.
     pub fn dequant_table16(&self, zero: u8, scale: F16) -> [f32; 16] {
         self.counters.dequant_beats.inc();
         let s32 = scale.to_f32();

@@ -67,9 +67,11 @@ pub(crate) fn decode_table() -> &'static [u32] {
 /// This is the per-lane product rounding of the VPU dot engine: hardware
 /// rounds each FP16×FP16 product once before the adder tree, and the FP32
 /// tree then consumes the *decoded* value. Fusing encode+decode into pure
-/// integer ALU ops (no decode-table load, whose index pattern is data
-/// dependent and cache hostile) is the single hottest win in the fused
-/// matvec path. The rounding cases mirror [`crate::F16::from_f32_fast`]:
+/// integer ALU ops avoids a decode-table load, whose index pattern is data
+/// dependent and cache hostile. The dot kernels round with the cheaper
+/// `demote_round_short` and fall back to this function for a beat with a
+/// lane at or above 65520, or NaN. The rounding cases mirror
+/// [`crate::F16::from_f32_fast`]:
 ///
 /// * normal range — RNE on the 13 dropped mantissa bits via the same
 ///   bias-add (`+ 0x0FFF + odd_bit`) as the fast encoder, then clearing
@@ -119,6 +121,43 @@ pub fn demote_round(value: f32) -> f32 {
         rounded
     };
     f32::from_bits(sign | rounded)
+}
+
+/// `2^(−14 + 13)`: the smallest binary16 normal, 2⁻¹⁴, scaled by 2¹³.
+const MIN_BIG: f32 = 0.5;
+
+/// [`demote_round`] by one formula, bit-identical to it wherever
+/// [`demote_round_check`] is non-negative (`|value| < 65520`, not NaN).
+///
+/// For `value`'s binade `2^e`, `big = 2^(max(e, −14) + 13)` has an f32
+/// ulp of `2^(max(e, −14) − 10)`: the binary16 ulp at `|value|` in the
+/// normal range, and the subnormal step 2⁻²⁴ below it. So the f32
+/// adder's round-to-nearest-even in `|value| + big` is binary16's
+/// rounding of `|value|` (`big` has no low bits, so the tie parity is
+/// the binary16 mantissa's), and subtracting `big` again is exact, also
+/// after a carry into the next binade. Only a carry past 65504 would
+/// have to become inf, which takes `|value| ≥ 65520`; the check
+/// excludes it and NaN. About ten packed ops per four lanes, where
+/// `demote_round` needs about 24.
+#[inline]
+pub(crate) fn demote_round_short(value: f32) -> f32 {
+    let bits = value.to_bits();
+    let abs = bits & 0x7FFF_FFFF;
+    // 2^(e + 13) for a finite `value` (inf and NaN give garbage here and
+    // fail the check), then at least 2^(−14 + 13): the compare-and-select
+    // of the value it picks compiles to one `maxps`.
+    let big = f32::from_bits((abs & 0x7F80_0000) + (13 << 23));
+    let big = if big > MIN_BIG { big } else { MIN_BIG };
+    let rounded = (f32::from_bits(abs) + big) - big;
+    f32::from_bits(rounded.to_bits() | (bits & 0x8000_0000))
+}
+
+/// Negative exactly when `|value| ≥ 65520` or `value` is NaN, the inputs
+/// [`demote_round_short`] does not cover. ORed over a beat, it checks
+/// every lane at once.
+#[inline]
+pub(crate) fn demote_round_check(value: f32) -> i32 {
+    0x477F_EFFF - (value.to_bits() & 0x7FFF_FFFF) as i32
 }
 
 #[cfg(test)]
@@ -197,6 +236,58 @@ mod tests {
             let want = F16::from_f32_scalar(value).to_f32_scalar();
             let got = demote_round(value);
             assert_eq!(got.to_bits(), want.to_bits(), "pattern {bits:#010x}");
+        }
+    }
+
+    /// The shortcut's contract for one pattern: the check fails exactly
+    /// on `|v| ≥ 65520` and NaN, and where it passes the shortcut equals
+    /// `demote_round` bit for bit.
+    fn assert_demote_round_shortcut(bits: u32) {
+        let value = f32::from_bits(bits);
+        let covered = demote_round_check(value) >= 0;
+        assert_eq!(
+            covered,
+            value.abs() < 65520.0,
+            "check on pattern {bits:#010x}"
+        );
+        if covered {
+            assert_eq!(
+                demote_round_short(value).to_bits(),
+                demote_round(value).to_bits(),
+                "pattern {bits:#010x}"
+            );
+        }
+    }
+
+    #[test]
+    fn demote_round_shortcut_matches_where_checked_on_strided_sweep() {
+        let mut bits = 0u32;
+        loop {
+            assert_demote_round_shortcut(bits);
+            let (next, overflow) = bits.overflowing_add(9973);
+            if overflow {
+                break;
+            }
+            bits = next;
+        }
+        // The check's edge and the top of the binary16 range, both signs.
+        for edge in [
+            0x477F_EFFFu32,
+            0x477F_F000,
+            0x477F_E000,
+            0x7F80_0000,
+            0x7F80_0001,
+        ] {
+            assert_demote_round_shortcut(edge);
+            assert_demote_round_shortcut(edge | 0x8000_0000);
+        }
+    }
+
+    #[test]
+    #[ignore = "all 2^32 f32 patterns (~30 s); CI runs it by name with --ignored"]
+    fn demote_round_shortcut_matches_where_checked_exhaustively() {
+        for bits in 0..=u32::MAX {
+            assert_demote_round_shortcut(bits);
         }
     }
 

@@ -26,7 +26,8 @@ thread_local! {
 /// to the scalar implementation.
 #[derive(Debug, Clone, Default)]
 pub struct DotScratch {
-    /// FP32 lane products, the first level of the adder tree.
+    /// FP32 lane products, the first level of the adder tree (four rows
+    /// interleaved, for [`DotEngine::dot4_f32_with`]).
     wide: Vec<f32>,
     /// The second FP32 tree buffer: levels alternate between the two.
     spare: Vec<f32>,
@@ -156,68 +157,84 @@ impl DotEngine {
         self.reduce_products(scratch, a.iter().zip(b).map(|(x, y)| decode(x) * decode(y)))
     }
 
-    /// [`DotEngine::dot`] over operands given as their exact f32 decodes,
-    /// with caller-provided scratch.
+    /// Four dot products in one engine pass: one beat of four weight rows
+    /// against their activations, with the operands interleaved lane by
+    /// lane — `w4[4i + r]` and `x4[4i + r]` are row `r`'s lane-`i`
+    /// operands, given as the exact f32 decodes of F16 values.
     ///
-    /// Each element of `a32`/`b32` must be `v.to_f32()` of an `F16` value
-    /// `v` — e.g. activations decoded once per matvec, or a weight beat
-    /// decoded once per group. Under that contract the result is
-    /// bit-identical to [`DotEngine::dot`] on the F16 operands: the
-    /// per-lane product still rounds once through F16 and the same
-    /// pairwise tree runs at the same node precision; only the redundant
-    /// operand decodes are skipped.
+    /// Result `r` is bit-identical to [`DotEngine::dot`] on row `r`'s F16
+    /// operands: each product rounds once through binary16, lanes past
+    /// the operands contribute +0.0, and the FP32 tree sums the same
+    /// `(2i, 2i+1)` lane pairs of every row. On the interleaved layout a
+    /// tree level is `to[4j + r] = from[8j + r] + from[8j + 4 + r]`, one
+    /// packed add per four sums with no shuffles, and the product loop is
+    /// one flat elementwise loop over all four rows.
     ///
     /// # Panics
     ///
-    /// Panics if the operands have different lengths or exceed the lane
-    /// count.
-    pub fn dot_f32_with(&self, scratch: &mut DotScratch, a32: &[f32], b32: &[f32]) -> F16 {
-        assert_eq!(a32.len(), b32.len(), "operand length mismatch");
-        assert!(a32.len() <= self.lanes, "operands exceed lane count");
-        self.reduce_products(scratch, a32.iter().zip(b32).map(|(x, y)| x * y))
+    /// Panics if the operands have different lengths, a length that is
+    /// not a multiple of four, or more than four times the lane count.
+    pub fn dot4_f32_with(&self, scratch: &mut DotScratch, w4: &[f32], x4: &[f32]) -> [F16; 4] {
+        assert_eq!(w4.len(), x4.len(), "operand length mismatch");
+        assert_eq!(w4.len() % 4, 0, "operands must interleave four rows");
+        assert!(w4.len() <= 4 * self.lanes, "operands exceed lane count");
+        let products = w4.iter().zip(x4).map(|(w, x)| w * x);
+        match self.precision {
+            TreePrecision::Fp32 => {
+                let DotScratch { wide, spare, .. } = scratch;
+                wide.resize(4 * self.lanes, 0.0);
+                spare.resize(2 * self.lanes, 0.0);
+                round_products(wide, products);
+                tree_sum4_f32(wide, spare).map(F16::from_f32_fast)
+            }
+            TreePrecision::Fp16 => std::array::from_fn(|r| {
+                let row = products.clone().skip(r).step_by(4);
+                self.tree_sum_f16(&mut scratch.narrow, row.map(F16::from_f32_fast))
+            }),
+        }
     }
 
-    /// The fast kernels' shared back end: rounds each lane's f32 product
-    /// once through binary16 (lanes past the operands are zero), then runs
-    /// the adder tree at the engine's node precision — bit-identical to
-    /// `DotEngine::reduce` over the F16 products.
+    /// The back end of [`DotEngine::dot_with`]: rounds each lane's f32
+    /// product once through binary16 (lanes past the operands are zero),
+    /// then runs the adder tree at the engine's node precision —
+    /// bit-identical to `DotEngine::reduce` over the F16 products.
     fn reduce_products(
         &self,
         scratch: &mut DotScratch,
-        products: impl ExactSizeIterator<Item = f32>,
+        products: impl ExactSizeIterator<Item = f32> + Clone,
     ) -> F16 {
-        let used = products.len();
         match self.precision {
             TreePrecision::Fp32 => {
                 let DotScratch { wide, spare, .. } = scratch;
                 wide.resize(self.lanes, 0.0);
                 spare.resize(self.lanes / 2, 0.0);
-                // `demote_round` is `F16::from_f32(p).to_f32()` with no
-                // intermediate F16 and no branch, so this loop vectorizes.
-                for (lane, p) in wide.iter_mut().zip(products) {
-                    *lane = crate::fast::demote_round(p);
-                }
-                wide[used..].fill(0.0);
+                round_products(wide, products);
                 F16::from_f32_fast(tree_sum_f32(wide, spare))
             }
             TreePrecision::Fp16 => {
-                let table = crate::fast::decode_table();
-                let level = &mut scratch.narrow;
-                level.clear();
-                level.extend(products.map(F16::from_f32_fast));
-                level.resize(self.lanes, F16::ZERO);
-                let mut len = self.lanes;
-                while len > 1 {
-                    len /= 2;
-                    for i in 0..len {
-                        let sum = f32::from_bits(table[level[2 * i].to_bits() as usize])
-                            + f32::from_bits(table[level[2 * i + 1].to_bits() as usize]);
-                        level[i] = F16::from_f32_fast(sum);
-                    }
-                }
-                level[0]
+                self.tree_sum_f16(&mut scratch.narrow, products.map(F16::from_f32_fast))
             }
         }
+    }
+
+    /// The FP16 adder tree over `products` zero-padded to the lane count,
+    /// with every node rounded to binary16 and the `(2i, 2i+1)` pairing
+    /// of `DotEngine::reduce`. `level` is scratch.
+    fn tree_sum_f16(&self, level: &mut Vec<F16>, products: impl Iterator<Item = F16>) -> F16 {
+        let table = crate::fast::decode_table();
+        level.clear();
+        level.extend(products);
+        level.resize(self.lanes, F16::ZERO);
+        let mut len = self.lanes;
+        while len > 1 {
+            len /= 2;
+            for i in 0..len {
+                let sum = f32::from_bits(table[level[2 * i].to_bits() as usize])
+                    + f32::from_bits(table[level[2 * i + 1].to_bits() as usize]);
+                level[i] = F16::from_f32_fast(sum);
+            }
+        }
+        level[0]
     }
 
     /// Tree-reduces a full vector of lane values.
@@ -271,32 +288,71 @@ fn tree_sum_f32(level: &mut [f32], spare: &mut [f32]) -> f32 {
     from[0]
 }
 
+/// [`tree_sum_f32`] over four interleaved rows, `level[4i + r]` being row
+/// `r`'s lane `i`: each level computes `to[4j + r] = from[8j + r] +
+/// from[8j + 4 + r]`, which for every row is the `(2i, 2i+1)` pairing,
+/// as one packed add per four sums. `spare` must hold at least half of
+/// `level`, whose length is four times a power of two.
+fn tree_sum4_f32(level: &mut [f32], spare: &mut [f32]) -> [f32; 4] {
+    let (mut from, mut to) = (level, spare);
+    let mut len = from.len();
+    while len > 4 {
+        len /= 2;
+        for (s, p) in to[..len]
+            .chunks_exact_mut(4)
+            .zip(from[..2 * len].chunks_exact(8))
+        {
+            // All loads before the stores, so the four adds pack into one
+            // without proving that `to` and `from` never overlap.
+            let sums: [f32; 4] = std::array::from_fn(|r| p[r] + p[4 + r]);
+            s.copy_from_slice(&sums);
+        }
+        std::mem::swap(&mut from, &mut to);
+    }
+    [from[0], from[1], from[2], from[3]]
+}
+
+/// The fast kernels' product rounding: writes each product rounded once
+/// through binary16 to the front of `level` and +0.0 to the rest, so
+/// lanes past the operands add nothing — a product of 0 and a negative
+/// operand would be −0.0 and flip the sign of an all-zero sum.
+///
+/// The lane loop runs the one-formula [`crate::fast::demote_round_short`]
+/// and ORs every lane's [`crate::fast::demote_round_check`]; if any lane
+/// is out of the shortcut's range (`|p| ≥ 65520` or NaN), the products
+/// are recomputed and the whole beat is rounded by
+/// [`crate::fast::demote_round`]. Both loops compile to packed ops.
+fn round_products(level: &mut [f32], products: impl ExactSizeIterator<Item = f32> + Clone) {
+    use crate::fast::{demote_round, demote_round_check, demote_round_short};
+    let (head, pad) = level.split_at_mut(products.len());
+    let mut check = 0i32;
+    for (lane, p) in head.iter_mut().zip(products.clone()) {
+        check |= demote_round_check(p);
+        *lane = demote_round_short(p);
+    }
+    if check < 0 {
+        for (lane, p) in head.iter_mut().zip(products) {
+            *lane = demote_round(p);
+        }
+    }
+    pad.fill(0.0);
+}
+
 impl Default for DotEngine {
     fn default() -> DotEngine {
         DotEngine::kv260()
     }
 }
 
-/// Serial FP16 dot product (single multiplier + single adder), the minimal
-/// reference datapath used in tests and accuracy comparisons.
-pub fn dot_serial(a: &[F16], b: &[F16]) -> F16 {
-    assert_eq!(a.len(), b.len(), "operand length mismatch");
-    let mut acc = F16::ZERO;
-    for (x, y) in a.iter().zip(b) {
-        acc += *x * *y;
-    }
-    acc
-}
-
-/// Exact f64 dot product of FP16 operands — the "infinitely wide" reference.
-pub fn dot_exact(a: &[F16], b: &[F16]) -> f64 {
-    assert_eq!(a.len(), b.len(), "operand length mismatch");
-    a.iter().zip(b).map(|(x, y)| x.to_f64() * y.to_f64()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Exact f64 dot product of FP16 operands — the "infinitely wide"
+    /// reference.
+    fn dot_exact(a: &[F16], b: &[F16]) -> f64 {
+        a.iter().zip(b).map(|(x, y)| x.to_f64() * y.to_f64()).sum()
+    }
 
     #[test]
     fn engine_config() {
@@ -369,22 +425,57 @@ mod tests {
         }
     }
 
+    /// Interleaves up to four rows' operands lane by lane, the layout
+    /// [`DotEngine::dot4_f32_with`] takes; rows past `rows.len()` get
+    /// +0.0 weights against the first row's activations.
+    fn interleave(rows: &[(Vec<F16>, Vec<F16>)]) -> (Vec<f32>, Vec<f32>) {
+        let len = rows[0].0.len();
+        let (mut w4, mut x4) = (Vec::new(), Vec::new());
+        for i in 0..len {
+            for r in 0..4 {
+                let (w, x) = rows.get(r).map_or((0.0, rows[0].1[i].to_f32()), |(a, b)| {
+                    (a[i].to_f32(), b[i].to_f32())
+                });
+                w4.push(w);
+                x4.push(x);
+            }
+        }
+        (w4, x4)
+    }
+
+    /// Asserts that the four-dot pass over `rows` gives, for every real
+    /// row, the bits of a single scalar dot with fast kernels off.
+    fn assert_dot4_matches_scalar(
+        e: &DotEngine,
+        scratch: &mut DotScratch,
+        rows: &[(Vec<F16>, Vec<F16>)],
+        case: &str,
+    ) {
+        crate::fast::set_fast_kernels(false);
+        let scalar: Vec<u16> = rows.iter().map(|(a, b)| e.dot(a, b).to_bits()).collect();
+        crate::fast::set_fast_kernels(true);
+        let (w4, x4) = interleave(rows);
+        let fused = e.dot4_f32_with(scratch, &w4, &x4);
+        for (r, want) in scalar.iter().enumerate() {
+            assert_eq!(fused[r].to_bits(), *want, "dot4 row {r}: {case}");
+        }
+    }
+
     #[test]
-    fn dot_f32_with_matches_f16_dot_bit_for_bit() {
+    fn dot4_f32_with_matches_f16_dot_bit_for_bit() {
         for precision in [TreePrecision::Fp32, TreePrecision::Fp16] {
             let e = DotEngine::new(64, precision);
             let mut scratch = DotScratch::new();
             for trial in 0..16u64 {
                 let len = 1 + (trial as usize * 11) % 64;
-                let a = lcg_vec(trial * 3 + 1, len);
-                let b = lcg_vec(trial * 3 + 2, len);
-                let a32: Vec<f32> = a.iter().map(|v| v.to_f32()).collect();
-                let b32: Vec<f32> = b.iter().map(|v| v.to_f32()).collect();
-                crate::fast::set_fast_kernels(false);
-                let scalar = e.dot(&a, &b);
-                crate::fast::set_fast_kernels(true);
-                let fused = e.dot_f32_with(&mut scratch, &a32, &b32);
-                assert_eq!(fused.to_bits(), scalar.to_bits(), "{precision:?} len {len}");
+                let rows: Vec<(Vec<F16>, Vec<F16>)> = (0..4)
+                    .map(|r| (lcg_vec(trial * 9 + r, len), lcg_vec(trial * 9 + r + 4, len)))
+                    .collect();
+                // Whole tiles and partial ones padded with +0.0 weights.
+                for tile in 1..=4 {
+                    let case = format!("{precision:?} len {len}, {tile} rows");
+                    assert_dot4_matches_scalar(&e, &mut scratch, &rows[..tile], &case);
+                }
             }
         }
     }
@@ -495,30 +586,71 @@ mod tests {
             for lanes in [4usize, 128, 1024] {
                 let e = DotEngine::new(lanes, precision);
                 let mut scratch = DotScratch::new();
-                for family in 0..6u64 {
-                    // Full beats and short, zero-padded ones.
-                    for len in [lanes, lanes - 1, lanes / 2 + 1, 1] {
-                        let (a, b) = special_operands(family, 7 * family + len as u64, len);
-                        let a32: Vec<f32> = a.iter().map(|v| v.to_f32()).collect();
-                        let b32: Vec<f32> = b.iter().map(|v| v.to_f32()).collect();
+                // Full beats and short, zero-padded ones.
+                for len in [lanes, lanes - 1, lanes / 2 + 1, 1] {
+                    let rows: Vec<(Vec<F16>, Vec<F16>)> = (0..6u64)
+                        .map(|family| special_operands(family, 7 * family + len as u64, len))
+                        .collect();
+                    for (family, (a, b)) in rows.iter().enumerate() {
                         crate::fast::set_fast_kernels(false);
-                        let scalar = e.dot(&a, &b).to_bits();
+                        let scalar = e.dot(a, b).to_bits();
                         crate::fast::set_fast_kernels(true);
                         let case =
                             format!("{precision:?}, {lanes} lanes, family {family}, len {len}");
-                        assert_eq!(e.dot(&a, &b).to_bits(), scalar, "dot: {case}");
+                        assert_eq!(e.dot(a, b).to_bits(), scalar, "dot: {case}");
                         assert_eq!(
-                            e.dot_with(&mut scratch, &a, &b).to_bits(),
+                            e.dot_with(&mut scratch, a, b).to_bits(),
                             scalar,
                             "dot_with: {case}"
                         );
-                        assert_eq!(
-                            e.dot_f32_with(&mut scratch, &a32, &b32).to_bits(),
-                            scalar,
-                            "dot_f32_with: {case}"
+                    }
+                    // Every family in every row slot of a four-dot tile,
+                    // and tiles of one to three rows.
+                    for first in 0..6 {
+                        let tile: Vec<_> =
+                            (first..first + 4).map(|f| rows[f % 6].clone()).collect();
+                        let case = format!(
+                            "{precision:?}, {lanes} lanes, families from {first}, len {len}"
                         );
+                        assert_dot4_matches_scalar(&e, &mut scratch, &tile, &case);
+                        assert_dot4_matches_scalar(&e, &mut scratch, &tile[..1 + first % 3], &case);
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn dot4_rounds_a_tile_with_one_out_of_range_row_through_the_fallback() {
+        // Row `k` overflows binary16 in some lanes (family 2), the other
+        // rows stay in the shortcut's range: the fallback must round the
+        // whole beat, and only row `k` tells a skipped fallback apart.
+        use crate::fast::demote_round_check;
+        let e = DotEngine::new(128, TreePrecision::Fp32);
+        let mut scratch = DotScratch::new();
+        for len in [128, 77] {
+            for k in 0..4 {
+                let rows: Vec<(Vec<F16>, Vec<F16>)> = (0..4u64)
+                    .map(|r| {
+                        let family = if r == k as u64 {
+                            2
+                        } else {
+                            [0, 1, 5][r as usize % 3]
+                        };
+                        special_operands(family, 31 + r, len)
+                    })
+                    .collect();
+                let trips: Vec<bool> = rows
+                    .iter()
+                    .map(|(a, b)| {
+                        a.iter()
+                            .zip(b)
+                            .any(|(x, y)| demote_round_check(x.to_f32() * y.to_f32()) < 0)
+                    })
+                    .collect();
+                let want: Vec<bool> = (0..4).map(|r| r == k).collect();
+                assert_eq!(trips, want, "only row {k} trips the check");
+                assert_dot4_matches_scalar(&e, &mut scratch, &rows, &format!("row {k}, len {len}"));
             }
         }
     }
@@ -579,6 +711,16 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        /// Serial FP16 dot product (single multiplier + single adder),
+        /// the minimal reference datapath the tree is compared against.
+        fn dot_serial(a: &[F16], b: &[F16]) -> F16 {
+            let mut acc = F16::ZERO;
+            for (x, y) in a.iter().zip(b) {
+                acc += *x * *y;
+            }
+            acc
+        }
 
         fn f16_vec(n: usize) -> impl Strategy<Value = Vec<F16>> {
             proptest::collection::vec((-4.0f32..4.0).prop_map(F16::from_f32), n)
