@@ -29,34 +29,25 @@
 //!   activations (order-0 page entropy scaled by the achievable
 //!   fraction of an FSE/LZ-class hardware codec).
 //!
-//! `perf_gate` pins the measured point under the `comp.*` keys in
-//! `bench/baseline.json` and hard-gates its uplift.
+//! The generation, the plain twin, the identity check and the uplift
+//! threshold are [`zllm_bench::scenario::comp`]'s, so the measured
+//! DDR4-2400 row is the point `perf_gate` gates under the `comp.*` keys
+//! in `bench/baseline.json`.
 //!
 //! ```text
 //! cargo run --release -p zllm-bench --bin compress_sweep
 //! cargo run --release -p zllm-bench --bin compress_sweep -- --json out.json --seed 7
 //! ```
 
-use zllm_accel::{AccelConfig, DecodeEngine};
+use zllm_accel::AccelConfig;
+use zllm_bench::scenario::comp::{self, MIN_UPLIFT, SEED, START_CTX, TOKENS};
 use zllm_bench::{cli_seed_arg, cli_value_arg, comp_accel, json_report, print_table, JsonField};
-use zllm_ddr::{CompressionConfig, StreamRatio};
-use zllm_model::ModelConfig;
 use zllm_quant::entropy::measured_stream_ratios;
 
-/// Per-sequence KV provisioning (tokens).
-const CTX_CAPACITY: usize = 256;
-/// Context the generation starts from.
-const START_CTX: usize = 64;
-/// Tokens per run; both twins price exactly the same positions.
-const TOKENS: usize = 48;
-/// Default entropy-measurement seed; override with `--seed`.
-const SEED: u64 = 7;
 /// Idealized compression ratios swept per stream kind.
 const GRID: [f64; 3] = [1.25, 1.5, 2.0];
-/// Tok/s uplift the entropy-measured point must sustain on DDR4-2400.
-const MIN_UPLIFT: f64 = 1.3;
 
-struct Run {
+struct Row {
     part: &'static str,
     /// Which stream kinds carry the ratio: `weight`, `kv`,
     /// `activation`, `all`, `identity` or `measured`.
@@ -64,79 +55,51 @@ struct Run {
     ratio_weight: f64,
     ratio_kv: f64,
     ratio_activation: f64,
-    wall_ns: f64,
-    bytes_logical: u64,
-    bytes_wire: u64,
-    bytes_meta: u64,
+    run: comp::Run,
     base_wall_ns: f64,
     base_bytes: u64,
 }
 
-impl Run {
+impl Row {
+    /// Prices the generation through the compression stage at `ratios`
+    /// against the part's `plain` twin. An identity row must price
+    /// byte-invisibly: the same wall bit for bit and the same metrics.
+    fn new(
+        part: &'static str,
+        kind: &'static str,
+        accel: &AccelConfig,
+        ratios: (f64, f64, f64),
+        plain: &comp::Run,
+    ) -> Row {
+        let run = comp::compressed(accel, ratios);
+        assert!(
+            kind != "identity" || run.is_invisible_against(plain),
+            "{part}: the all-identity compression stage is not byte-invisible \
+             (wall {} vs {})",
+            run.wall_ns,
+            plain.wall_ns
+        );
+        Row {
+            part,
+            kind,
+            ratio_weight: ratios.0,
+            ratio_kv: ratios.1,
+            ratio_activation: ratios.2,
+            run,
+            base_wall_ns: plain.wall_ns,
+            base_bytes: plain.bytes_logical,
+        }
+    }
     fn uplift(&self) -> f64 {
-        self.base_wall_ns / self.wall_ns
+        self.base_wall_ns / self.run.wall_ns
     }
     fn wire_reduction(&self) -> f64 {
-        self.bytes_logical as f64 / (self.bytes_wire + self.bytes_meta) as f64
+        let r = &self.run;
+        r.bytes_logical as f64 / (r.bytes_wire + r.bytes_meta) as f64
     }
 }
 
-/// Prices the fixed generation on a plain engine: total wall ns and
-/// bytes moved.
-fn base_run(accel: &AccelConfig) -> (f64, u64) {
-    let mut eng = DecodeEngine::new(accel.clone(), &ModelConfig::tiny_llama_1_1b(), CTX_CAPACITY)
-        .expect("TinyLlama-1.1B fits the 4GB device");
-    let (mut wall_ns, mut bytes) = (0.0f64, 0u64);
-    for c in START_CTX..START_CTX + TOKENS {
-        let r = eng.decode_token(c);
-        wall_ns += r.wall_ns;
-        bytes += r.bytes;
-    }
-    (wall_ns, bytes)
-}
-
-/// Prices the same generation through the compression stage.
-fn comp_run(
-    part: &'static str,
-    kind: &'static str,
-    accel: &AccelConfig,
-    ratios: (f64, f64, f64),
-    base: (f64, u64),
-) -> Run {
-    let (w, kv, act) = ratios;
-    let cfg = CompressionConfig::with_ratios(
-        StreamRatio::from_ratio(w),
-        StreamRatio::from_ratio(kv),
-        StreamRatio::from_ratio(act),
-    );
-    let mut eng = DecodeEngine::new_compressed(
-        accel.clone(),
-        &ModelConfig::tiny_llama_1_1b(),
-        CTX_CAPACITY,
-        cfg,
-    )
-    .expect("TinyLlama-1.1B fits the 4GB device");
-    let mut wall_ns = 0.0f64;
-    for c in START_CTX..START_CTX + TOKENS {
-        wall_ns += eng.decode_token(c).wall_ns;
-    }
-    let (logical, wire, meta) = eng.compression_bytes().expect("compressed engine");
-    Run {
-        part,
-        kind,
-        ratio_weight: w,
-        ratio_kv: kv,
-        ratio_activation: act,
-        wall_ns,
-        bytes_logical: logical,
-        bytes_wire: wire,
-        bytes_meta: meta,
-        base_wall_ns: base.0,
-        base_bytes: base.1,
-    }
-}
-
-fn to_json(runs: &[Run]) -> String {
+fn to_json(runs: &[Row]) -> String {
     use JsonField::{Fixed3, Fixed6, Str, UInt};
     let rows: Vec<Vec<(&str, JsonField)>> = runs
         .iter()
@@ -148,14 +111,14 @@ fn to_json(runs: &[Run]) -> String {
                 ("ratio_kv", Fixed6(r.ratio_kv)),
                 ("ratio_activation", Fixed6(r.ratio_activation)),
                 ("tokens", UInt(TOKENS as u64)),
-                ("wall_ms", Fixed3(r.wall_ns / 1e6)),
+                ("wall_ms", Fixed3(r.run.wall_ns / 1e6)),
                 ("base_wall_ms", Fixed3(r.base_wall_ns / 1e6)),
                 ("uplift", Fixed6(r.uplift())),
-                ("bytes_logical", UInt(r.bytes_logical)),
-                ("bytes_wire", UInt(r.bytes_wire)),
-                ("bytes_meta", UInt(r.bytes_meta)),
+                ("bytes_logical", UInt(r.run.bytes_logical)),
+                ("bytes_wire", UInt(r.run.bytes_wire)),
+                ("bytes_meta", UInt(r.run.bytes_meta)),
                 ("wire_reduction", Fixed6(r.wire_reduction())),
-                ("tokens_per_s", Fixed6(TOKENS as f64 * 1e9 / r.wall_ns)),
+                ("tokens_per_s", Fixed6(TOKENS as f64 * 1e9 / r.run.wall_ns)),
                 (
                     "base_tokens_per_s",
                     Fixed6(TOKENS as f64 * 1e9 / r.base_wall_ns),
@@ -172,11 +135,7 @@ fn main() {
     let seed = cli_seed_arg("compress_sweep", &args, SEED);
 
     let measured = measured_stream_ratios(seed);
-    let m = (
-        measured.weight.achievable_ratio,
-        measured.kv.achievable_ratio,
-        measured.activation.achievable_ratio,
-    );
+    let m = comp::achievable(&measured);
     println!(
         "Inline DDR (de)compression on the PL-overclocked KV260: {TOKENS} tokens from ctx \
          {START_CTX},\nTinyLlama-1.1B, seed {seed}. Entropy-measured ratios (page order-0 x \
@@ -198,29 +157,29 @@ fn main() {
 
     let mut runs = Vec::new();
     for (part, accel) in parts {
-        let base = base_run(accel);
+        let plain = comp::plain(accel);
         // The ratio-1.0 row: the compression stage must vanish.
-        runs.push(comp_run(part, "identity", accel, (1.0, 1.0, 1.0), base));
+        runs.push(Row::new(part, "identity", accel, (1.0, 1.0, 1.0), &plain));
         for r in GRID {
-            runs.push(comp_run(part, "weight", accel, (r, 1.0, 1.0), base));
-            runs.push(comp_run(part, "kv", accel, (1.0, r, 1.0), base));
-            runs.push(comp_run(part, "activation", accel, (1.0, 1.0, r), base));
-            runs.push(comp_run(part, "all", accel, (r, r, r), base));
+            runs.push(Row::new(part, "weight", accel, (r, 1.0, 1.0), &plain));
+            runs.push(Row::new(part, "kv", accel, (1.0, r, 1.0), &plain));
+            runs.push(Row::new(part, "activation", accel, (1.0, 1.0, r), &plain));
+            runs.push(Row::new(part, "all", accel, (r, r, r), &plain));
         }
         // The honest point: what the measured stream entropy buys.
-        runs.push(comp_run(part, "measured", accel, m, base));
+        runs.push(Row::new(part, "measured", accel, m, &plain));
     }
     // The reference row: the stock, exactly balanced KV260 at the
     // measured point — where saved wire beats buy nothing because
     // compute already floors the step.
     let balanced_accel = AccelConfig::kv260();
-    let balanced_base = base_run(&balanced_accel);
-    runs.push(comp_run(
+    let balanced_plain = comp::plain(&balanced_accel);
+    runs.push(Row::new(
         "balanced-kv260",
         "measured",
         &balanced_accel,
         m,
-        balanced_base,
+        &balanced_plain,
     ));
 
     let rows: Vec<Vec<String>> = runs
@@ -237,9 +196,9 @@ fn main() {
                 format!("{:.3}x", r.wire_reduction()),
                 format!(
                     "{:.1}",
-                    (r.bytes_wire + r.bytes_meta) as f64 / TOKENS as f64 / 1e6
+                    (r.run.bytes_wire + r.run.bytes_meta) as f64 / TOKENS as f64 / 1e6
                 ),
-                format!("{:.2}", TOKENS as f64 * 1e9 / r.wall_ns),
+                format!("{:.2}", TOKENS as f64 * 1e9 / r.run.wall_ns),
                 format!("{:.2}", TOKENS as f64 * 1e9 / r.base_wall_ns),
             ]
         })
@@ -268,35 +227,37 @@ fn main() {
     // clear the tentpole's effective-bandwidth uplift.
     let gate = find("comp-ddr4-2400", "measured", m.0);
     let uplift = gate.uplift();
+    let gate_run = &gate.run;
     assert!(
         uplift >= MIN_UPLIFT,
         "measured-ratio compression sustained {uplift:.3}x on DDR4-2400; \
          the tentpole claims >= {MIN_UPLIFT}x"
     );
     assert!(
-        gate.bytes_wire + gate.bytes_meta < gate.bytes_logical,
+        gate_run.bytes_wire + gate_run.bytes_meta < gate_run.bytes_logical,
         "compressed traffic (wire + metadata) must undercut logical bytes"
     );
     assert!(
-        gate.bytes_meta > 0,
+        gate_run.bytes_meta > 0,
         "compressed weight traffic must charge page-map metadata beats"
     );
     for r in &runs {
         // Identity rows are the compression-off twin, bit for bit: the
         // stage must add no beats, no metadata and no stall.
         if r.kind == "identity" {
+            let run = &r.run;
             assert!(
-                r.uplift() == 1.0 && r.bytes_wire == r.bytes_logical && r.bytes_meta == 0,
+                r.uplift() == 1.0 && run.bytes_wire == run.bytes_logical && run.bytes_meta == 0,
                 "{}: ratio-1.0 must price bit-identically to the plain engine \
                  (uplift {:.6}, wire {} vs logical {}, meta {})",
                 r.part,
                 r.uplift(),
-                r.bytes_wire,
-                r.bytes_logical,
-                r.bytes_meta
+                run.bytes_wire,
+                run.bytes_logical,
+                run.bytes_meta
             );
             assert!(
-                r.bytes_logical == r.base_bytes,
+                run.bytes_logical == r.base_bytes,
                 "{}: the stage's logical bytes must equal the plain engine's traffic",
                 r.part
             );
@@ -366,9 +327,9 @@ fn main() {
         "gate point (measured ratios, DDR4-2400): {uplift:.3}x uplift, {:.3}x wire shrink \
          ({} -> {} + {} meta bytes); balanced reference {:.3}x",
         gate.wire_reduction(),
-        gate.bytes_logical,
-        gate.bytes_wire,
-        gate.bytes_meta,
+        gate_run.bytes_logical,
+        gate_run.bytes_wire,
+        gate_run.bytes_meta,
         balanced.uplift()
     );
 

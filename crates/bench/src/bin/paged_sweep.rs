@@ -22,50 +22,25 @@
 //! buys at a fixed budget is admission capacity. The sweep therefore
 //! reports and gates **work served off one trace** — deadline-met
 //! requests and total goodput tokens — alongside the concurrent-users
-//! headline. `perf_gate` pins the exact numbers under the `paged.*`
-//! keys in `bench/baseline.json`.
+//! headline. The trace, budget, runs and uplift threshold are
+//! [`zllm_bench::scenario::paged`]'s, so the saturating row is the point
+//! `perf_gate` gates under the `paged.*` keys in `bench/baseline.json`.
 //!
 //! ```text
 //! cargo run --release -p zllm-bench --bin paged_sweep
 //! cargo run --release -p zllm-bench --bin paged_sweep -- --json out.json --seed 7
 //! ```
 
-use zllm_accel::AccelConfig;
-use zllm_bench::{
-    cli_seed_arg, cli_value_arg, decode_heavy_traffic, fmt_mib, json_report, print_table, JsonField,
+use zllm_bench::scenario::paged::{
+    self, MIN_UPLIFT, QUEUE_CAP, RATE, REQUESTS, SATURATING_RATE, SEED, SLOTS, WORST_CASE_SEQS,
 };
-use zllm_model::ModelConfig;
-use zllm_serve::{generate, ArrivalModel, PagedConfig, Request, ServeReport, Server, ServerConfig};
+use zllm_bench::{cli_seed_arg, cli_value_arg, fmt_mib, json_report, print_table, JsonField};
+use zllm_serve::ServeReport;
 
-/// Requests per trace.
-const REQUESTS: usize = 48;
-/// Default trace seed; override with `--seed` to replay a different trace.
-const SEED: u64 = 42;
-/// Offered loads swept, requests per second. The engine drains about
-/// half a request per second, so 0.25 is the unpressured ramp (paging
-/// must cost nothing there) and 8.0 — bursty — is the saturating
+/// Offered loads swept, requests per second: 0.25 is the unpressured
+/// ramp (paging must cost nothing there), [`RATE`] the saturating
 /// regime the uplift gates are measured in.
-const RATES: [f64; 2] = [0.25, 8.0];
-/// Loads at and above this must show the uplift.
-const SATURATING_RATE: f64 = 1.0;
-/// Per-sequence KV provisioning (tokens); the decode-heavy mix tops
-/// out at 112 tokens so 128 keeps the contiguous quote honest.
-const CTX_CAPACITY: usize = 128;
-/// KV page granularity (tokens); a multiple of the pack quantum.
-const PAGE_TOKENS: usize = 16;
-/// KV slots: generous on purpose, so the byte budget — not the slot
-/// count — is what binds in both runs.
-const SLOTS: usize = 16;
-/// Admission wait-queue capacity. Short, as a real serving front end's
-/// is: a request that cannot start soon is better bounced to the
-/// client than parked — which makes admission capacity, not queue
-/// depth, what decides how much of the trace gets served.
-const QUEUE_CAP: usize = 6;
-/// The tightened budget holds this many worst-case sequences.
-const WORST_CASE_SEQS: u64 = 4;
-/// Uplift the saturating rate must sustain, on concurrent users and on
-/// total goodput tokens served off the trace.
-const MIN_UPLIFT: f64 = 1.5;
+const RATES: [f64; 2] = [0.25, RATE];
 
 struct Run {
     mode: &'static str,
@@ -79,57 +54,6 @@ struct Run {
 /// its *work* is a fraction of the paged run's.
 fn goodput_tokens(r: &ServeReport) -> f64 {
     r.goodput_tokens_per_s * r.sim_seconds
-}
-
-fn trace(rate: f64, seed: u64) -> Vec<Request> {
-    let arrivals = if rate >= SATURATING_RATE {
-        ArrivalModel::Bursty {
-            rate_per_s: rate,
-            burst: 8,
-        }
-    } else {
-        ArrivalModel::Poisson { rate_per_s: rate }
-    };
-    generate(&decode_heavy_traffic(REQUESTS, seed, arrivals))
-}
-
-/// The budget both admission disciplines are priced against: room for
-/// [`WORST_CASE_SEQS`] page-rounded worst-case sequences, derived from
-/// the engine's own KV pricing so it tracks the model geometry.
-fn tight_budget(accel: &AccelConfig, model: &ModelConfig) -> u64 {
-    let cfg = decode_heavy_traffic(1, 0, ArrivalModel::Poisson { rate_per_s: 1.0 });
-    let worst_tokens = cfg.prompt_tokens.1 + cfg.new_tokens.1;
-    let probe = Server::new(
-        accel.clone(),
-        model,
-        ServerConfig::continuous(CTX_CAPACITY, SLOTS),
-    )
-    .expect("TinyLlama-1.1B fits the 4GB device");
-    WORST_CASE_SEQS
-        * probe
-            .engine()
-            .image()
-            .page_rounded_request_bytes(worst_tokens, PAGE_TOKENS)
-}
-
-fn run_one(
-    accel: &AccelConfig,
-    model: &ModelConfig,
-    paged: bool,
-    budget: u64,
-    t: &[Request],
-) -> ServeReport {
-    let mut cfg = ServerConfig::continuous(CTX_CAPACITY, SLOTS);
-    if paged {
-        cfg = cfg.paged(PagedConfig {
-            page_tokens: PAGE_TOKENS,
-            ..PagedConfig::default()
-        });
-    }
-    cfg.kv_budget_bytes = Some(budget);
-    cfg.queue_cap = QUEUE_CAP;
-    let mut server = Server::new(accel.clone(), model, cfg).expect("image fits");
-    server.run(t)
 }
 
 fn to_json(runs: &[Run]) -> String {
@@ -170,9 +94,7 @@ fn main() {
     let json_path = cli_value_arg("paged_sweep", &args, "--json");
     let seed = cli_seed_arg("paged_sweep", &args, SEED);
 
-    let accel = AccelConfig::kv260();
-    let model = ModelConfig::tiny_llama_1_1b();
-    let budget = tight_budget(&accel, &model);
+    let budget = paged::budget();
     println!(
         "Paged KV on the KV260: actual-growth charging vs worst-case reservation\n\
          TinyLlama-1.1B, {REQUESTS} decode-heavy requests, {SLOTS} slots, queue cap \
@@ -184,10 +106,10 @@ fn main() {
     let mut rows = Vec::new();
     let mut gates: Vec<(f64, Vec<ServeReport>)> = Vec::new();
     for rate in RATES {
-        let t = trace(rate, seed);
+        let t = paged::trace(rate, seed);
         let mut pair = Vec::new();
-        for (mode, paged) in [("worst-case", false), ("paged", true)] {
-            let report = run_one(&accel, &model, paged, budget, &t);
+        for (mode, is_paged) in [("worst-case", false), ("paged", true)] {
+            let (report, _) = paged::run(is_paged, budget, &t);
             assert!(
                 report.kv_peak_bytes <= report.kv_budget_bytes,
                 "{mode} burst the KV budget at {rate} req/s"
@@ -227,18 +149,18 @@ fn main() {
     println!();
 
     for (rate, pair) in &gates {
-        let (wc, paged) = (&pair[0], &pair[1]);
+        let (wc, pg) = (&pair[0], &pair[1]);
         if *rate < SATURATING_RATE {
             // Unpressured ramp: paging must cost nothing. Everyone is
             // served either way; the paged run's only overhead is the
             // page-table metadata traffic, bounded to a few percent.
             assert_eq!(wc.completed, REQUESTS as u64, "ramp must serve everyone");
-            assert_eq!(paged.completed, REQUESTS as u64, "ramp must serve everyone");
+            assert_eq!(pg.completed, REQUESTS as u64, "ramp must serve everyone");
             assert!(
-                paged.tokens_per_s >= 0.95 * wc.tokens_per_s,
+                pg.tokens_per_s >= 0.95 * wc.tokens_per_s,
                 "page-table overhead ate {:.2} -> {:.2} tok/s on the ramp",
                 wc.tokens_per_s,
-                paged.tokens_per_s
+                pg.tokens_per_s
             );
             continue;
         }
@@ -248,20 +170,20 @@ fn main() {
         // holds at once — and that concurrency must convert into
         // served work (deadline-met tokens off the same trace), not
         // just resident sequences.
-        let users = paged.concurrent_peak as f64 / wc.concurrent_peak as f64;
+        let users = paged::users_uplift(pg, wc);
         assert!(
             users >= MIN_UPLIFT,
             "paged admission sustained {users:.2}x the worst-case concurrency \
              ({} vs {}) at {rate} req/s; the tentpole claims >= {MIN_UPLIFT}x",
-            paged.concurrent_peak,
+            pg.concurrent_peak,
             wc.concurrent_peak
         );
-        let work = goodput_tokens(paged) / goodput_tokens(wc);
+        let work = goodput_tokens(pg) / goodput_tokens(wc);
         assert!(
             work >= MIN_UPLIFT,
             "paged served only {work:.2}x the worst-case goodput tokens \
              ({:.0} vs {:.0}) at {rate} req/s; need >= {MIN_UPLIFT}x",
-            goodput_tokens(paged),
+            goodput_tokens(pg),
             goodput_tokens(wc)
         );
     }

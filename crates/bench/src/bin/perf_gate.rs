@@ -1,52 +1,33 @@
 //! The performance-regression gate run by CI.
 //!
-//! Prices two fixed decode scenarios through the trace-driven engine and
-//! diffs the unified metrics registry against the committed baseline
-//! (`bench/baseline.json`):
+//! One table, [`SCENARIOS`], lists every gated scenario, and one loop
+//! runs its rows in order. For each row the loop times the run, fails
+//! the gate if one of the row's hard checks does not hold, prints the
+//! row's summary and host figures, and merges the row's metrics under
+//! the row's name. The merged snapshot is then diffed against the
+//! committed baseline (`bench/baseline.json`).
 //!
-//! * **single-sequence** — LLaMA2-7B, one token at each context in
-//!   64→512 (keys exactly as in pre-batching baselines; a batched engine
-//!   at B = 1 must reproduce them byte-for-byte);
-//! * **batch-of-4** — LLaMA2-7B with four 256-token KV provisions, one
-//!   batched token at each context in 64→192 (keys prefixed `batch4.`).
-//!   The scenario also hard-fails if weight-stream amortization at B = 4
-//!   drops to ≤ 3× — the whole point of batching is paying the dense
-//!   stream once, and that property must not silently regress;
-//! * **serving** — a fixed 64-request bursty trace served by the
-//!   continuous-batching server (TinyLlama-1.1B, four slots, DDR4-2400,
-//!   keys prefixed `serve.`). Pins aggregate tokens/s, the latency
-//!   percentiles, the rejection counters and every underlying byte
-//!   count of the trace replay;
-//! * **paged serving** — the `paged_sweep` saturating scenario: a
-//!   48-request decode-heavy bursty trace against a KV budget of four
-//!   worst-case sequences, served once with paged actual-growth
-//!   admission and once with worst-case reservation (keys prefixed
-//!   `paged.`). The scenario hard-fails if paged admission stops
-//!   sustaining ≥ 1.5× the worst-case concurrent users at the same
-//!   budget — the tentpole claim of the paged KV cache;
-//! * **tiered** — flash-backed weight streaming (keys prefixed
-//!   `tiered.`): a 13B-shape model at a covering budget (one layer
-//!   short of all-resident, NVMe) must lose ≤ 5% tok/s vs all-resident;
-//!   at a 3-layer thrash budget (LLaMA2-7B, eMMC) the schedule-aware
-//!   prefetcher must sustain ≥ 2× the blind-LRU strawman's tok/s; and
-//!   the 13B shape must decode with a physical DDR footprint within a
-//!   real 4 GiB board. All three are hard gates, not just baseline
-//!   diffs;
-//! * **speculative** — the `spec_sweep` representative point (keys
-//!   prefixed `spec.`): a TinyLlama-1.1B generation of 48 committed
-//!   tokens through verify windows at α = 0.8, K = 4 on the
-//!   lanes-widened KV260 (DDR4-2400), against the same generation
-//!   decoded sequentially. The scenario hard-fails if the tok/s uplift
-//!   drops below 1.5× — the tentpole claim of speculative decoding;
-//! * **compression** — the `compress_sweep` entropy-measured point
-//!   (keys prefixed `comp.`): a TinyLlama-1.1B generation priced
-//!   through the inline DDR (de)compression stage at the measured
-//!   stream ratios on the PL-overclocked KV260 (DDR4-2400), against a
-//!   plain twin. The scenario hard-fails if the effective-bandwidth
-//!   (tok/s) uplift drops below 1.3×, or if an all-identity compression
-//!   stage is not byte-invisible (identical wall and identical metrics
-//!   snapshot to the plain engine) — the tentpole claims of the
-//!   compression-aware controller.
+//! | row | prices | hard checks |
+//! |---|---|---|
+//! | `single` | LLaMA2-7B, one token at each context 64→512 | — |
+//! | `batch4` | LLaMA2-7B, four sequences per step | weight-stream amortization |
+//! | `serve` | a bursty trace through the continuous-batching server | — |
+//! | `paged` | [`zllm_bench::scenario::paged`] | concurrent-user uplift |
+//! | `tiered` | [`zllm_bench::scenario::tiered`] | cover loss, thrash uplift, 4 GiB board |
+//! | `spec` | [`zllm_bench::scenario::spec`] | tok/s uplift |
+//! | `comp` | [`zllm_bench::scenario::comp`] | tok/s uplift, identity invisibility |
+//!
+//! The four `scenario` rows run the same code, constants and thresholds
+//! as their sweeps (`paged_sweep`, `tier_sweep`, `spec_sweep`,
+//! `compress_sweep`), so a gated point and its sweep row cannot drift
+//! apart. `single` keys are unprefixed, exactly as in pre-batching
+//! baselines (a batched engine at B = 1 must reproduce them byte for
+//! byte); every other row's keys land under `<name>.` unless the engine
+//! already published them there, and the paged server's own
+//! `serve.paged.*` keys flatten to `paged.*`. Each cross-run comparison
+//! a check enforces is pinned as a key too (`paged.admission.*`,
+//! `tiered.{allres,cover,thrash,board4g}.*`, `spec.uplift`,
+//! `comp.uplift`).
 //!
 //! Byte and cycle counters must match exactly (the simulation is
 //! deterministic); derived rates (gauges) get ±2% to absorb intentional
@@ -63,20 +44,19 @@
 //!                                            # also write host wall/throughput
 //! ```
 //!
-//! Exit codes: 0 = within tolerance, 1 = regression (table printed),
+//! Exit codes: 0 = within tolerance, 1 = regression or failed check,
 //! 2 = missing/unreadable baseline or bad usage.
 
 use std::path::PathBuf;
 use zllm_accel::telemetry::{DiffStatus, MetricKind, Snapshot};
-use zllm_accel::{AccelConfig, DecodeEngine, DraftCost, ModelImage, SpecWindow, TierConfig};
-use zllm_bench::{cli_value_arg, comp_accel, decode_heavy_traffic, print_table, spec_accel};
-use zllm_ddr::{CompressionConfig, FlashConfig, StreamRatio};
+use zllm_accel::{AccelConfig, DecodeEngine, TierConfig};
+use zllm_bench::scenario::tiered::{self, BOARD_BYTES, MAX_COVER_LOSS};
+use zllm_bench::scenario::{comp, paged, spec};
+use zllm_bench::{cli_value_arg, comp_accel, print_table, spec_accel};
+use zllm_ddr::FlashConfig;
 use zllm_model::ModelConfig;
 use zllm_quant::entropy::measured_stream_ratios;
-use zllm_rng::StdRng;
-use zllm_serve::{
-    generate, ArrivalModel, PagedConfig, ServeReport, Server, ServerConfig, TrafficConfig,
-};
+use zllm_serve::{generate, ArrivalModel, Server, ServerConfig, TrafficConfig};
 
 /// Context lengths priced by the single-sequence scenario.
 const CONTEXTS: [usize; 4] = [64, 128, 256, 512];
@@ -101,122 +81,119 @@ const SERVE_SLOTS: usize = 4;
 /// Serving per-sequence context provisioning (tokens).
 const SERVE_CTX_CAPACITY: usize = 256;
 
-/// Requests in the paged-scenario trace.
-const PAGED_REQUESTS: usize = 48;
-/// Paged trace seed (same trace as `paged_sweep`'s default).
-const PAGED_SEED: u64 = 42;
-/// Paged offered load (requests per second, in bursts of 8) —
-/// saturating for the tightened budget.
-const PAGED_RATE: f64 = 8.0;
-/// Paged KV slots (generous; the byte budget is what binds).
-const PAGED_SLOTS: usize = 16;
-/// Paged per-sequence context provisioning (tokens).
-const PAGED_CTX_CAPACITY: usize = 128;
-/// Paged KV page granularity (tokens).
-const PAGED_PAGE_TOKENS: usize = 16;
-/// Paged admission wait-queue capacity.
-const PAGED_QUEUE_CAP: usize = 6;
-/// The tightened paged-scenario budget holds this many worst-case
-/// sequences.
-const PAGED_WORST_CASE_SEQS: u64 = 4;
-/// Concurrent-user uplift the paged scenario must sustain over
-/// worst-case reservation.
-const MIN_PAGED_UPLIFT: f64 = 1.5;
-
-/// Tiered-scenario decode context.
-const TIER_CTX: usize = 512;
-/// Tokens per tiered run; the cache starts warm, so the second token is
-/// cyclic steady state and its rate is what the gauges pin.
-const TIER_TOKENS: usize = 2;
-/// Thrash budget, in multiples of the largest 7B layer (capacity 3 of
-/// 32 layers — deep capacity pressure, where eviction policy decides
-/// how many flash bytes each token pays).
-const TIER_THRASH_LAYERS: f64 = 3.4;
-/// DDR a real KV260 carries.
-const BOARD_BYTES: u64 = 4 << 30;
-/// Schedule-aware tok/s over blind-LRU tok/s required at the thrash
-/// budget.
-const MIN_TIERED_UPLIFT: f64 = 2.0;
-/// Largest tok/s loss vs all-resident tolerated at the covering budget
-/// (one layer short of everything resident, NVMe link).
-const MAX_COVER_LOSS: f64 = 0.05;
-
-/// Speculative-scenario per-sequence KV provisioning (tokens).
-const SPEC_CTX_CAPACITY: usize = 256;
-/// Context the speculative generation starts from.
-const SPEC_START_CTX: usize = 64;
-/// Committed tokens per speculative run (both twins price exactly
-/// these positions).
-const SPEC_TOKENS: usize = 48;
-/// Representative accept rate (matches `spec_sweep`'s gate point).
-const SPEC_ALPHA: f64 = 0.8;
-/// Representative draft window size.
-const SPEC_K: usize = 4;
-/// Acceptance-draw seed (same acceptance path as `spec_sweep`'s
-/// default).
-const SPEC_SEED: u64 = 9;
-/// Flat draft cost per drafted token, nanoseconds.
-const SPEC_DRAFT_NS: f64 = 2_000_000.0;
-/// Tok/s uplift the speculative scenario must sustain over sequential
-/// decode.
-const MIN_SPEC_UPLIFT: f64 = 1.5;
-
-/// Compression-scenario per-sequence KV provisioning (tokens).
-const COMP_CTX_CAPACITY: usize = 256;
-/// Context the compression generation starts from.
-const COMP_START_CTX: usize = 64;
-/// Tokens per compression run (all three twins price the same
-/// positions).
-const COMP_TOKENS: usize = 48;
-/// Entropy-measurement seed (same streams as `compress_sweep`'s
-/// default).
-const COMP_SEED: u64 = 7;
-/// Tok/s uplift the entropy-measured ratio point must sustain on
-/// DDR4-2400.
-const MIN_COMP_UPLIFT: f64 = 1.3;
-
 /// Relative tolerance for derived rates (gauges).
 const GAUGE_TOLERANCE: f64 = 0.02;
 
-/// Scenario names accepted by `--only`, in run order.
-const SCENARIOS: [&str; 7] = [
-    "single", "batch4", "serve", "paged", "tiered", "spec", "comp",
-];
+/// One gated scenario: its `--list`/`--only` name (also its key
+/// prefix), the prefix of its `--host-metrics-json` fields, and its run.
+struct Scenario(&'static str, &'static str, fn() -> Outcome);
 
-/// The scenario a metric key belongs to, by prefix. Single-sequence
-/// keys are the unprefixed remainder.
-fn scenario_of(key: &str) -> &'static str {
-    match key {
-        k if k.starts_with("batch4.") => "batch4",
-        k if k.starts_with("serve.") => "serve",
-        k if k.starts_with("paged.") => "paged",
-        k if k.starts_with("tiered.") => "tiered",
-        k if k.starts_with("spec.") => "spec",
-        k if k.starts_with("comp.") => "comp",
-        _ => "single",
+/// What a row's run hands back to the loop.
+struct Outcome {
+    /// The engine's metrics plus the row's cross-run keys.
+    snap: Snapshot,
+    /// What the row measured, one line each; a line whose flag is false
+    /// is a failed hard check.
+    lines: Vec<(bool, String)>,
+    /// The row's `--host-metrics-json` fields after its wall time.
+    host: Vec<(&'static str, Host)>,
+}
+
+/// A `--host-metrics-json` value.
+enum Host {
+    /// A rate or ratio.
+    Num(f64),
+    /// A count.
+    Count(u64),
+    /// Simulated GB, reported per host second of the row's run.
+    GbPerHostS(f64),
+}
+
+impl Host {
+    fn render(&self, wall_s: f64) -> String {
+        match *self {
+            Host::Num(v) => format!("{v:.6}"),
+            Host::Count(v) => v.to_string(),
+            Host::GbPerHostS(gb) => format!("{:.6}", gb / wall_s.max(1e-9)),
+        }
     }
 }
 
-fn baseline_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../bench/baseline.json"
-    ))
+/// The gated scenarios, in run order.
+const SCENARIOS: [Scenario; 7] = [
+    Scenario(UNPREFIXED, "", single),
+    Scenario("batch4", "batch_", batch4),
+    Scenario("serve", "serve_", serve),
+    Scenario("paged", "paged_", paged_row),
+    Scenario("tiered", "tiered_", tiered_row),
+    Scenario("spec", "spec_", spec_row),
+    Scenario("comp", "comp_", comp_row),
+];
+
+/// The row whose keys stay unprefixed.
+const UNPREFIXED: &str = "single";
+
+/// Whether `key` sits under `name.`.
+fn under(key: &str, name: &str) -> bool {
+    key.strip_prefix(name)
+        .is_some_and(|rest| rest.starts_with('.'))
 }
 
-/// Runs the single-sequence scenario and returns the registry snapshot.
-fn scenario_snapshot() -> Snapshot {
+/// The scenario a metric key belongs to, by prefix; the unprefixed
+/// remainder is `single`'s.
+fn scenario_of(key: &str) -> &'static str {
+    SCENARIOS
+        .iter()
+        .map(|s| s.0)
+        .find(|name| under(key, name))
+        .unwrap_or(UNPREFIXED)
+}
+
+/// Where row `name`'s metric `key` lands in the merged snapshot.
+/// `single`'s keys stay as published. Every other row's keys go under
+/// `<name>.` unless already there, and a server's own `serve.<name>.*`
+/// keys (the paged server's preemption and concurrency counters)
+/// flatten to `<name>.*`.
+fn merged_key(name: &str, key: &str) -> String {
+    let key = key
+        .strip_prefix("serve.")
+        .filter(|rest| under(rest, name))
+        .unwrap_or(key);
+    if name == UNPREFIXED || under(key, name) {
+        key.to_owned()
+    } else {
+        format!("{name}.{key}")
+    }
+}
+
+fn simulated_gb(snap: &Snapshot) -> f64 {
+    snap.counter("decode.bytes").unwrap_or(0) as f64 / 1e9
+}
+
+fn single() -> Outcome {
     let mut engine = DecodeEngine::new(AccelConfig::kv260(), &ModelConfig::llama2_7b(), 1024)
         .expect("LLaMA2-7B fits the 4GB device");
     for ctx in CONTEXTS {
         engine.decode_token(ctx);
     }
-    engine.metrics_snapshot()
+    let snap = engine.metrics_snapshot();
+    let gb = simulated_gb(&snap);
+    Outcome {
+        snap,
+        lines: vec![(
+            true,
+            format!("LLaMA2-7B decode at ctx {CONTEXTS:?}, {gb:.2} GB simulated"),
+        )],
+        host: vec![
+            ("simulated_gb", Host::Num(gb)),
+            ("simulated_gb_per_host_s", Host::GbPerHostS(gb)),
+        ],
+    }
 }
 
-/// Runs the batch-of-4 scenario; returns its snapshot and the minimum
-/// weight-stream amortization observed across the contexts.
-fn batched_scenario_snapshot() -> (Snapshot, f64) {
+/// Batching exists to pay the dense weight stream once, so the
+/// amortization is a hard check, not just a baseline diff.
+fn batch4() -> Outcome {
     let mut engine = DecodeEngine::new_batched(
         AccelConfig::kv260(),
         &ModelConfig::llama2_7b(),
@@ -229,17 +206,29 @@ fn batched_scenario_snapshot() -> (Snapshot, f64) {
         let r = engine.decode_token_batch(ctx, BATCH);
         min_amortization = min_amortization.min(r.weight_amortization);
     }
-    (engine.metrics_snapshot(), min_amortization)
+    let snap = engine.metrics_snapshot();
+    let gb = simulated_gb(&snap);
+    Outcome {
+        snap,
+        lines: vec![(
+            min_amortization > MIN_AMORTIZATION,
+            format!(
+                "B = {BATCH} weight-stream amortization {min_amortization:.3}x at ctx \
+                 {BATCH_CONTEXTS:?} (> {MIN_AMORTIZATION:.1}x required), {gb:.2} GB simulated"
+            ),
+        )],
+        host: vec![
+            ("simulated_gb", Host::Num(gb)),
+            ("weight_amortization", Host::Num(min_amortization)),
+        ],
+    }
 }
 
-/// Replays the fixed serving trace through the continuous-batching
-/// server; returns the engine snapshot (which includes the `serve.*`
-/// registry namespace) and the report.
-///
-/// TinyLlama-1.1B keeps the replay a few seconds of host time: pricing
-/// cost scales with bytes moved, and a trace is hundreds of steps where
-/// the other scenarios price a handful.
-fn serve_scenario_snapshot() -> (Snapshot, ServeReport) {
+/// Replays the fixed serving trace; the engine snapshot includes the
+/// server's own `serve.*` namespace. TinyLlama-1.1B keeps the replay
+/// short: a trace is hundreds of steps where the other rows price a
+/// handful.
+fn serve() -> Outcome {
     let mut cfg = ServerConfig::continuous(SERVE_CTX_CAPACITY, SERVE_SLOTS);
     // Tight queue so the burst tail exercises the rejection path — the
     // gate pins the rejection counters, not just the happy path.
@@ -258,247 +247,207 @@ fn serve_scenario_snapshot() -> (Snapshot, ServeReport) {
         class_mix: [0.5, 0.3, 0.2],
         eos_early_fraction: 0.0,
     });
-    let report = server.run(&trace);
-    (server.engine().metrics_snapshot(), report)
-}
-
-/// Replays the paged saturating scenario twice — paged actual-growth
-/// admission, then worst-case reservation — against the same
-/// decode-heavy trace and tightened budget. Returns the paged engine
-/// snapshot plus both reports.
-fn paged_scenario_snapshot() -> (Snapshot, ServeReport, ServeReport) {
-    let accel = AccelConfig::kv260();
-    let model = ModelConfig::tiny_llama_1_1b();
-    let trace = generate(&decode_heavy_traffic(
-        PAGED_REQUESTS,
-        PAGED_SEED,
-        ArrivalModel::Bursty {
-            rate_per_s: PAGED_RATE,
-            burst: 8,
-        },
-    ));
-    let cfg = decode_heavy_traffic(1, 0, ArrivalModel::Poisson { rate_per_s: 1.0 });
-    let worst_tokens = cfg.prompt_tokens.1 + cfg.new_tokens.1;
-    let base = || {
-        let mut cfg = ServerConfig::continuous(PAGED_CTX_CAPACITY, PAGED_SLOTS);
-        cfg.queue_cap = PAGED_QUEUE_CAP;
-        cfg
-    };
-    let probe = Server::new(accel.clone(), &model, base())
-        .expect("TinyLlama-1.1B with 16 KV provisions fits the 4GB device");
-    let budget = PAGED_WORST_CASE_SEQS
-        * probe
-            .engine()
-            .image()
-            .page_rounded_request_bytes(worst_tokens, PAGED_PAGE_TOKENS);
-
-    let mut cfg = base().paged(PagedConfig {
-        page_tokens: PAGED_PAGE_TOKENS,
-        ..PagedConfig::default()
-    });
-    cfg.kv_budget_bytes = Some(budget);
-    let mut paged = Server::new(accel.clone(), &model, cfg).expect("image fits");
-    let paged_report = paged.run(&trace);
-
-    let mut wc_cfg = base();
-    wc_cfg.kv_budget_bytes = Some(budget);
-    let mut wc = Server::new(accel, &model, wc_cfg).expect("image fits");
-    let wc_report = wc.run(&trace);
-
-    (paged.engine().metrics_snapshot(), paged_report, wc_report)
-}
-
-/// What the tiered scenario measured, for the gates and the snapshot.
-struct TieredOutcome {
-    /// Engine snapshot of the thrash-budget schedule-aware run (the
-    /// richest tier/flash counter set), merged under `tiered.`.
-    snap: Snapshot,
-    allres_tps: f64,
-    cover_tps: f64,
-    cover_loss: f64,
-    cover_stall_ns: f64,
-    aware_tps: f64,
-    blind_tps: f64,
-    uplift: f64,
-    board_tps: f64,
-    board_physical_bytes: u64,
-}
-
-/// Layer geometry of a model under the gate's accel format:
-/// (largest single-layer bytes, total layer bytes, non-layer bytes).
-fn layer_geometry(model: &ModelConfig) -> (u64, u64, u64) {
-    let image =
-        ModelImage::build_tiered(model, AccelConfig::kv260().format, TIER_CTX + TIER_TOKENS)
-            .expect("13B-shape image fits a virtual map");
-    let max = (0..model.n_layers)
-        .map(|l| image.layer_weight_bytes(l))
-        .max()
-        .expect("model has layers");
-    let total = (0..model.n_layers)
-        .map(|l| image.layer_weight_bytes(l))
-        .sum();
-    (max, total, image.non_layer_resident_bytes())
-}
-
-/// One tiered decode run (`TIER_TOKENS` tokens at `TIER_CTX`); returns
-/// the engine snapshot, steady-state tok/s, total tier stall and the
-/// physical DDR footprint.
-fn tiered_run(model: &ModelConfig, tier: TierConfig) -> (Snapshot, f64, f64, u64) {
-    let mut engine =
-        DecodeEngine::new_tiered(AccelConfig::kv260(), model, TIER_CTX + TIER_TOKENS, tier)
-            .expect("tiered build fits a virtual map");
-    let mut tps = 0.0;
-    for _ in 0..TIER_TOKENS {
-        tps = engine.decode_token(TIER_CTX).tokens_per_s;
-    }
-    let stall_ns = engine.tier_report().expect("tiered engine").stall_ns;
-    let physical = engine.tier_physical_bytes().expect("tiered engine");
-    (engine.metrics_snapshot(), tps, stall_ns, physical)
-}
-
-/// Runs the five tiered configurations: 13B all-resident reference, 13B
-/// covering budget, 7B thrash budget under both policies, and 13B on
-/// the layer budget a 4 GiB board leaves.
-fn tiered_scenario() -> TieredOutcome {
-    let m7 = ModelConfig::llama2_7b();
-    let m13 = ModelConfig::llama2_13b();
-    let (max13, total13, non_layer13) = layer_geometry(&m13);
-    let (max7, _, _) = layer_geometry(&m7);
-
-    let (_, allres_tps, _, _) = tiered_run(
-        &m13,
-        TierConfig::schedule_aware(FlashConfig::nvme_gen3(), total13),
-    );
-    // One layer short of all-resident: the minimum possible streaming
-    // (two layers per token under the pin/stream plan), which the NVMe
-    // link must fully hide behind decode.
-    let (_, cover_tps, cover_stall_ns, _) = tiered_run(
-        &m13,
-        TierConfig::schedule_aware(FlashConfig::nvme_gen3(), total13 - max13 / 2),
-    );
-    let thrash_budget = (TIER_THRASH_LAYERS * max7 as f64) as u64;
-    let (snap, aware_tps, _, _) = tiered_run(
-        &m7,
-        TierConfig::schedule_aware(FlashConfig::emmc_hs400(), thrash_budget),
-    );
-    let (_, blind_tps, _, _) = tiered_run(
-        &m7,
-        TierConfig::blind_lru(FlashConfig::emmc_hs400(), thrash_budget),
-    );
-    let (_, board_tps, _, board_physical_bytes) = tiered_run(
-        &m13,
-        TierConfig::schedule_aware(FlashConfig::nvme_gen3(), BOARD_BYTES - non_layer13),
-    );
-
-    TieredOutcome {
+    let r = server.run(&trace);
+    let snap = server.engine().metrics_snapshot();
+    let gb = simulated_gb(&snap);
+    let rejected = r.rejected_queue_full + r.rejected_infeasible;
+    Outcome {
         snap,
-        allres_tps,
-        cover_tps,
-        cover_loss: 1.0 - cover_tps / allres_tps,
-        cover_stall_ns,
-        aware_tps,
-        blind_tps,
-        uplift: aware_tps / blind_tps,
-        board_tps,
-        board_physical_bytes,
+        lines: vec![(
+            true,
+            format!(
+                "serve {SERVE_REQUESTS} requests at {SERVE_RATE} req/s: {:.2} tok/s aggregate, \
+                 {} completed / {} offered, {rejected} rejected, p95 token latency {:.1} ms",
+                r.tokens_per_s, r.completed, r.offered, r.token_p95_ms
+            ),
+        )],
+        host: vec![
+            ("simulated_gb", Host::Num(gb)),
+            ("tokens_per_s", Host::Num(r.tokens_per_s)),
+            ("completed", Host::Count(r.completed)),
+            ("rejected", Host::Count(rejected)),
+        ],
     }
 }
 
-/// Prices the speculative representative point twice — a TinyLlama-1.1B
-/// generation of [`SPEC_TOKENS`] committed tokens through verify
-/// windows at (α, K), then the same positions decoded sequentially on a
-/// fresh twin engine. Returns the speculative engine's snapshot (which
-/// includes the engine's own `spec.*` counters) and the tok/s uplift.
-fn spec_scenario_snapshot() -> (Snapshot, f64) {
-    let accel = spec_accel();
-    let model = ModelConfig::tiny_llama_1_1b();
-    let mut engine = DecodeEngine::new_batched(accel.clone(), &model, SPEC_CTX_CAPACITY, 1)
-        .expect("TinyLlama-1.1B fits the 4GB device");
-    let mut rng = StdRng::seed_from_u64(SPEC_SEED);
-    let draft = DraftCost::FlatNs {
-        ns_per_token: SPEC_DRAFT_NS,
-    };
-    let (mut ctx, mut committed) = (SPEC_START_CTX, 0usize);
-    let mut spec_wall_ns = 0.0f64;
-    while committed < SPEC_TOKENS {
-        let remaining = SPEC_TOKENS - committed;
-        let k_eff = SPEC_K.min(remaining - 1).min(SPEC_CTX_CAPACITY - 1 - ctx);
-        let mut accepted = 0;
-        for _ in 0..k_eff {
-            if rng.gen_bool(SPEC_ALPHA) {
-                accepted += 1;
-            } else {
-                break;
-            }
-        }
-        let w = SpecWindow {
-            slot: 0,
-            ctx,
-            drafted: k_eff,
-            accepted,
-        };
-        spec_wall_ns += engine.decode_speculative(&[w], &draft).wall_ns;
-        committed += accepted + 1;
-        ctx += accepted + 1;
+/// The paged point at its saturating rate: actual-growth charging must
+/// keep lifting concurrent users per board at the same DDR budget.
+fn paged_row() -> Outcome {
+    let trace = paged::trace(paged::RATE, paged::SEED);
+    let budget = paged::budget();
+    let (pg, mut snap) = paged::run(true, budget, &trace);
+    let (wc, _) = paged::run(false, budget, &trace);
+    let uplift = paged::users_uplift(&pg, &wc);
+    for (leaf, value) in [
+        ("worstcase_concurrent_peak", wc.concurrent_peak as u64),
+        ("worstcase_deadline_met", wc.deadline_met),
+    ] {
+        snap.counters
+            .insert(format!("paged.admission.{leaf}"), value);
     }
-    let mut base = DecodeEngine::new_batched(accel, &model, SPEC_CTX_CAPACITY, 1)
-        .expect("TinyLlama-1.1B fits the 4GB device");
-    let mut base_wall_ns = 0.0f64;
-    for c in SPEC_START_CTX..SPEC_START_CTX + SPEC_TOKENS {
-        base_wall_ns += base.decode_token(c).wall_ns;
+    snap.gauges
+        .insert("paged.admission.uplift".to_owned(), uplift);
+    Outcome {
+        snap,
+        lines: vec![(
+            uplift >= paged::MIN_UPLIFT,
+            format!(
+                "paged admission {uplift:.3}x the worst-case concurrent users ({} vs {}, >= \
+                 {:.1}x required), {} vs {} requests served",
+                pg.concurrent_peak,
+                wc.concurrent_peak,
+                paged::MIN_UPLIFT,
+                pg.deadline_met,
+                wc.deadline_met
+            ),
+        )],
+        host: vec![
+            ("concurrent_peak", Host::Count(pg.concurrent_peak as u64)),
+            (
+                "worstcase_concurrent_peak",
+                Host::Count(wc.concurrent_peak as u64),
+            ),
+            ("uplift", Host::Num(uplift)),
+        ],
     }
-    (engine.metrics_snapshot(), base_wall_ns / spec_wall_ns)
 }
 
-/// Prices the compression representative point three ways on the
-/// PL-overclocked KV260 (DDR4-2400): a plain engine, an engine with the
-/// all-identity compression stage — whose wall and metrics snapshot
-/// must match the plain engine byte for byte (the compression-off
-/// gate) — and an engine at the entropy-measured stream ratios. Returns
-/// the measured engine's snapshot (which includes its own `comp.*`
-/// counters) and the tok/s uplift.
-fn comp_scenario_snapshot() -> (Snapshot, f64) {
-    let accel = comp_accel();
-    let model = ModelConfig::tiny_llama_1_1b();
-    let run = |mut eng: DecodeEngine| {
-        let mut wall_ns = 0.0f64;
-        for c in COMP_START_CTX..COMP_START_CTX + COMP_TOKENS {
-            wall_ns += eng.decode_token(c).wall_ns;
-        }
-        (eng.metrics_snapshot(), wall_ns)
-    };
-    let (plain_snap, plain_wall) = run(DecodeEngine::new(accel.clone(), &model, COMP_CTX_CAPACITY)
-        .expect("TinyLlama-1.1B fits the 4GB device"));
-    let (identity_snap, identity_wall) = run(DecodeEngine::new_compressed(
-        accel.clone(),
-        &model,
-        COMP_CTX_CAPACITY,
-        CompressionConfig::identity(),
-    )
-    .expect("TinyLlama-1.1B fits the 4GB device"));
-    // The compression-off gate: an all-identity stage must be invisible
-    // — same wall time, same counters, same key set, byte for byte.
-    if identity_wall.to_bits() != plain_wall.to_bits()
-        || identity_snap.to_json() != plain_snap.to_json()
-    {
-        eprintln!(
-            "perf gate FAILED: the all-identity compression stage is not byte-invisible \
-             (wall {identity_wall} vs {plain_wall})"
-        );
-        std::process::exit(1);
-    }
-    let m = measured_stream_ratios(COMP_SEED);
-    let cfg = CompressionConfig::with_ratios(
-        StreamRatio::from_ratio(m.weight.achievable_ratio),
-        StreamRatio::from_ratio(m.kv.achievable_ratio),
-        StreamRatio::from_ratio(m.activation.achievable_ratio),
+/// Five tiered runs: 13B all-resident, covering and 4 GiB-board budgets
+/// on NVMe, and the 7B thrash budget on eMMC under both policies. The
+/// thrash-budget schedule-aware engine (the richest tier and flash
+/// counter set) is the one merged under `tiered.`.
+fn tiered_row() -> Outcome {
+    let accel = AccelConfig::kv260();
+    let (m7, m13) = (ModelConfig::llama2_7b(), ModelConfig::llama2_13b());
+    let g13 = tiered::Geometry::of(&accel, &m13);
+    let nvme = |label| TierConfig::schedule_aware(FlashConfig::nvme_gen3(), g13.budget(label));
+    let allres = tiered::run(&accel, &m13, nvme("all"));
+    let cover = tiered::run(&accel, &m13, nvme("cover"));
+    let board = tiered::run(&accel, &m13, nvme("board4g"));
+    let thrash = tiered::Geometry::of(&accel, &m7).budget("thrash");
+    let emmc = FlashConfig::emmc_hs400;
+    let aware = tiered::run(&accel, &m7, TierConfig::schedule_aware(emmc(), thrash));
+    let blind = tiered::run(&accel, &m7, TierConfig::blind_lru(emmc(), thrash));
+    let cover_loss = 1.0 - cover.tokens_per_s / allres.tokens_per_s;
+    let uplift = aware.tokens_per_s / blind.tokens_per_s;
+
+    let mut snap = aware.snap;
+    snap.counters.insert(
+        "tiered.board4g.physical_bytes".to_owned(),
+        board.physical_bytes,
     );
-    let (comp_snap, comp_wall) =
-        run(
-            DecodeEngine::new_compressed(accel, &model, COMP_CTX_CAPACITY, cfg)
-                .expect("TinyLlama-1.1B fits the 4GB device"),
-        );
-    (comp_snap, plain_wall / comp_wall)
+    for (key, value) in [
+        ("allres.tokens_per_s", allres.tokens_per_s),
+        ("cover.tokens_per_s", cover.tokens_per_s),
+        ("cover.loss", cover_loss),
+        ("thrash.aware.tokens_per_s", aware.tokens_per_s),
+        ("thrash.blind.tokens_per_s", blind.tokens_per_s),
+        ("thrash.uplift", uplift),
+        ("board4g.tokens_per_s", board.tokens_per_s),
+    ] {
+        snap.gauges.insert(format!("tiered.{key}"), value);
+    }
+    Outcome {
+        snap,
+        lines: vec![
+            (
+                cover_loss <= MAX_COVER_LOSS,
+                format!(
+                    "13B covering budget loses {:.2}% tok/s vs all-resident ({:.3} vs {:.3}, \
+                     ≤ {:.0}% allowed), stall {:.1} ms",
+                    cover_loss * 100.0,
+                    cover.tokens_per_s,
+                    allres.tokens_per_s,
+                    MAX_COVER_LOSS * 100.0,
+                    cover.report.stall_ns / 1e6
+                ),
+            ),
+            (
+                uplift >= tiered::MIN_UPLIFT,
+                format!(
+                    "7B thrash budget: schedule-aware prefetch {uplift:.3}x blind LRU ({:.3} vs \
+                     {:.3} tok/s, ≥ {:.1}x required)",
+                    aware.tokens_per_s,
+                    blind.tokens_per_s,
+                    tiered::MIN_UPLIFT
+                ),
+            ),
+            (
+                board.physical_bytes <= BOARD_BYTES && board.tokens_per_s > 0.0,
+                format!(
+                    "13B on a 4 GiB board: {} physical bytes (≤ {BOARD_BYTES} allowed) at \
+                     {:.3} tok/s",
+                    board.physical_bytes, board.tokens_per_s
+                ),
+            ),
+        ],
+        host: vec![
+            ("cover_loss", Host::Num(cover_loss)),
+            ("thrash_uplift", Host::Num(uplift)),
+            ("board4g_tokens_per_s", Host::Num(board.tokens_per_s)),
+        ],
+    }
+}
+
+/// The speculative point: one weight stream amortized across the
+/// accepted prefix must keep multiplying bandwidth-bound tok/s.
+fn spec_row() -> Outcome {
+    let run = spec::run(&spec_accel(), spec::ALPHA, spec::K, spec::SEED);
+    let uplift = run.uplift();
+    let mut snap = run.snap;
+    snap.gauges.insert("spec.uplift".to_owned(), uplift);
+    Outcome {
+        snap,
+        lines: vec![(
+            uplift >= spec::MIN_UPLIFT,
+            format!(
+                "speculative decode {uplift:.3}x sequential tok/s at alpha = {}, K = {} (>= \
+                 {:.1}x required)",
+                spec::ALPHA,
+                spec::K,
+                spec::MIN_UPLIFT
+            ),
+        )],
+        host: vec![("uplift", Host::Num(uplift))],
+    }
+}
+
+/// The compression point: bursts crossing the bus at compressed size
+/// must keep multiplying bandwidth-bound tok/s, and an all-identity
+/// stage must be invisible.
+fn comp_row() -> Outcome {
+    let accel = comp_accel();
+    let plain = comp::plain(&accel);
+    let identity = comp::compressed(&accel, (1.0, 1.0, 1.0));
+    let ratios = comp::achievable(&measured_stream_ratios(comp::SEED));
+    let measured = comp::compressed(&accel, ratios);
+    let uplift = measured.uplift_over(&plain);
+    let invisible = identity.is_invisible_against(&plain);
+    let mut snap = measured.snap;
+    snap.gauges.insert("comp.uplift".to_owned(), uplift);
+    Outcome {
+        snap,
+        lines: vec![
+            (
+                invisible,
+                format!(
+                    "all-identity compression stage {} the plain engine (wall {} vs {} ns; \
+                     byte-invisibility required)",
+                    if invisible { "matches" } else { "differs from" },
+                    identity.wall_ns,
+                    plain.wall_ns
+                ),
+            ),
+            (
+                uplift >= comp::MIN_UPLIFT,
+                format!(
+                    "compressed decode {uplift:.3}x plain tok/s (>= {:.1}x required)",
+                    comp::MIN_UPLIFT
+                ),
+            ),
+        ],
+        host: vec![("uplift", Host::Num(uplift))],
+    }
 }
 
 fn fmt_value(kind: MetricKind, v: Option<f64>) -> String {
@@ -514,14 +463,14 @@ fn main() {
     let bless = args.iter().any(|a| a == "--bless");
     let print = args.iter().any(|a| a == "--print");
     if args.iter().any(|a| a == "--list") {
-        for s in SCENARIOS {
-            println!("{s}");
+        for Scenario(name, ..) in &SCENARIOS {
+            println!("{name}");
         }
         return;
     }
     let only = cli_value_arg("perf_gate", &args, "--only");
     if let Some(o) = &only {
-        if !SCENARIOS.contains(&o.as_str()) {
+        if !SCENARIOS.iter().any(|s| s.0 == o) {
             eprintln!("perf gate: unknown scenario {o:?}; --list prints the choices");
             std::process::exit(2);
         }
@@ -530,7 +479,6 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let selected = |name: &str| only.as_deref().is_none_or(|o| o == name);
     let host_metrics_path = cli_value_arg("perf gate", &args, "--host-metrics-json");
     if host_metrics_path.is_some() && only.is_some() {
         eprintln!("perf gate: --host-metrics-json needs the full run; drop --only");
@@ -538,425 +486,48 @@ fn main() {
     }
 
     let mut current = Snapshot::default();
-
-    let mut single_host: Option<(f64, f64)> = None;
-    if selected("single") {
-        eprintln!("perf gate: pricing LLaMA2-7B decode at ctx {CONTEXTS:?} (deterministic)...");
-        let host_start = std::time::Instant::now();
-        current = scenario_snapshot();
-        let host_seconds = host_start.elapsed().as_secs_f64();
-        let simulated_gb = current.counter("decode.bytes").unwrap_or(0) as f64 / 1e9;
-        let gb_per_host_s = simulated_gb / host_seconds.max(1e-9);
-        // Host-side throughput: how fast the simulator itself ran.
-        // Reported on stderr (the gated snapshot stays deterministic
-        // and `--print` stdout stays pure JSON) so CI logs track the
-        // speedup PR-over-PR.
-        eprintln!(
-            "perf gate host: {host_seconds:.3} s wall, {simulated_gb:.2} GB simulated, \
-             {gb_per_host_s:.2} simulated-GB/host-s"
-        );
-        single_host = Some((host_seconds, simulated_gb));
-    }
-
-    let mut batch_stats: Option<(f64, f64, f64)> = None;
-    if selected("batch4") {
-        eprintln!(
-            "perf gate: pricing LLaMA2-7B batch-of-{BATCH} decode at ctx {BATCH_CONTEXTS:?} \
-             (deterministic)..."
-        );
-        let batch_start = std::time::Instant::now();
-        let (batched, min_amortization) = batched_scenario_snapshot();
-        let batch_host_seconds = batch_start.elapsed().as_secs_f64();
-        let batch_simulated_gb = batched.counter("decode.bytes").unwrap_or(0) as f64 / 1e9;
-
-        // The amortization property is gated directly, not just as a baseline
-        // diff: > MIN_AMORTIZATION or the batched path has lost its purpose.
-        if min_amortization <= MIN_AMORTIZATION {
-            eprintln!(
-                "perf gate FAILED: B = {BATCH} weight-stream amortization {min_amortization:.3}x \
-                 is not above {MIN_AMORTIZATION:.1}x"
-            );
+    // Host wall-clock figures: reported on stderr and in
+    // `--host-metrics-json`, never in the gated (deterministic)
+    // snapshot, so `--print` stdout stays pure JSON.
+    let mut host_fields: Vec<(String, String)> = Vec::new();
+    for &Scenario(name, host_prefix, run) in &SCENARIOS {
+        if only.as_deref().is_some_and(|o| o != name) {
+            continue;
+        }
+        eprintln!("perf gate: {name} (deterministic)...");
+        let start = std::time::Instant::now();
+        let out = run();
+        let wall_s = start.elapsed().as_secs_f64();
+        for (held, line) in &out.lines {
+            let verdict = if *held { "" } else { " FAILED" };
+            eprintln!("perf gate{verdict}: {line}");
+        }
+        if out.lines.iter().any(|(held, _)| !held) {
             std::process::exit(1);
         }
-        eprintln!(
-            "perf gate: B = {BATCH} weight-stream amortization {min_amortization:.3}x (> \
-             {MIN_AMORTIZATION:.1}x required)"
-        );
-        eprintln!(
-            "perf gate host (batch): {batch_host_seconds:.3} s wall, {batch_simulated_gb:.2} GB \
-             simulated"
-        );
-
-        // Merge the batched scenario under a `batch4.` prefix: the
-        // single-sequence key set stays byte-identical to pre-batching
-        // baselines, so any change to B = 1 pricing still diffs exactly.
-        for (k, v) in &batched.counters {
-            current.counters.insert(format!("batch{BATCH}.{k}"), *v);
+        let host: Vec<(String, String)> = std::iter::once(("wall_seconds", format!("{wall_s:.6}")))
+            .chain(out.host.iter().map(|(k, v)| (*k, v.render(wall_s))))
+            .map(|(k, v)| (format!("{host_prefix}{k}"), v))
+            .collect();
+        let line: Vec<String> = host.iter().map(|(k, v)| format!("{k} {v}")).collect();
+        eprintln!("perf gate host ({name}): {}", line.join(", "));
+        host_fields.extend(host);
+        for (k, v) in out.snap.counters {
+            current.counters.insert(merged_key(name, &k), v);
         }
-        for (k, v) in &batched.gauges {
-            current.gauges.insert(format!("batch{BATCH}.{k}"), *v);
+        for (k, v) in out.snap.gauges {
+            current.gauges.insert(merged_key(name, &k), v);
         }
-        batch_stats = Some((batch_host_seconds, batch_simulated_gb, min_amortization));
     }
 
-    let mut serve_stats: Option<(f64, f64, ServeReport)> = None;
-    if selected("serve") {
-        eprintln!(
-            "perf gate: serving a {SERVE_REQUESTS}-request bursty trace at {SERVE_RATE} req/s \
-             (TinyLlama-1.1B, continuous batching, deterministic)..."
-        );
-        let serve_start = std::time::Instant::now();
-        let (serve_snap, serve_report) = serve_scenario_snapshot();
-        let serve_host_seconds = serve_start.elapsed().as_secs_f64();
-        let serve_simulated_gb = serve_snap.counter("decode.bytes").unwrap_or(0) as f64 / 1e9;
-        eprintln!(
-            "perf gate: serve scenario {:.2} tok/s aggregate, {} completed / {} offered, \
-             {} rejected, p95 token latency {:.1} ms",
-            serve_report.tokens_per_s,
-            serve_report.completed,
-            serve_report.offered,
-            serve_report.rejected_queue_full + serve_report.rejected_infeasible,
-            serve_report.token_p95_ms
-        );
-
-        // Merge the serving scenario under `serve.`. Its registry already
-        // namespaces the server's own metrics as `serve.*`, so those keep
-        // their names while the underlying engine metrics become
-        // `serve.decode.*`, `serve.ddr.*`, ... — every byte of the trace
-        // replay is pinned alongside the request-level rates.
-        let serve_key = |k: &str| {
-            if k.starts_with("serve.") {
-                k.to_owned()
-            } else {
-                format!("serve.{k}")
-            }
-        };
-        for (k, v) in &serve_snap.counters {
-            current.counters.insert(serve_key(k), *v);
-        }
-        for (k, v) in &serve_snap.gauges {
-            current.gauges.insert(serve_key(k), *v);
-        }
-        serve_stats = Some((serve_host_seconds, serve_simulated_gb, serve_report));
-    }
-
-    let mut paged_stats: Option<(f64, f64, ServeReport, ServeReport)> = None;
-    if selected("paged") {
-        eprintln!(
-            "perf gate: paged-KV scenario — {PAGED_REQUESTS} decode-heavy requests at \
-             {PAGED_RATE} req/s against a {PAGED_WORST_CASE_SEQS}-worst-case-sequence budget, \
-             paged vs worst-case admission (deterministic)..."
-        );
-        let paged_start = std::time::Instant::now();
-        let (paged_snap, paged_report, paged_wc_report) = paged_scenario_snapshot();
-        let paged_host_seconds = paged_start.elapsed().as_secs_f64();
-        let paged_uplift =
-            paged_report.concurrent_peak as f64 / (paged_wc_report.concurrent_peak.max(1)) as f64;
-        // The tentpole property is gated directly, not just as a baseline
-        // diff: actual-growth charging must keep lifting concurrent users
-        // per board at the same DDR budget.
-        if paged_uplift < MIN_PAGED_UPLIFT {
-            eprintln!(
-                "perf gate FAILED: paged admission sustained {paged_uplift:.3}x the worst-case \
-                 concurrent users ({} vs {}), below the required {MIN_PAGED_UPLIFT:.1}x",
-                paged_report.concurrent_peak, paged_wc_report.concurrent_peak
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "perf gate: paged admission {paged_uplift:.3}x concurrent users \
-             ({} vs {}, >= {MIN_PAGED_UPLIFT:.1}x required), {} vs {} requests served",
-            paged_report.concurrent_peak,
-            paged_wc_report.concurrent_peak,
-            paged_report.deadline_met,
-            paged_wc_report.deadline_met
-        );
-
-        // Merge the paged scenario under `paged.`. The paged server's own
-        // `serve.paged.*` keys (preemptions, concurrency) flatten to
-        // `paged.*`, its request-level `serve.*` keys become
-        // `paged.serve.*`, and the engine metrics become `paged.decode.*`,
-        // `paged.ddr.*`, ... — including the page-table metadata bursts
-        // that only exist in paged mode.
-        let paged_key = |k: &str| {
-            if let Some(rest) = k.strip_prefix("serve.paged.") {
-                format!("paged.{rest}")
-            } else {
-                format!("paged.{k}")
-            }
-        };
-        for (k, v) in &paged_snap.counters {
-            current.counters.insert(paged_key(k), *v);
-        }
-        for (k, v) in &paged_snap.gauges {
-            current.gauges.insert(paged_key(k), *v);
-        }
-        // The cross-run admission comparison, pinned explicitly: the
-        // worst-case twin's concurrency and served work next to the paged
-        // run's, plus the uplift the gate above enforces.
-        current.counters.insert(
-            "paged.admission.worstcase_concurrent_peak".to_owned(),
-            paged_wc_report.concurrent_peak as u64,
-        );
-        current.counters.insert(
-            "paged.admission.worstcase_deadline_met".to_owned(),
-            paged_wc_report.deadline_met,
-        );
-        current
-            .gauges
-            .insert("paged.admission.uplift".to_owned(), paged_uplift);
-        paged_stats = Some((
-            paged_host_seconds,
-            paged_uplift,
-            paged_report,
-            paged_wc_report,
-        ));
-    }
-
-    let mut tiered_stats: Option<(f64, TieredOutcome)> = None;
-    if selected("tiered") {
-        eprintln!(
-            "perf gate: tiered-weight scenario — 13B-shape covering + 4 GiB-board budgets \
-             (NVMe) and 7B thrash budget (eMMC), schedule-aware vs blind LRU \
-             (deterministic)..."
-        );
-        let tiered_start = std::time::Instant::now();
-        let outcome = tiered_scenario();
-        let tiered_host_seconds = tiered_start.elapsed().as_secs_f64();
-
-        // The tentpole properties are gated directly, not just as
-        // baseline diffs. First: at a covering budget the prefetcher
-        // must hide the (minimum possible) streaming behind decode.
-        if outcome.cover_loss > MAX_COVER_LOSS {
-            eprintln!(
-                "perf gate FAILED: covering-budget 13B decode lost {:.2}% tok/s vs \
-                 all-resident ({:.3} vs {:.3}), above the allowed {:.0}%",
-                outcome.cover_loss * 100.0,
-                outcome.cover_tps,
-                outcome.allres_tps,
-                MAX_COVER_LOSS * 100.0
-            );
-            std::process::exit(1);
-        }
-        // Second: at the thrash budget the schedule-aware plan must
-        // beat the blind strawman by the claimed factor.
-        if outcome.uplift < MIN_TIERED_UPLIFT {
-            eprintln!(
-                "perf gate FAILED: schedule-aware prefetch sustained {:.3}x blind LRU at the \
-                 thrash budget ({:.3} vs {:.3} tok/s), below the required {MIN_TIERED_UPLIFT:.1}x",
-                outcome.uplift, outcome.aware_tps, outcome.blind_tps
-            );
-            std::process::exit(1);
-        }
-        // Third: the 13B shape must actually decode within a real
-        // 4 GiB board's DDR.
-        if outcome.board_physical_bytes > BOARD_BYTES || outcome.board_tps <= 0.0 {
-            eprintln!(
-                "perf gate FAILED: 13B-shape tiered decode needs {} physical bytes \
-                 (board has {BOARD_BYTES}) at {:.3} tok/s",
-                outcome.board_physical_bytes, outcome.board_tps
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "perf gate: tiered covering loss {:.2}% (≤ {:.0}% required, stall {:.1} ms), \
-             thrash uplift {:.2}x ({:.3} vs {:.3} tok/s, ≥ {MIN_TIERED_UPLIFT:.1}x required), \
-             13B on 4 GiB board at {:.3} tok/s",
-            outcome.cover_loss * 100.0,
-            MAX_COVER_LOSS * 100.0,
-            outcome.cover_stall_ns / 1e6,
-            outcome.uplift,
-            outcome.aware_tps,
-            outcome.blind_tps,
-            outcome.board_tps
-        );
-
-        // Merge the thrash-budget schedule-aware engine under `tiered.`
-        // — the run with the richest tier/flash counter set — plus the
-        // cross-run rates the gates above enforce.
-        for (k, v) in &outcome.snap.counters {
-            current.counters.insert(format!("tiered.{k}"), *v);
-        }
-        for (k, v) in &outcome.snap.gauges {
-            current.gauges.insert(format!("tiered.{k}"), *v);
-        }
-        current.counters.insert(
-            "tiered.board4g.physical_bytes".to_owned(),
-            outcome.board_physical_bytes,
-        );
-        current
-            .gauges
-            .insert("tiered.allres.tokens_per_s".to_owned(), outcome.allres_tps);
-        current
-            .gauges
-            .insert("tiered.cover.tokens_per_s".to_owned(), outcome.cover_tps);
-        current
-            .gauges
-            .insert("tiered.cover.loss".to_owned(), outcome.cover_loss);
-        current.gauges.insert(
-            "tiered.thrash.aware.tokens_per_s".to_owned(),
-            outcome.aware_tps,
-        );
-        current.gauges.insert(
-            "tiered.thrash.blind.tokens_per_s".to_owned(),
-            outcome.blind_tps,
-        );
-        current
-            .gauges
-            .insert("tiered.thrash.uplift".to_owned(), outcome.uplift);
-        current
-            .gauges
-            .insert("tiered.board4g.tokens_per_s".to_owned(), outcome.board_tps);
-        tiered_stats = Some((tiered_host_seconds, outcome));
-    }
-
-    let mut spec_stats: Option<(f64, f64)> = None;
-    if selected("spec") {
-        eprintln!(
-            "perf gate: speculative scenario — {SPEC_TOKENS} committed tokens through verify \
-             windows at alpha = {SPEC_ALPHA}, K = {SPEC_K} on the lanes-widened KV260, vs the \
-             same positions decoded sequentially (deterministic)..."
-        );
-        let spec_start = std::time::Instant::now();
-        let (spec_snap, spec_uplift) = spec_scenario_snapshot();
-        let spec_host_seconds = spec_start.elapsed().as_secs_f64();
-        // The tentpole property is gated directly, not just as a
-        // baseline diff: one weight stream amortized across the
-        // accepted prefix must keep multiplying bandwidth-bound tok/s.
-        if spec_uplift < MIN_SPEC_UPLIFT {
-            eprintln!(
-                "perf gate FAILED: speculation sustained {spec_uplift:.3}x sequential decode at \
-                 alpha = {SPEC_ALPHA}, K = {SPEC_K}, below the required {MIN_SPEC_UPLIFT:.1}x"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "perf gate: speculative decode {spec_uplift:.3}x sequential tok/s \
-             (>= {MIN_SPEC_UPLIFT:.1}x required)"
-        );
-
-        // Merge the speculative scenario under `spec.`. The engine's own
-        // speculation counters are already namespaced `spec.*` and keep
-        // their names; the underlying engine metrics become
-        // `spec.decode.*`, `spec.ddr.*`, ... — including the rollback
-        // metadata bursts that only exist on speculative steps.
-        let spec_key = |k: &str| {
-            if k.starts_with("spec.") {
-                k.to_owned()
-            } else {
-                format!("spec.{k}")
-            }
-        };
-        for (k, v) in &spec_snap.counters {
-            current.counters.insert(spec_key(k), *v);
-        }
-        for (k, v) in &spec_snap.gauges {
-            current.gauges.insert(spec_key(k), *v);
-        }
-        // The cross-run uplift the gate above enforces, pinned
-        // explicitly.
-        current.gauges.insert("spec.uplift".to_owned(), spec_uplift);
-        spec_stats = Some((spec_host_seconds, spec_uplift));
-    }
-
-    let mut comp_stats: Option<(f64, f64)> = None;
-    if selected("comp") {
-        eprintln!(
-            "perf gate: compression scenario — {COMP_TOKENS} tokens through the inline DDR \
-             (de)compression stage at entropy-measured ratios on the PL-overclocked KV260, vs \
-             the plain twin, plus the all-identity byte-invisibility check (deterministic)..."
-        );
-        let comp_start = std::time::Instant::now();
-        let (comp_snap, comp_uplift) = comp_scenario_snapshot();
-        let comp_host_seconds = comp_start.elapsed().as_secs_f64();
-        // The tentpole property is gated directly, not just as a
-        // baseline diff: bursts crossing the bus at compressed size
-        // must keep multiplying bandwidth-bound tok/s.
-        if comp_uplift < MIN_COMP_UPLIFT {
-            eprintln!(
-                "perf gate FAILED: measured-ratio compression sustained {comp_uplift:.3}x the \
-                 plain engine's tok/s, below the required {MIN_COMP_UPLIFT:.1}x"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "perf gate: compressed decode {comp_uplift:.3}x plain tok/s \
-             (>= {MIN_COMP_UPLIFT:.1}x required)"
-        );
-
-        // Merge the compression scenario under `comp.`. The engine's
-        // own compression counters are already namespaced `comp.*` and
-        // keep their names; the underlying engine metrics become
-        // `comp.decode.*`, `comp.ddr.*`, ... — including the page-map
-        // metadata bursts that only exist with compression on.
-        let comp_key = |k: &str| {
-            if k.starts_with("comp.") {
-                k.to_owned()
-            } else {
-                format!("comp.{k}")
-            }
-        };
-        for (k, v) in &comp_snap.counters {
-            current.counters.insert(comp_key(k), *v);
-        }
-        for (k, v) in &comp_snap.gauges {
-            current.gauges.insert(comp_key(k), *v);
-        }
-        // The cross-run uplift the gate above enforces, pinned
-        // explicitly.
-        current.gauges.insert("comp.uplift".to_owned(), comp_uplift);
-        comp_stats = Some((comp_host_seconds, comp_uplift));
-    }
-
-    // Machine-readable host metrics for CI artifacts. These are wall-clock
-    // figures of the *host*, not part of the gated (deterministic) snapshot.
     // `--only` is refused above, so every scenario ran on this path.
     if let Some(path) = &host_metrics_path {
-        let (host_seconds, simulated_gb) = single_host.expect("single ran");
-        let gb_per_host_s = simulated_gb / host_seconds.max(1e-9);
-        let (batch_host_seconds, batch_simulated_gb, min_amortization) =
-            batch_stats.expect("batch4 ran");
-        let (serve_host_seconds, serve_simulated_gb, serve_report) =
-            serve_stats.as_ref().expect("serve ran");
-        let (paged_host_seconds, paged_uplift, paged_report, paged_wc_report) =
-            paged_stats.as_ref().expect("paged ran");
-        let (tiered_host_seconds, tiered) = tiered_stats.as_ref().expect("tiered ran");
-        let (spec_host_seconds, spec_uplift) = spec_stats.expect("spec ran");
-        let (comp_host_seconds, comp_uplift) = comp_stats.expect("comp ran");
-        let json = format!(
-            "{{\n  \"wall_seconds\": {host_seconds:.6},\n  \
-             \"simulated_gb\": {simulated_gb:.6},\n  \
-             \"simulated_gb_per_host_s\": {gb_per_host_s:.6},\n  \
-             \"batch_wall_seconds\": {batch_host_seconds:.6},\n  \
-             \"batch_simulated_gb\": {batch_simulated_gb:.6},\n  \
-             \"batch_weight_amortization\": {min_amortization:.6},\n  \
-             \"serve_wall_seconds\": {serve_host_seconds:.6},\n  \
-             \"serve_simulated_gb\": {serve_simulated_gb:.6},\n  \
-             \"serve_tokens_per_s\": {:.6},\n  \
-             \"serve_completed\": {},\n  \
-             \"serve_rejected\": {},\n  \
-             \"paged_wall_seconds\": {paged_host_seconds:.6},\n  \
-             \"paged_concurrent_peak\": {},\n  \
-             \"paged_worstcase_concurrent_peak\": {},\n  \
-             \"paged_uplift\": {paged_uplift:.6},\n  \
-             \"tiered_wall_seconds\": {tiered_host_seconds:.6},\n  \
-             \"tiered_cover_loss\": {:.6},\n  \
-             \"tiered_thrash_uplift\": {:.6},\n  \
-             \"tiered_board4g_tokens_per_s\": {:.6},\n  \
-             \"spec_wall_seconds\": {spec_host_seconds:.6},\n  \
-             \"spec_uplift\": {spec_uplift:.6},\n  \
-             \"comp_wall_seconds\": {comp_host_seconds:.6},\n  \
-             \"comp_uplift\": {comp_uplift:.6}\n}}\n",
-            serve_report.tokens_per_s,
-            serve_report.completed,
-            serve_report.rejected_queue_full + serve_report.rejected_infeasible,
-            paged_report.concurrent_peak,
-            paged_wc_report.concurrent_peak,
-            tiered.cover_loss,
-            tiered.uplift,
-            tiered.board_tps,
-        );
-        std::fs::write(path, json).expect("write host metrics JSON");
+        let fields: Vec<String> = host_fields
+            .iter()
+            .map(|(k, v)| format!("  \"{k}\": {v}"))
+            .collect();
+        std::fs::write(path, format!("{{\n{}\n}}\n", fields.join(",\n")))
+            .expect("write host metrics JSON");
         eprintln!("perf gate host: metrics written to {path}");
     }
 
@@ -965,7 +536,10 @@ fn main() {
         return;
     }
 
-    let path = baseline_path();
+    let path = PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../bench/baseline.json"
+    ));
     if bless {
         std::fs::write(&path, current.to_json()).expect("write baseline");
         eprintln!("perf gate: baseline re-blessed at {}", path.display());
@@ -1010,14 +584,8 @@ fn main() {
 
     // Exact match for counters (byte/cycle counts of a deterministic
     // simulation); ±2% for derived rates.
-    let is_gauge: std::collections::BTreeSet<&str> = baseline
-        .gauges
-        .keys()
-        .map(String::as_str)
-        .chain(current.gauges.keys().map(String::as_str))
-        .collect();
     let report = baseline.compare(&current, |name| {
-        if is_gauge.contains(name) {
+        if baseline.gauges.contains_key(name) || current.gauges.contains_key(name) {
             GAUGE_TOLERANCE
         } else {
             0.0

@@ -10,181 +10,75 @@
 //! Gen3 x2) so the link-speed sensitivity is visible on one part; the
 //! other parts stream from NVMe. The 13B parts add the `board4g`
 //! point — the budget left for layer weights after everything else
-//! claims its share of a real 4 GiB board — which is the configuration
-//! the `tiered.*` perf gates pin.
+//! claims its share of a real 4 GiB board.
+//!
+//! The budget points, the run and the steady-state accounting are
+//! [`zllm_bench::scenario::tiered`]'s, so five rows of this sweep are the
+//! points `perf_gate` gates under the `tiered.*` keys: 13B/DDR4-2400
+//! `all`, `cover` and `board4g` on NVMe (schedule-aware), and
+//! 7B/DDR4-2400 `thrash` on eMMC under both policies. The sweep is fully
+//! deterministic and takes no seed.
 //!
 //! ```text
 //! cargo run --release -p zllm-bench --bin tier_sweep
 //! cargo run --release -p zllm-bench --bin tier_sweep -- --json out.json
 //! ```
 
-use zllm_accel::{AccelConfig, DecodeEngine, TierConfig, TierReport};
-use zllm_bench::{cli_seed_arg, cli_value_arg, fmt_mib, json_report, print_table, JsonField};
+use zllm_accel::{AccelConfig, TierConfig};
+use zllm_bench::scenario::tiered::{self, Geometry};
+use zllm_bench::{cli_value_arg, fmt_mib, json_report, print_table, JsonField};
 use zllm_ddr::FlashConfig;
 use zllm_model::ModelConfig;
 
-/// Decode context every run prices at (tokens decoded at fixed ctx).
-const CTX: usize = 512;
-/// Tokens decoded per run; the cache starts warm, so the second token
-/// is cyclic steady state and is the one reported.
-const TOKENS: usize = 2;
-/// A real KV260 carries 4 GiB of DDR.
-const BOARD_BYTES: u64 = 4 << 30;
-
-struct Run {
+struct Row {
     part: &'static str,
     model: &'static str,
     flash: &'static str,
     budget: &'static str,
     policy: &'static str,
-    tokens_per_s: f64,
-    physical_bytes: u64,
-    /// Tier activity across the whole run (counters are cumulative).
-    report: TierReport,
-    /// Stall and staging time attributable to the steady-state token.
-    stall_ns: f64,
-    staging_ns: f64,
+    run: tiered::Run,
 }
 
-fn flash_preset(name: &str) -> FlashConfig {
-    match name {
-        "emmc" => FlashConfig::emmc_hs400(),
-        "nvme" => FlashConfig::nvme_gen3(),
-        other => unreachable!("unknown flash preset {other}"),
-    }
-}
+/// A flash preset by name.
+type Flash = (&'static str, fn() -> FlashConfig);
+const EMMC: Flash = ("emmc", FlashConfig::emmc_hs400);
+const NVME: Flash = ("nvme", FlashConfig::nvme_gen3);
 
-fn tier_config(policy: &str, flash: &str, budget_bytes: u64) -> TierConfig {
-    match policy {
-        "aware" => TierConfig::schedule_aware(flash_preset(flash), budget_bytes),
-        "blind" => TierConfig::blind_lru(flash_preset(flash), budget_bytes),
-        other => unreachable!("unknown policy {other}"),
-    }
-}
-
-/// Budget points swept on every part, as `(label, layer-multiples)`:
-/// the byte budget is `multiple × max layer bytes`. `all` holds every
-/// layer, `cover` exactly one short of that (the gate's "covering"
-/// budget — minimum possible streaming), `thrash` is deep into
-/// capacity pressure, `floor` barely holds one layer plus headroom.
-fn budget_points(n_layers: usize) -> Vec<(&'static str, f64)> {
-    vec![
-        ("all", n_layers as f64),
-        ("cover", n_layers as f64 - 0.5),
-        ("thrash", 3.4),
-        ("floor", 1.5),
-    ]
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_one(
-    accel: &AccelConfig,
-    model: &ModelConfig,
-    part: &'static str,
-    model_name: &'static str,
-    flash: &'static str,
-    budget: &'static str,
-    budget_bytes: u64,
-    policy: &'static str,
-) -> Run {
-    let tier = tier_config(policy, flash, budget_bytes);
-    let mut engine = DecodeEngine::new_tiered(accel.clone(), model, CTX + TOKENS, tier)
-        .expect("tiered build fits some virtual map");
-    let mut warm = None;
-    let mut last = None;
-    for t in 0..TOKENS {
-        let report = engine.decode_token(CTX);
-        if t + 1 == TOKENS {
-            last = Some(report);
-        } else {
-            warm = Some(engine.tier_report().expect("tiered engine"));
-        }
-    }
-    let last = last.expect("at least one token");
-    let report = engine.tier_report().expect("tiered engine");
-    let (stall_ns, staging_ns) = match &warm {
-        Some(w) => (
-            report.stall_ns - w.stall_ns,
-            report.staging_ddr_ns - w.staging_ddr_ns,
-        ),
-        None => (report.stall_ns, report.staging_ddr_ns),
-    };
-    Run {
-        part,
-        model: model_name,
-        flash,
-        budget,
-        policy,
-        tokens_per_s: last.tokens_per_s,
-        physical_bytes: engine.tier_physical_bytes().expect("tiered engine"),
-        report,
-        stall_ns,
-        staging_ns,
-    }
-}
+/// A prefetch policy by name.
+type Policy = (&'static str, fn(FlashConfig, u64) -> TierConfig);
+/// The schedule-aware pin/stream planner and the blind LRU strawman.
+const POLICIES: [Policy; 2] = [
+    ("aware", TierConfig::schedule_aware),
+    ("blind", TierConfig::blind_lru),
+];
 
 fn sweep(
     part: &'static str,
     model_name: &'static str,
     model: &ModelConfig,
     accel: &AccelConfig,
-    flashes: &[&'static str],
-    runs: &mut Vec<Run>,
+    flashes: &[Flash],
+    runs: &mut Vec<Row>,
 ) {
-    // Layer geometry comes from a throwaway all-resident build.
-    let probe = DecodeEngine::new_tiered(
-        accel.clone(),
-        model,
-        CTX + TOKENS,
-        TierConfig::schedule_aware(FlashConfig::nvme_gen3(), u64::MAX / 2),
-    )
-    .expect("probe build");
-    let n_layers = model.n_layers;
-    let layer_bytes: u64 = (0..n_layers)
-        .map(|l| probe.image().layer_weight_bytes(l))
-        .max()
-        .expect("model has layers");
-    let total_layer_bytes: u64 = (0..n_layers)
-        .map(|l| probe.image().layer_weight_bytes(l))
-        .sum();
-    let non_layer = probe.image().non_layer_resident_bytes();
-    drop(probe);
-
+    let geometry = Geometry::of(accel, model);
     println!(
-        "{part} — {n_layers} layers × {}, non-layer residency {}\n",
-        fmt_mib(layer_bytes as f64),
-        fmt_mib(non_layer as f64),
+        "{part} — {} layers × {}, non-layer residency {}\n",
+        geometry.n_layers,
+        fmt_mib(geometry.layer_bytes as f64),
+        fmt_mib(geometry.non_layer_bytes as f64),
     );
     let mut rows = Vec::new();
-    let mut points: Vec<(&'static str, u64)> = budget_points(n_layers)
-        .into_iter()
-        .map(|(label, mult)| (label, (mult * layer_bytes as f64) as u64))
-        .collect();
-    // The 13B shapes stream because the board is small: add the budget
-    // a 4 GiB board actually leaves for layer weights.
-    if non_layer + total_layer_bytes > BOARD_BYTES {
-        points.push(("board4g", BOARD_BYTES - non_layer));
-    }
-    for (label, budget_bytes) in points {
+    for (label, budget_bytes) in geometry.budgets() {
         // The full budget fetches nothing, so the flash preset cannot
         // matter; sweep presets only where there is flash traffic.
-        let flashes: &[&'static str] = if label == "all" {
+        let flashes = if label == "all" {
             &flashes[..1]
         } else {
             flashes
         };
-        for &flash in flashes {
-            for policy in ["aware", "blind"] {
-                let run = run_one(
-                    accel,
-                    model,
-                    part,
-                    model_name,
-                    flash,
-                    label,
-                    budget_bytes,
-                    policy,
-                );
+        for &(flash, preset) in flashes {
+            for (policy, tier) in POLICIES {
+                let run = tiered::run(accel, model, tier(preset(), budget_bytes));
                 let r = &run.report;
                 rows.push(vec![
                     label.to_string(),
@@ -199,7 +93,14 @@ fn sweep(
                     format!("{}", r.prefetch_wasted),
                     fmt_mib(run.physical_bytes as f64),
                 ]);
-                runs.push(run);
+                runs.push(Row {
+                    part,
+                    model: model_name,
+                    flash,
+                    budget: label,
+                    policy,
+                    run,
+                });
             }
         }
     }
@@ -213,18 +114,18 @@ fn sweep(
     println!();
 }
 
-fn to_json(runs: &[Run]) -> String {
+fn to_json(runs: &[Row]) -> String {
     use JsonField::{Fixed3, Fixed6, Str, UInt};
     let rows: Vec<Vec<(&str, JsonField)>> = runs
         .iter()
-        .map(|run| {
-            let r = &run.report;
+        .map(|row| {
+            let (run, r) = (&row.run, &row.run.report);
             vec![
-                ("part", Str(run.part.to_string())),
-                ("model", Str(run.model.to_string())),
-                ("flash", Str(run.flash.to_string())),
-                ("budget", Str(run.budget.to_string())),
-                ("policy", Str(run.policy.to_string())),
+                ("part", Str(row.part.to_string())),
+                ("model", Str(row.model.to_string())),
+                ("flash", Str(row.flash.to_string())),
+                ("budget", Str(row.budget.to_string())),
+                ("policy", Str(row.policy.to_string())),
                 ("budget_bytes", UInt(r.budget_bytes)),
                 ("capacity_layers", UInt(r.capacity_layers as u64)),
                 ("physical_bytes", UInt(run.physical_bytes)),
@@ -248,51 +149,22 @@ fn to_json(runs: &[Run]) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json_path = cli_value_arg("tier_sweep", &args, "--json");
-    // Every sim bin takes the shared `--seed` flag so harness scripts
-    // can pass it uniformly; this sweep replays no stochastic trace —
-    // it is fully deterministic — so the value is validated (malformed
-    // input still exits 2 like everywhere else) but drives nothing.
-    let _seed = cli_seed_arg("tier_sweep", &args, 0);
 
     let ddr4 = AccelConfig::kv260();
     let mut lpddr5 = AccelConfig::kv260();
     lpddr5.ddr = zllm_ddr::DdrConfig::lpddr5_6400_embedded();
 
+    let (m7, m13) = (ModelConfig::llama2_7b(), ModelConfig::llama2_13b());
+    let parts: [(_, _, _, _, &[Flash]); 4] = [
+        ("7b-ddr4-2400", "llama2-7b", &m7, &ddr4, &[EMMC, NVME]),
+        ("7b-lpddr5-6400", "llama2-7b", &m7, &lpddr5, &[NVME]),
+        ("13b-ddr4-2400", "llama2-13b", &m13, &ddr4, &[NVME]),
+        ("13b-lpddr5-6400", "llama2-13b", &m13, &lpddr5, &[NVME]),
+    ];
     let mut runs = Vec::new();
-    let m7 = ModelConfig::llama2_7b();
-    let m13 = ModelConfig::llama2_13b();
-    sweep(
-        "7b-ddr4-2400",
-        "llama2-7b",
-        &m7,
-        &ddr4,
-        &["emmc", "nvme"],
-        &mut runs,
-    );
-    sweep(
-        "7b-lpddr5-6400",
-        "llama2-7b",
-        &m7,
-        &lpddr5,
-        &["nvme"],
-        &mut runs,
-    );
-    sweep(
-        "13b-ddr4-2400",
-        "llama2-13b",
-        &m13,
-        &ddr4,
-        &["nvme"],
-        &mut runs,
-    );
-    sweep(
-        "13b-lpddr5-6400",
-        "llama2-13b",
-        &m13,
-        &lpddr5,
-        &["nvme"],
-        &mut runs,
-    );
+    for (part, model_name, model, accel, flashes) in parts {
+        sweep(part, model_name, model, accel, flashes, &mut runs);
+    }
 
     if let Some(path) = &json_path {
         std::fs::write(path, to_json(&runs)).expect("write tier_sweep JSON");

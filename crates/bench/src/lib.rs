@@ -7,6 +7,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod scenario;
+
 /// Prints an aligned text table.
 ///
 /// # Panics
@@ -98,8 +100,8 @@ pub fn cli_value_arg(bin: &str, args: &[String], flag: &str) -> Option<String> {
 }
 
 /// Parses `--seed <n>` (falling back to `default`), exiting with status
-/// 2 on a malformed value. Every sim bin takes a seed so a CI failure
-/// can be replayed locally on the exact same trace.
+/// 2 on a malformed value. Every sim bin with a seeded input takes a
+/// seed so a CI failure can be replayed locally on the exact same trace.
 pub fn cli_seed_arg(bin: &str, args: &[String], default: u64) -> u64 {
     match cli_value_arg(bin, args, "--seed") {
         Some(v) => v.parse().unwrap_or_else(|_| {
@@ -113,7 +115,7 @@ pub fn cli_seed_arg(bin: &str, args: &[String], default: u64) -> u64 {
 /// Asserts a string needs no JSON escaping and passes it through. All
 /// strings the sim bins emit are static identifiers; a quote or
 /// backslash sneaking in is a bug, not data.
-pub fn json_escape_free(s: &str) -> &str {
+fn json_escape_free(s: &str) -> &str {
     assert!(!s.contains('"') && !s.contains('\\'));
     s
 }
@@ -124,8 +126,7 @@ pub fn json_escape_free(s: &str) -> &str {
 /// used, so jq pipelines (and the CI job summaries built on them) keep
 /// parsing byte-identical output:
 ///
-/// * [`JsonField::Str`] — quoted, asserted escape-free
-///   ([`json_escape_free`]);
+/// * [`JsonField::Str`] — quoted, asserted to need no escaping;
 /// * [`JsonField::UInt`] — integers as-is;
 /// * [`JsonField::Num`] — shortest-`Display` floats (offered rates:
 ///   `10`, `0.5`);

@@ -83,19 +83,9 @@ impl AccelConfig {
         }
     }
 
-    /// PL cycles per second.
-    pub fn cycles_per_second(&self) -> f64 {
-        self.freq_mhz * 1e6
-    }
-
     /// Converts PL cycles to nanoseconds.
     pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
         cycles as f64 * 1e3 / self.freq_mhz
-    }
-
-    /// Peak bytes the PL can absorb per second (the merged stream).
-    pub fn pl_peak_bytes_per_s(&self) -> f64 {
-        self.axi.bandwidth_gbps() * 1e9
     }
 
     /// PL cycles needed per 512-bit read beat whose codes multiply
@@ -134,8 +124,6 @@ mod tests {
     fn clock_conversions() {
         let cfg = AccelConfig::kv260();
         assert!((cfg.cycles_to_ns(300) - 1000.0).abs() < 1e-9);
-        assert_eq!(cfg.cycles_per_second(), 3e8);
-        assert_eq!(cfg.pl_peak_bytes_per_s(), 19.2e9);
     }
 
     #[test]

@@ -547,11 +547,6 @@ impl DecodeEngine {
         &self.image
     }
 
-    /// Sequences this engine's image provisions KV space for.
-    pub fn max_batch(&self) -> usize {
-        self.image.batch()
-    }
-
     /// The model configuration.
     pub fn model(&self) -> &ModelConfig {
         &self.model

@@ -57,45 +57,6 @@ impl BurstDescriptor {
     }
 }
 
-/// Coalesces adjacent same-direction bursts into maximal contiguous bursts,
-/// optionally capping the burst length (AXI caps bursts at 256 data beats;
-/// at 128-bit port width a 512-bit beat is 4 port beats, so the cap is 64).
-///
-/// The input order is preserved: only *consecutive* descriptors that extend
-/// each other are merged, because the MCU issues commands in stream order.
-pub fn coalesce(bursts: &[BurstDescriptor], max_beats: u32) -> Vec<BurstDescriptor> {
-    assert!(max_beats > 0, "max_beats must be non-zero");
-    let mut out: Vec<BurstDescriptor> = Vec::new();
-    for &b in bursts {
-        if b.beats == 0 {
-            continue;
-        }
-        if let Some(last) = out.last_mut() {
-            if last.write == b.write
-                && last.end_addr() == b.addr
-                && last.beats + b.beats <= max_beats
-            {
-                last.beats += b.beats;
-                continue;
-            }
-        }
-        // Split descriptors that individually exceed the cap.
-        let mut addr = b.addr;
-        let mut remaining = b.beats;
-        while remaining > 0 {
-            let take = remaining.min(max_beats);
-            out.push(BurstDescriptor {
-                addr,
-                beats: take,
-                write: b.write,
-            });
-            addr += take as u64 * crate::BEAT_BYTES as u64;
-            remaining -= take;
-        }
-    }
-    out
-}
-
 /// Total bytes moved by a stream of bursts.
 pub fn total_bytes(bursts: &[BurstDescriptor]) -> u64 {
     bursts.iter().map(BurstDescriptor::bytes).sum()
@@ -119,47 +80,6 @@ mod tests {
         let b = BurstDescriptor::new(0, 4);
         assert_eq!(b.bytes(), 256);
         assert_eq!(total_bytes(&[b, BurstDescriptor::write(0x100, 1)]), 320);
-    }
-
-    #[test]
-    fn coalesce_merges_adjacent() {
-        let bursts = [
-            BurstDescriptor::new(0, 2),
-            BurstDescriptor::new(128, 2),
-            BurstDescriptor::new(256, 2),
-        ];
-        let merged = coalesce(&bursts, 64);
-        assert_eq!(merged, vec![BurstDescriptor::new(0, 6)]);
-    }
-
-    #[test]
-    fn coalesce_respects_gaps_and_direction() {
-        let bursts = [
-            BurstDescriptor::new(0, 2),
-            BurstDescriptor::new(256, 2),   // gap
-            BurstDescriptor::write(384, 2), // direction change
-        ];
-        let merged = coalesce(&bursts, 64);
-        assert_eq!(merged.len(), 3);
-    }
-
-    #[test]
-    fn coalesce_caps_burst_length() {
-        let bursts = [BurstDescriptor::new(0, 150)];
-        let merged = coalesce(&bursts, 64);
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged[0].beats, 64);
-        assert_eq!(merged[1].beats, 64);
-        assert_eq!(merged[2].beats, 22);
-        assert_eq!(merged[1].addr, 64 * 64);
-        assert_eq!(total_bytes(&merged), 150 * 64);
-    }
-
-    #[test]
-    fn coalesce_drops_empty_bursts() {
-        let bursts = [BurstDescriptor::new(0, 0), BurstDescriptor::new(0, 1)];
-        let merged = coalesce(&bursts, 64);
-        assert_eq!(merged, vec![BurstDescriptor::new(0, 1)]);
     }
 
     #[test]

@@ -332,11 +332,6 @@ impl Server {
         &self.engine
     }
 
-    /// Mutable engine access (snapshotting, registry resets).
-    pub fn engine_mut(&mut self) -> &mut DecodeEngine {
-        &mut self.engine
-    }
-
     /// The KV byte budget admissions are priced against.
     pub fn kv_budget_bytes(&self) -> u64 {
         self.budget_bytes

@@ -6,12 +6,15 @@ use zllm::accel::config::PipelineMode;
 use zllm::accel::image::ModelImage;
 use zllm::accel::pipeline::softmax_hides;
 use zllm::accel::schedule::token_schedule;
-use zllm::accel::{AccelConfig, DecodeEngine};
+use zllm::accel::telemetry::MetricsRegistry;
+use zllm::accel::{AccelConfig, AccelDecoder, DecodeEngine, OpKind, QuantizedModel};
 use zllm::layout::weight::WeightFormat;
+use zllm::layout::BEAT_BYTES;
 use zllm::model::memory::{
     decode_bytes_per_token, kv8_cache_bytes, streamed_weight_bytes, WeightPrecision,
 };
-use zllm::model::ModelConfig;
+use zllm::model::{ModelConfig, ModelWeights};
+use zllm::quant::group::GroupQuantConfig;
 
 /// The schedule's total bytes must agree with the analytic
 /// bytes-per-token model to within format padding and beat alignment.
@@ -114,4 +117,84 @@ fn simulation_respects_physical_bounds() {
             "faster than the bus at ctx {ctx}"
         );
     }
+}
+
+/// The functional decoder and the priced schedule account for the same
+/// work at batch one. Per step: the schedule's weight beats are the
+/// functional decoder's dequantized beats plus the format's interleaved
+/// zero and scale beats; attention dots cover the history the schedule
+/// reads plus the current token, whose K and V stay on chip; and the
+/// scale-zero packs and flushes match the image's streams and the
+/// schedule's metadata bursts. Contexts 0-17 cross one 16-token window.
+#[test]
+fn functional_decoder_and_schedule_agree_at_batch_one() {
+    let cfg = ModelConfig::test_small();
+    let accel = AccelConfig::kv260();
+    let fmt = accel.format;
+    let qm = QuantizedModel::quantize(
+        &ModelWeights::generate(&cfg, 11),
+        GroupQuantConfig::w4_g128(),
+    );
+    let mut reg = MetricsRegistry::new();
+    let mut dec = AccelDecoder::with_metrics(&qm, &mut reg);
+    let image = ModelImage::build(&cfg, fmt, 32).expect("fits");
+
+    let names = [
+        "vpu.dequant_beats",
+        "vpu.dot_beats",
+        "kv_pack.flushed_beats",
+        "kv_pack.packs",
+    ];
+    let read = |reg: &MetricsRegistry| names.map(|n| reg.counter_value(n).expect("published"));
+    let code_beats = (fmt.groups_per_superblock() * fmt.weight_beats_per_group()) as u64;
+    let streams = (2 * image.model().n_layers * image.model().n_kv_heads) as u64;
+    let mut flushes = 0;
+    for ctx in 0..18 {
+        let before = read(&reg);
+        dec.forward(ctx % cfg.vocab_size);
+        let after = read(&reg);
+        let [dequant, dot, flushed, packs] = [0, 1, 2, 3].map(|i| after[i] - before[i]);
+
+        let sched = token_schedule(&image, ctx, PipelineMode::Fused);
+        let (mut weight_beats, mut kv_read_beats, mut flush_bytes) = (0, 0, 0);
+        for op in &sched.ops {
+            match op.kind {
+                OpKind::Qkv | OpKind::Wo | OpKind::Mlp | OpKind::LmHead => {
+                    weight_beats += op.vpu_beats
+                }
+                OpKind::KvRead => kv_read_beats += op.vpu_beats,
+                OpKind::KvMetaFlush => flush_bytes += op.bytes(),
+                _ => {}
+            }
+        }
+
+        assert_eq!(
+            weight_beats * code_beats,
+            dequant * fmt.superblock_beats() as u64,
+            "ctx {ctx}: weight beats {weight_beats} vs dequantized beats {dequant}"
+        );
+        let attention_dots =
+            cfg.n_layers * cfg.n_heads * cfg.head_dim().div_ceil(accel.lanes) * (ctx + 1);
+        assert_eq!(
+            dot - dequant,
+            attention_dots as u64,
+            "ctx {ctx}: attention dots"
+        );
+        let kv_reads = cfg.n_layers * 2 * cfg.kv_dim().div_ceil(BEAT_BYTES) * ctx;
+        assert_eq!(
+            kv_read_beats, kv_reads as u64,
+            "ctx {ctx}: KV history beats"
+        );
+        assert_eq!(
+            flushed,
+            flush_bytes / BEAT_BYTES as u64,
+            "ctx {ctx}: flushes"
+        );
+        assert_eq!(packs, streams, "ctx {ctx}: scale-zero packs");
+        if flushed > 0 {
+            assert_eq!(flushed, streams, "ctx {ctx}: one beat per stream");
+            flushes += 1;
+        }
+    }
+    assert_eq!(flushes, 1, "contexts 0-17 complete one 16-token window");
 }
