@@ -19,7 +19,7 @@ use crate::tier::{TierConfig, TierReport, TierState};
 use crate::vpu::{Vpu, VpuCounters};
 use std::collections::HashMap;
 use std::rc::Rc;
-use zllm_ddr::compress::{CompCounters, CompressedController, CompressionConfig, StreamClass};
+use zllm_ddr::compress::{CompressionConfig, StreamClass};
 use zllm_ddr::{DdrCounters, MemorySystem};
 use zllm_layout::addr_map::AllocError;
 use zllm_model::{memory, ModelConfig};
@@ -168,10 +168,6 @@ pub struct DecodeEngine {
     /// Flash-backed weight tier ([`DecodeEngine::new_tiered`]); `None`
     /// for the ordinary all-in-DDR engine.
     tier: Option<TierState>,
-    /// Inline-compression stage in front of the DDR controller
-    /// ([`DecodeEngine::enable_compression`]); `None` prices every burst
-    /// at logical size.
-    comp: Option<CompState>,
     /// The paper's theoretical roofline for this model on this bandwidth.
     roofline_tokens_per_s: f64,
     /// All components publish into this registry; [`TokenReport`] and
@@ -197,19 +193,6 @@ pub struct DecodeEngine {
 /// context once, where caching buys nothing — so stop retaining rather
 /// than let a long run hold hundreds of schedules alive.
 const SCHEDULE_CACHE_CAP: usize = 64;
-
-/// The engine's compression stage plus its telemetry registration state.
-///
-/// `comp.*` metrics follow the `tier.*`/`spec.*` registered-on-first-use
-/// pattern: they appear in the snapshot only once compressed traffic has
-/// actually been priced, so compression-off engines — and compressed
-/// engines whose every ratio is 1.0 — keep exactly the uncompressed key
-/// set.
-#[derive(Debug)]
-struct CompState {
-    ctrl: CompressedController,
-    registered: bool,
-}
 
 /// A step schedule plus everything `price` derives from it alone:
 /// schedule-wide totals, the per-kind byte breakdown, and the telemetry
@@ -404,7 +387,6 @@ impl DecodeEngine {
             image,
             mem,
             tier: None,
-            comp: None,
             roofline_tokens_per_s: roofline,
             registry,
             metrics,
@@ -476,25 +458,22 @@ impl DecodeEngine {
             .map(|t| self.image.non_layer_resident_bytes() + t.cache.budget_bytes())
     }
 
-    /// Puts the inline-compression stage in front of the DDR controller:
-    /// weight, KV and activation bursts are priced at their compressed
-    /// wire size per the configuration's per-class ratios, page-map
-    /// metadata bursts are charged, and the decompressor's cut-through
-    /// stall is folded into the wall (see
-    /// [`zllm_ddr::compress::CompressedController`]).
+    /// Puts the inline-compression stage in front of the DDR controller
+    /// ([`MemorySystem::set_compression`]): weight, KV and activation
+    /// bursts are priced at their compressed wire size per the
+    /// configuration's per-class ratios, page-map metadata bursts are
+    /// charged, and the decompressor's cut-through stall is folded into
+    /// the wall.
     ///
     /// Logical accounting is unchanged: `decode.bytes.*` and the report's
     /// `bytes` stay at logical size, while `comp.bytes.wire` and the
     /// `ddr.port0.*` counters reflect what actually crossed the bus. With
     /// every ratio at 1.0 the stage is a bit-identical pass-through and
     /// registers no `comp.*` telemetry. Tiered staging and synthetic
-    /// draft traffic bypass the stage (they model bulk copies and an
-    /// off-datapath draft engine, not decode streams).
+    /// draft traffic are priced with [`MemorySystem::transfer_iter`],
+    /// which bypasses the stage.
     pub fn enable_compression(&mut self, cfg: CompressionConfig) {
-        self.comp = Some(CompState {
-            ctrl: CompressedController::new(cfg),
-            registered: false,
-        });
+        self.mem.set_compression(cfg);
     }
 
     /// [`DecodeEngine::new`] with the compression stage enabled.
@@ -516,14 +495,7 @@ impl DecodeEngine {
     /// The compression stage's cumulative `(logical, wire, metadata)`
     /// bytes so far, or `None` on an uncompressed engine.
     pub fn compression_bytes(&self) -> Option<(u64, u64, u64)> {
-        self.comp.as_ref().map(|c| {
-            let k = c.ctrl.counters();
-            (
-                k.bytes_logical.get(),
-                k.bytes_wire.get(),
-                k.bytes_meta.get(),
-            )
-        })
+        self.mem.compression_bytes()
     }
 
     /// The metrics registry every component of this engine publishes into.
@@ -688,7 +660,8 @@ impl DecodeEngine {
     /// The draft model's cost for this step: `(wall ns, DDR bytes)`. A
     /// synthetic draft decodes one token per drafted position at that
     /// position's context through the engine's own memory system (its
-    /// bursts bump the `ddr.port0.*` counters as real traffic); a flat
+    /// bursts bump the `ddr.port0.*` counters as real traffic, and
+    /// `transfer_iter` keeps them out of any compression stage); a flat
     /// cost moves no bytes.
     fn draft_cost(&mut self, windows: &[SpecWindow], draft: &DraftCost) -> (f64, u64) {
         match draft {
@@ -761,47 +734,19 @@ impl DecodeEngine {
         let batch = sched.batch;
         // `comp.*` telemetry appears only once compressed traffic is
         // actually priced (all-identity configurations stay invisible).
-        if let Some(comp) = self.comp.as_mut() {
-            if !comp.registered && !comp.ctrl.config().is_identity() {
-                let cfg = *comp.ctrl.config();
-                comp.ctrl
-                    .set_counters(CompCounters::register(&mut self.registry, "comp"));
-                self.registry
-                    .gauge("comp.ratio.weight")
-                    .set(cfg.weight.ratio());
-                self.registry.gauge("comp.ratio.kv").set(cfg.kv.ratio());
-                self.registry
-                    .gauge("comp.ratio.activation")
-                    .set(cfg.activation.ratio());
-                comp.registered = true;
-            }
-        }
-        // Memory time: the whole step's bursts streamed through the DDR
-        // model, without materializing an intermediate Vec — through the
-        // compression stage when one is enabled. The report keeps
-        // *logical* bytes (the engine's accounting currency); the wall is
-        // wire time, and the decompressor's exposed stall extends the
-        // memory term below.
-        let (report, comp_stall_ns) = match self.comp.as_mut() {
-            Some(comp) => {
-                let t = comp.ctrl.transfer(
-                    &mut self.mem,
-                    sched
-                        .ops
-                        .iter()
-                        .zip(&cached.classes)
-                        .flat_map(|(o, &class)| o.bursts.iter().map(move |b| (*b, class))),
-                );
-                let mut r = t.report;
-                r.bytes = t.logical_bytes;
-                (r, t.decomp_stall_ns)
-            }
-            None => (
-                self.mem
-                    .transfer_iter(sched.ops.iter().flat_map(|o| o.bursts.iter().copied())),
-                0.0,
-            ),
-        };
+        self.mem.register_compression(&mut self.registry);
+        // Memory time: the whole step's classed bursts streamed through
+        // the memory system (and its compression stage, when one is set),
+        // without materializing an intermediate Vec. Logical bytes are
+        // the engine's accounting currency; the wall is wire time, and
+        // the decompressor's exposed stall extends the memory term below.
+        let report = self.mem.transfer_classed(
+            sched
+                .ops
+                .iter()
+                .zip(&cached.classes)
+                .flat_map(|(o, &class)| o.bursts.iter().map(move |b| (*b, class))),
+        );
 
         let vpu_cycles: u64 = cached
             .beat_groups
@@ -815,26 +760,26 @@ impl DecodeEngine {
 
         let compute_ns = self.accel.cycles_to_ns(vpu_cycles + bubbles);
         let exposed_ns = self.accel.cycles_to_ns(exposed);
+        // The decompressor stall extends the memory term (cut-through: a
+        // compute-bound engine hides it), like the tier's staging time.
+        let mem_ns = report.wall_ns + report.decomp_stall_ns;
         // Weight-tier effects: walk the token's layer runs against the
         // flash timeline. Prefetch staging adds contention on the DDR bus
         // (it shares the controller with the decode stream); demand
         // misses and late prefetches stall the whole pipeline. The walk
         // paces itself by the tier-free wall — conservative, since the
         // real token is never faster than that.
-        let base_wall_ns = (report.wall_ns + comp_stall_ns).max(compute_ns) + exposed_ns;
+        let base_wall_ns = mem_ns.max(compute_ns) + exposed_ns;
         let (stall_ns, staging_ns) = match self.tier.as_mut() {
             Some(tier) => tier.walk_token(
                 &mut self.mem,
                 &cached.layer_segments,
-                report.bytes,
+                report.logical_bytes,
                 base_wall_ns,
             ),
             None => (0.0, 0.0),
         };
-        // The decompressor stall extends the memory term (cut-through: a
-        // compute-bound engine hides it), like the tier's staging time.
-        let wall_ns =
-            (report.wall_ns + comp_stall_ns + staging_ns).max(compute_ns) + exposed_ns + stall_ns;
+        let wall_ns = (mem_ns + staging_ns).max(compute_ns) + exposed_ns + stall_ns;
         let tokens_per_s = batch as f64 * 1e9 / wall_ns;
         let seq_tokens_per_s = 1e9 / wall_ns;
 
@@ -850,21 +795,21 @@ impl DecodeEngine {
                 .sum()
         };
         let per_seq_bytes = bytes_where(OpKind::per_sequence);
-        let shared_bytes = report.bytes - per_seq_bytes;
+        let shared_bytes = report.logical_bytes - per_seq_bytes;
         let kv_bytes = bytes_where(OpKind::is_kv);
         // `batch` independent decodes would stream the shared weights
         // `batch` times over, plus the same per-sequence traffic.
         let independent_bytes = shared_bytes * batch as u64 + per_seq_bytes;
-        let weight_amortization = independent_bytes as f64 / report.bytes as f64;
-        let kv_share = kv_bytes as f64 / report.bytes as f64;
+        let weight_amortization = independent_bytes as f64 / report.logical_bytes as f64;
+        let kv_share = kv_bytes as f64 / report.logical_bytes as f64;
 
         // Publish into the registry: counters accumulate across the run,
         // gauges reflect the most recent priced step. The DDR counters
-        // were already bumped inside `transfer_iter()` via the shared
+        // were already bumped inside `transfer_classed()` via the shared
         // handles, and the per-kind byte counters were resolved when the
         // schedule was cached.
         self.metrics.tokens.add(batch as u64);
-        self.metrics.bytes.add(report.bytes);
+        self.metrics.bytes.add(report.logical_bytes);
         self.metrics.vpu_cycles.add(vpu_cycles);
         self.metrics.bubble_cycles.add(bubbles);
         self.metrics.exposed_misc_cycles.add(exposed);
@@ -897,7 +842,7 @@ impl DecodeEngine {
         TokenReport {
             ctx: sched.ctx,
             batch,
-            bytes: report.bytes,
+            bytes: report.logical_bytes,
             mem_ns: report.wall_ns,
             vpu_cycles,
             exposed_misc_cycles: exposed,
@@ -1027,6 +972,77 @@ mod tests {
             PipelineMode::Coarse => AccelConfig::kv260_coarse(),
         };
         DecodeEngine::new(accel, &ModelConfig::test_small(), 32).expect("test model fits")
+    }
+
+    fn ratios(weight: f64, kv: f64, activation: f64) -> CompressionConfig {
+        use zllm_ddr::compress::StreamRatio;
+        CompressionConfig::with_ratios(
+            StreamRatio::from_ratio(weight),
+            StreamRatio::from_ratio(kv),
+            StreamRatio::from_ratio(activation),
+        )
+    }
+
+    /// A paged `test_small` engine: 4 slots of 32 tokens, 16-token pages.
+    fn paged_engine() -> DecodeEngine {
+        DecodeEngine::new_paged(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4, 16)
+            .expect("test model fits")
+    }
+
+    /// One step of each kind but single-sequence decode: a lockstep
+    /// batch, a ragged step, a two-chunk prefill and a two-window verify
+    /// with a synthetic draft.
+    fn every_step_kind(engine: &mut DecodeEngine) -> Vec<TokenReport> {
+        let chunks = [
+            PrefillChunk {
+                slot: 1,
+                start: 0,
+                len: 16,
+            },
+            PrefillChunk {
+                slot: 3,
+                start: 4,
+                len: 9,
+            },
+        ];
+        let windows = [
+            SpecWindow {
+                slot: 0,
+                ctx: 14,
+                drafted: 4,
+                accepted: 1,
+            },
+            SpecWindow {
+                slot: 2,
+                ctx: 20,
+                drafted: 3,
+                accepted: 3,
+            },
+        ];
+        let draft = DraftCost::Synthetic {
+            model: ModelConfig::test_small(),
+        };
+        vec![
+            engine.decode_token_batch(5, 4),
+            engine.decode_token_ragged(&[(0, 3), (2, 17), (3, 30)]),
+            engine.prefill_chunked(&chunks),
+            engine.decode_speculative(&windows, &draft),
+        ]
+    }
+
+    /// A tiered `test_small` engine whose schedule-aware eMMC tier holds
+    /// 1.5 layers, so every token stages layers from flash.
+    fn thrashing_engine() -> DecodeEngine {
+        let model = ModelConfig::test_small();
+        let accel = AccelConfig::kv260();
+        let image = ModelImage::build_tiered(&model, accel.format, 64).expect("test model fits");
+        let layer = (0..model.n_layers)
+            .map(|l| image.layer_weight_bytes(l))
+            .max()
+            .expect("model has layers");
+        let budget = (1.5 * layer as f64) as u64;
+        let tier = TierConfig::schedule_aware(zllm_ddr::FlashConfig::emmc_hs400(), budget);
+        DecodeEngine::with_image_tiered(accel, image, tier)
     }
 
     #[test]
@@ -1282,6 +1298,114 @@ mod tests {
             ps.gauges.keys().collect::<Vec<_>>(),
             cs.gauges.keys().collect::<Vec<_>>()
         );
+
+        // Every other step kind, on a paged engine.
+        let mut plain = paged_engine();
+        let mut comp = paged_engine();
+        comp.enable_compression(CompressionConfig::identity());
+        let steps = every_step_kind(&mut plain)
+            .into_iter()
+            .zip(every_step_kind(&mut comp));
+        for (i, (p, c)) in steps.enumerate() {
+            assert_eq!(p.bytes, c.bytes, "step {i}");
+            assert_eq!(p.mem_ns.to_bits(), c.mem_ns.to_bits(), "step {i}");
+            assert_eq!(p.wall_ns.to_bits(), c.wall_ns.to_bits(), "step {i}");
+            assert_eq!(p.breakdown, c.breakdown, "step {i}");
+        }
+        assert_eq!(
+            plain.metrics_snapshot().to_json(),
+            comp.metrics_snapshot().to_json()
+        );
+    }
+
+    #[test]
+    fn compressed_steps_of_every_kind_are_pinned() {
+        // One FNV-1a hash over every numeric field of each report and
+        // each engine's snapshot JSON, through a non-identity stage on a
+        // paged engine (every step kind) and on a thrashing tier (three
+        // decode steps). Re-record it only for a change meant to move
+        // compressed pricing, and say which one.
+        fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+            bytes.iter().fold(hash, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        }
+        fn fold_report(hash: u64, r: &TokenReport) -> u64 {
+            let fields = [
+                r.ctx as u64,
+                r.batch as u64,
+                r.bytes,
+                r.mem_ns.to_bits(),
+                r.vpu_cycles,
+                r.exposed_misc_cycles,
+                r.bubble_cycles,
+                r.wall_ns.to_bits(),
+                r.tokens_per_s.to_bits(),
+                r.seq_tokens_per_s.to_bits(),
+                r.bandwidth_util.to_bits(),
+                r.weight_amortization.to_bits(),
+                r.kv_share.to_bits(),
+            ];
+            fields
+                .into_iter()
+                .chain(r.breakdown.iter().map(|&(_, bytes)| bytes))
+                .fold(hash, |h, v| fnv1a(h, &v.to_le_bytes()))
+        }
+        let cfg = ratios(1.7, 1.3, 1.1);
+        let mut paged = paged_engine();
+        paged.enable_compression(cfg);
+        let mut tiered = thrashing_engine();
+        tiered.enable_compression(cfg);
+        let mut hash = every_step_kind(&mut paged)
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, fold_report);
+        hash = fnv1a(hash, paged.metrics_snapshot().to_json().as_bytes());
+        for ctx in 4..=6 {
+            hash = fold_report(hash, &tiered.decode_token(ctx));
+        }
+        hash = fnv1a(hash, tiered.metrics_snapshot().to_json().as_bytes());
+        assert_eq!(hash, 0x2bf9_4605_c8ff_f245, "pin moved to {hash:#018x}");
+    }
+
+    #[test]
+    fn staging_and_draft_traffic_bypass_the_compression_stage() {
+        // Synthetic draft and tier staging are priced with
+        // `MemorySystem::transfer_iter`, which the stage never sees: they
+        // move the same bytes with it on, and the stage's logical bytes
+        // are exactly the priced steps' bytes.
+        let model = ModelConfig::test_small();
+        let cfg = ratios(2.0, 1.5, 1.2);
+        let window = [SpecWindow {
+            slot: 0,
+            ctx: 8,
+            drafted: 3,
+            accepted: 2,
+        }];
+        let draft = DraftCost::Synthetic {
+            model: model.clone(),
+        };
+        let mut plain = DecodeEngine::new(AccelConfig::kv260(), &model, 32).expect("fits");
+        let mut comp =
+            DecodeEngine::new_compressed(AccelConfig::kv260(), &model, 32, cfg).expect("fits");
+        plain.decode_speculative(&window, &draft);
+        let verify = comp.decode_speculative(&window, &draft);
+        let draft_bytes = |e: &DecodeEngine| e.metrics_snapshot().counters["spec.draft.bytes"];
+        assert!(draft_bytes(&plain) > 0);
+        assert_eq!(draft_bytes(&comp), draft_bytes(&plain));
+        assert_eq!(comp.compression_bytes().expect("stage set").0, verify.bytes);
+
+        let mut plain = thrashing_engine();
+        let mut comp = thrashing_engine();
+        comp.enable_compression(cfg);
+        let mut step_bytes = 0;
+        for ctx in 4..=6 {
+            plain.decode_token(ctx);
+            step_bytes += comp.decode_token(ctx).bytes;
+        }
+        assert!(comp.tier_report().expect("tiered engine").flash_bytes > 0);
+        let writes = |e: &DecodeEngine| e.metrics_snapshot().counters["ddr.port0.writes"];
+        assert_eq!(writes(&comp), writes(&plain));
+        assert_eq!(comp.compression_bytes().expect("stage set").0, step_bytes);
     }
 
     #[test]

@@ -173,12 +173,6 @@ impl Vpu {
         }));
     }
 
-    /// Cycles to stream a matrix–vector product of `rows × cols` weights:
-    /// one beat per cycle, rows are sequential.
-    pub fn matvec_cycles(&self, rows: usize, cols: usize) -> u64 {
-        (rows as u64) * (cols as u64).div_ceil(self.lanes() as u64)
-    }
-
     /// Pipeline fill/drain latency of one dot product: multiplier stage +
     /// adder-tree depth + scale + accumulate (a handful of cycles, exposed
     /// only at dependency boundaries).
@@ -233,15 +227,6 @@ mod tests {
         for (a, b) in beat.iter().zip(&reference) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn matvec_cycles_counts_beats() {
-        let vpu = Vpu::kv260();
-        // 4096×4096 at 128 lanes: 32 beats per row.
-        assert_eq!(vpu.matvec_cycles(4096, 4096), 4096 * 32);
-        // Ragged cols round up.
-        assert_eq!(vpu.matvec_cycles(10, 130), 20);
     }
 
     #[test]

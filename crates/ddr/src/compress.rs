@@ -4,8 +4,11 @@
 //! "Reimagining Memory Access for LLM Inference" (PAPERS.md) moves the
 //! (de)compression engine *into* the memory controller: data crosses the
 //! DDR bus at compressed size and a line-rate decompressor beside the
-//! PHY restores it on the fly. [`CompressedController`] reproduces that
-//! stage on top of [`MemorySystem`]:
+//! PHY restores it on the fly. [`MemorySystem`] holds that stage between
+//! the requester and the controller
+//! ([`MemorySystem::set_compression`]): classed bursts go through it
+//! ([`MemorySystem::transfer_classed`]), while
+//! [`MemorySystem::transfer_iter`] stays the uncompressed path.
 //!
 //! * Each burst is classed by [`StreamClass`] and priced at its
 //!   compressed size, rounded **up** to whole 64-byte beats (a burst
@@ -31,22 +34,19 @@
 //! # Example
 //!
 //! ```
-//! use zllm_ddr::compress::{CompressedController, CompressionConfig, StreamClass, StreamRatio};
+//! use zllm_ddr::compress::{CompressionConfig, StreamClass, StreamRatio};
 //! use zllm_ddr::MemorySystem;
 //! use zllm_layout::BurstDescriptor;
 //!
 //! let mut mem = MemorySystem::kv260();
-//! let cfg = CompressionConfig {
+//! mem.set_compression(CompressionConfig {
 //!     weight: StreamRatio::from_ratio(2.0),
 //!     ..CompressionConfig::identity()
-//! };
-//! let mut comp = CompressedController::new(cfg);
-//! let t = comp.transfer(
-//!     &mut mem,
-//!     [(BurstDescriptor::new(0, 64), StreamClass::Weight)],
-//! );
+//! });
+//! let t = mem.transfer_classed([(BurstDescriptor::new(0, 64), StreamClass::Weight)]);
 //! assert_eq!(t.logical_bytes, 64 * 64);
-//! assert_eq!(t.wire_bytes, 32 * 64); // half the beats cross the bus
+//! assert_eq!(t.bytes, 32 * 64); // half the beats cross the bus
+//! assert_eq!(mem.compression_bytes(), Some((64 * 64, 32 * 64, 0)));
 //! ```
 
 use crate::system::{MemorySystem, TransferReport};
@@ -203,33 +203,23 @@ impl CompressionConfig {
 /// [`crate::telemetry::DdrCounters`] pattern: detached by default,
 /// registered on first use so compression-off snapshots carry no
 /// `comp.*` keys.
-#[derive(Debug, Clone)]
-pub struct CompCounters {
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CompCounters {
     /// Logical (uncompressed) payload bytes requested.
-    pub bytes_logical: Counter,
+    bytes_logical: Counter,
     /// Wire payload bytes that actually crossed the bus.
-    pub bytes_wire: Counter,
+    bytes_wire: Counter,
     /// Page-map metadata bytes moved.
-    pub bytes_meta: Counter,
+    bytes_meta: Counter,
     /// Exposed decompressor stall, in DRAM-clock cycles.
-    pub decomp_stall_cycles: Counter,
+    decomp_stall_cycles: Counter,
 }
 
 impl CompCounters {
-    /// Free-standing counters, not visible in any registry.
-    pub fn detached() -> CompCounters {
-        CompCounters {
-            bytes_logical: Counter::detached(),
-            bytes_wire: Counter::detached(),
-            bytes_meta: Counter::detached(),
-            decomp_stall_cycles: Counter::detached(),
-        }
-    }
-
     /// Registers the counter set under `prefix` (e.g. `"comp"` yields
     /// `comp.bytes.logical`, `comp.bytes.wire`, `comp.bytes.meta`,
     /// `comp.decomp_stall_cycles`).
-    pub fn register(reg: &mut MetricsRegistry, prefix: &str) -> CompCounters {
+    fn register(reg: &mut MetricsRegistry, prefix: &str) -> CompCounters {
         CompCounters {
             bytes_logical: reg.counter(&format!("{prefix}.bytes.logical")),
             bytes_wire: reg.counter(&format!("{prefix}.bytes.wire")),
@@ -239,85 +229,70 @@ impl CompCounters {
     }
 }
 
-impl Default for CompCounters {
-    fn default() -> CompCounters {
-        CompCounters::detached()
-    }
-}
-
-/// Outcome of pricing one classed burst stream through the compression
-/// stage.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompressedTransfer {
-    /// Logical payload bytes the caller asked for.
-    pub logical_bytes: u64,
-    /// Wire payload bytes that crossed the bus (compressed size rounded
-    /// up to whole beats).
-    pub wire_bytes: u64,
-    /// Page-map metadata bytes issued this transfer.
-    pub meta_bytes: u64,
-    /// The wire-side transfer report (bytes = wire + metadata).
-    pub report: TransferReport,
-    /// Decompressor stall exposed beyond the wire transfer itself.
-    pub decomp_stall_ns: f64,
-}
-
-/// The inline-compression stage wrapping a [`MemorySystem`].
+/// The inline-compression stage a [`MemorySystem`] holds in front of its
+/// controller.
 ///
 /// Holds the per-class ratios, the decompressor's cut-through horizon
-/// and the pending page-map bytes; the wrapped system stays external so
-/// the same DDR controller (and its `ddr.port0.*` telemetry) prices both
-/// compressed and pass-through traffic.
+/// and the pending page-map bytes; the same DDR controller (and its
+/// `ddr.port0.*` telemetry) prices both compressed and pass-through
+/// traffic.
 #[derive(Debug, Clone)]
-pub struct CompressedController {
+pub(crate) struct CompressionStage {
     cfg: CompressionConfig,
     counters: CompCounters,
+    /// `true` once the counters publish into a registry.
+    registered: bool,
     /// Page-map bytes accumulated but not yet flushed as a full beat.
     pending_meta: u64,
     /// Decompressor busy horizon (cut-through, like `flash.rs`).
     busy_until_ns: f64,
 }
 
-impl CompressedController {
-    /// Builds a stage with detached counters.
-    pub fn new(cfg: CompressionConfig) -> CompressedController {
-        CompressedController::with_counters(cfg, CompCounters::detached())
-    }
-
-    /// Builds a stage publishing into the given telemetry handles.
-    pub fn with_counters(cfg: CompressionConfig, counters: CompCounters) -> CompressedController {
-        CompressedController {
+impl CompressionStage {
+    /// A stage with detached counters.
+    pub(crate) fn new(cfg: CompressionConfig) -> CompressionStage {
+        CompressionStage {
             cfg,
-            counters,
+            counters: CompCounters::default(),
+            registered: false,
             pending_meta: 0,
             busy_until_ns: 0.0,
         }
     }
 
-    /// The stage configuration.
-    pub fn config(&self) -> &CompressionConfig {
-        &self.cfg
+    /// Swaps in counters registered under `comp`, plus the three
+    /// `comp.ratio.*` gauges. Does nothing after the first registration
+    /// or for an all-identity configuration, which stays invisible.
+    pub(crate) fn register(&mut self, reg: &mut MetricsRegistry) {
+        if self.registered || self.cfg.is_identity() {
+            return;
+        }
+        self.counters = CompCounters::register(reg, "comp");
+        reg.gauge("comp.ratio.weight").set(self.cfg.weight.ratio());
+        reg.gauge("comp.ratio.kv").set(self.cfg.kv.ratio());
+        reg.gauge("comp.ratio.activation")
+            .set(self.cfg.activation.ratio());
+        self.registered = true;
     }
 
-    /// The telemetry handles the stage publishes into.
-    pub fn counters(&self) -> &CompCounters {
-        &self.counters
+    /// Cumulative `(logical, wire, metadata)` payload bytes.
+    pub(crate) fn bytes(&self) -> (u64, u64, u64) {
+        let k = &self.counters;
+        (
+            k.bytes_logical.get(),
+            k.bytes_wire.get(),
+            k.bytes_meta.get(),
+        )
     }
 
-    /// Swaps in registered telemetry handles (registered-on-first-use:
-    /// the engine calls this the first time compressed traffic flows).
-    pub fn set_counters(&mut self, counters: CompCounters) {
-        self.counters = counters;
-    }
-
-    /// Prices a classed burst stream through `mem`.
+    /// Prices a classed burst stream through `mem`'s controller.
     ///
     /// Compressed bursts shrink to their wire size (whole 64-byte beats,
     /// never zero), charge page-map metadata, and pay the decompressor
     /// stall; identity-class bursts pass through untouched. The report's
-    /// `bytes` are wire + metadata; logical bytes are reported
-    /// separately.
-    pub fn transfer<I>(&mut self, mem: &mut MemorySystem, bursts: I) -> CompressedTransfer
+    /// `bytes` are wire + metadata; its `logical_bytes` are what the
+    /// caller asked for.
+    pub(crate) fn transfer<I>(&mut self, mem: &mut MemorySystem, bursts: I) -> TransferReport
     where
         I: IntoIterator<Item = (BurstDescriptor, StreamClass)>,
     {
@@ -332,7 +307,7 @@ impl CompressedController {
         let mut decomp_wire: u64 = 0;
         let mut pending_meta = self.pending_meta;
 
-        let report = mem.transfer_iter(bursts.into_iter().flat_map(|(b, class)| {
+        let mut report = mem.transfer_iter(bursts.into_iter().flat_map(|(b, class)| {
             let mut out: [Option<BurstDescriptor>; 2] = [None, None];
             if b.beats > 0 {
                 let bytes = b.bytes();
@@ -389,13 +364,9 @@ impl CompressedController {
             .decomp_stall_cycles
             .add((stall_ns / ddr_ns_per_cycle).round() as u64);
 
-        CompressedTransfer {
-            logical_bytes: logical,
-            wire_bytes: wire,
-            meta_bytes: meta,
-            report,
-            decomp_stall_ns: stall_ns,
-        }
+        report.logical_bytes = logical;
+        report.decomp_stall_ns = stall_ns;
+        report
     }
 }
 
@@ -409,6 +380,17 @@ mod tests {
             StreamRatio::IDENTITY,
             StreamRatio::IDENTITY,
         )
+    }
+
+    /// A KV260 memory system with the stage set to `cfg`.
+    fn compressed(cfg: CompressionConfig) -> MemorySystem {
+        let mut mem = MemorySystem::kv260();
+        mem.set_compression(cfg);
+        mem
+    }
+
+    fn stage(mem: &MemorySystem) -> &CompressionStage {
+        mem.compression_stage().expect("stage set")
     }
 
     #[test]
@@ -443,87 +425,80 @@ mod tests {
         let mut bare = MemorySystem::kv260();
         let bare_report = bare.transfer_iter(traffic.iter().map(|&(b, _)| b));
 
-        let mut mem = MemorySystem::kv260();
-        let mut comp = CompressedController::new(CompressionConfig::identity());
-        let t = comp.transfer(&mut mem, traffic.iter().copied());
+        let mut mem = compressed(CompressionConfig::identity());
+        let t = mem.transfer_classed(traffic.iter().copied());
+        let (_, wire, meta) = stage(&mem).bytes();
 
-        assert_eq!(t.report, bare_report);
-        assert_eq!(t.logical_bytes, t.wire_bytes);
-        assert_eq!(t.meta_bytes, 0);
+        assert_eq!(t, bare_report);
+        assert_eq!(t.logical_bytes, wire);
+        assert_eq!(meta, 0);
         assert_eq!(t.decomp_stall_ns, 0.0);
         assert_eq!(mem.stats(), bare.stats());
         assert_eq!(mem.now_ns().to_bits(), bare.now_ns().to_bits());
-        assert_eq!(comp.counters().decomp_stall_cycles.get(), 0);
+        assert_eq!(stage(&mem).counters.decomp_stall_cycles.get(), 0);
     }
 
     #[test]
     fn ratio_two_halves_the_wire_beats() {
-        let mut mem = MemorySystem::kv260();
-        let mut comp = CompressedController::new(weight_cfg(2.0));
-        let t = comp.transfer(
-            &mut mem,
-            [(BurstDescriptor::new(0, 64), StreamClass::Weight)],
-        );
+        let mut mem = compressed(weight_cfg(2.0));
+        let t = mem.transfer_classed([(BurstDescriptor::new(0, 64), StreamClass::Weight)]);
+        let (_, wire, meta) = stage(&mem).bytes();
         assert_eq!(t.logical_bytes, 64 * 64);
-        assert_eq!(t.wire_bytes, 32 * 64);
+        assert_eq!(wire, 32 * 64);
         // One 4 KiB logical burst = one page = one 8 B map entry, below
         // a beat: stays pending.
-        assert_eq!(t.meta_bytes, 0);
-        assert!(t.decomp_stall_ns >= comp.config().decomp_latency_ns);
+        assert_eq!(meta, 0);
+        assert!(t.decomp_stall_ns >= stage(&mem).cfg.decomp_latency_ns);
     }
 
     #[test]
     fn page_map_metadata_flushes_in_whole_beats() {
-        let mut mem = MemorySystem::kv260();
-        let mut comp = CompressedController::new(weight_cfg(2.0));
+        let mut mem = compressed(weight_cfg(2.0));
         // 8 bursts x 1 page x 8 B = 64 B: exactly one metadata beat.
         let bursts: Vec<_> = (0..8u64)
             .map(|i| (BurstDescriptor::new(i * 4096, 64), StreamClass::Weight))
             .collect();
-        let t = comp.transfer(&mut mem, bursts);
-        assert_eq!(t.meta_bytes, 64);
-        assert_eq!(t.report.bytes, t.wire_bytes + t.meta_bytes);
+        let t = mem.transfer_classed(bursts);
+        let (_, wire, meta) = stage(&mem).bytes();
+        assert_eq!(meta, 64);
+        assert_eq!(t.bytes, wire + meta);
     }
 
     #[test]
     fn line_rate_decompressor_exposes_only_the_fixed_latency() {
-        let mut mem = MemorySystem::kv260();
-        let mut comp = CompressedController::new(weight_cfg(2.0));
+        let mut mem = compressed(weight_cfg(2.0));
         // A long steady stream: wire time far exceeds the drain bound.
-        let t = comp.transfer(
-            &mut mem,
+        let t = mem.transfer_classed(
             (0..256u64).map(|i| (BurstDescriptor::new(i * 16384, 255), StreamClass::Weight)),
         );
+        let latency = stage(&mem).cfg.decomp_latency_ns;
         assert!(
-            (t.decomp_stall_ns - comp.config().decomp_latency_ns).abs() < 1e-9,
+            (t.decomp_stall_ns - latency).abs() < 1e-9,
             "stall {} != latency {}",
             t.decomp_stall_ns,
-            comp.config().decomp_latency_ns
+            latency
         );
     }
 
     #[test]
     fn throughput_cap_binds_when_below_line_rate() {
-        let mut mem = MemorySystem::kv260();
         let mut cfg = weight_cfg(2.0);
         cfg.decomp_bytes_per_ns = 1.0; // far below the 19.2 GB/s bus
-        let mut comp = CompressedController::new(cfg);
-        let t = comp.transfer(
-            &mut mem,
-            [(BurstDescriptor::new(0, 1024), StreamClass::Weight)],
-        );
-        let drain = t.wire_bytes as f64 / 1.0;
+        let mut mem = compressed(cfg);
+        let t = mem.transfer_classed([(BurstDescriptor::new(0, 1024), StreamClass::Weight)]);
+        let (_, wire, _) = stage(&mem).bytes();
+        let drain = wire as f64 / 1.0;
         assert!(t.decomp_stall_ns > cfg.decomp_latency_ns);
         assert!(t.decomp_stall_ns <= drain + cfg.decomp_latency_ns);
     }
 
     #[test]
     fn meta_class_never_compresses() {
-        let mut mem = MemorySystem::kv260();
-        let mut comp = CompressedController::new(weight_cfg(4.0));
-        let t = comp.transfer(&mut mem, [(BurstDescriptor::new(0, 64), StreamClass::Meta)]);
-        assert_eq!(t.wire_bytes, t.logical_bytes);
-        assert_eq!(t.meta_bytes, 0);
+        let mut mem = compressed(weight_cfg(4.0));
+        let t = mem.transfer_classed([(BurstDescriptor::new(0, 64), StreamClass::Meta)]);
+        let (_, wire, meta) = stage(&mem).bytes();
+        assert_eq!(wire, t.logical_bytes);
+        assert_eq!(meta, 0);
         assert_eq!(t.decomp_stall_ns, 0.0);
     }
 
@@ -537,6 +512,34 @@ mod tests {
         assert_eq!(reg.counter_value("comp.bytes.wire"), Some(50));
         assert_eq!(reg.counter_value("comp.bytes.meta"), Some(0));
         assert_eq!(reg.counter_value("comp.decomp_stall_cycles"), Some(0));
+    }
+
+    #[test]
+    fn registration_happens_once_and_never_for_identity() {
+        let burst = [(BurstDescriptor::new(0, 64), StreamClass::Weight)];
+        // No stage, or an all-identity one: nothing registers.
+        let mut reg = MetricsRegistry::new();
+        let mut bare = MemorySystem::kv260();
+        bare.register_compression(&mut reg);
+        let mut identity = compressed(CompressionConfig::identity());
+        identity.register_compression(&mut reg);
+        identity.transfer_classed(burst);
+        assert!(reg.is_empty());
+        assert_eq!(bare.compression_bytes(), None);
+        assert_eq!(identity.compression_bytes(), Some((4096, 4096, 0)));
+
+        // A compressing stage registers four counters and three gauges
+        // on its first call and publishes into them from then on.
+        let mut mem = compressed(weight_cfg(2.0));
+        mem.register_compression(&mut reg);
+        mem.transfer_classed(burst);
+        assert_eq!(reg.len(), 7);
+        assert_eq!(reg.counter_value("comp.bytes.wire"), Some(32 * 64));
+        assert_eq!(reg.snapshot().gauge("comp.ratio.weight"), Some(2.0));
+        // Later calls register nothing again.
+        reg.gauge("comp.ratio.weight").set(0.0);
+        mem.register_compression(&mut reg);
+        assert_eq!(reg.snapshot().gauge("comp.ratio.weight"), Some(0.0));
     }
 
     #[cfg(feature = "proptest")]
@@ -571,12 +574,10 @@ mod tests {
                     StreamRatio::from_ratio(kv),
                     StreamRatio::from_ratio(act),
                 );
-                let mut mem = MemorySystem::kv260();
-                let mut comp = CompressedController::new(cfg);
+                let mut mem = compressed(cfg);
                 let logical_beats: u64 =
                     bursts.iter().map(|&(_, beats, _, _)| beats as u64).sum();
-                let t = comp.transfer(
-                    &mut mem,
+                let t = mem.transfer_classed(
                     bursts.iter().map(|&(addr, beats, write, class)| {
                         let b = if write {
                             BurstDescriptor::write(addr, beats)
@@ -586,10 +587,11 @@ mod tests {
                         (b, class)
                     }),
                 );
+                let (_, wire, _) = stage(&mem).bytes();
                 prop_assert_eq!(t.logical_bytes, logical_beats * 64);
-                prop_assert!(t.wire_bytes <= t.logical_bytes);
+                prop_assert!(wire <= t.logical_bytes);
                 // Every burst contributes at least one wire beat.
-                prop_assert!(t.wire_bytes >= bursts.len() as u64 * 64);
+                prop_assert!(wire >= bursts.len() as u64 * 64);
             }
 
             /// Ratio-1.0 traffic is beat-identical to the uncompressed
@@ -614,19 +616,17 @@ mod tests {
                 let mut bare = MemorySystem::kv260();
                 let bare_report = bare.transfer_iter(descriptors.iter().copied());
 
-                let mut mem = MemorySystem::kv260();
-                let mut comp =
-                    CompressedController::new(CompressionConfig::identity());
-                let t = comp.transfer(
-                    &mut mem,
+                let mut mem = compressed(CompressionConfig::identity());
+                let t = mem.transfer_classed(
                     descriptors
                         .iter()
                         .zip(&bursts)
                         .map(|(&b, &(_, _, _, class))| (b, class)),
                 );
-                prop_assert_eq!(t.report, bare_report);
-                prop_assert_eq!(t.wire_bytes, t.logical_bytes);
-                prop_assert_eq!(t.meta_bytes, 0);
+                let (_, wire, meta) = stage(&mem).bytes();
+                prop_assert_eq!(t, bare_report);
+                prop_assert_eq!(wire, t.logical_bytes);
+                prop_assert_eq!(meta, 0);
                 prop_assert_eq!(t.decomp_stall_ns, 0.0);
                 prop_assert_eq!(mem.now_ns().to_bits(), bare.now_ns().to_bits());
             }

@@ -16,6 +16,10 @@
 //! * [`system`] — [`system::MemorySystem`] glues the controller to the AXI
 //!   fabric and prices whole burst streams, producing the bandwidth and
 //!   efficiency numbers the experiments report.
+//! * [`compress`] — the optional inline (de)compression stage a
+//!   [`system::MemorySystem`] holds in front of its controller: classed
+//!   bursts cross the bus at their compressed size, pay page-map
+//!   metadata and a cut-through decompressor stall.
 //! * [`traffic`] — address-stream generators for the microbenchmarks.
 //! * [`flash`] / [`tiered`] — the storage tier below DDR: an eMMC/NVMe
 //!   device model and [`tiered::stage_fetch`], which prices layer fetches
@@ -39,10 +43,7 @@ pub mod telemetry;
 pub mod tiered;
 pub mod traffic;
 
-pub use compress::{
-    CompCounters, CompressedController, CompressedTransfer, CompressionConfig, StreamClass,
-    StreamRatio,
-};
+pub use compress::{CompressionConfig, StreamClass, StreamRatio};
 pub use config::{AxiConfig, DdrConfig};
 pub use controller::DdrController;
 pub use flash::{FlashConfig, FlashDevice, FlashStats, FlashTransfer};

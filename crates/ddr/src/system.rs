@@ -1,16 +1,23 @@
-//! The full memory system: DDR controller behind the 4-port AXI fabric.
+//! The full memory system: DDR controller behind the 4-port AXI fabric,
+//! with an optional inline-compression stage in front of the controller.
 
+use crate::compress::{CompressionConfig, CompressionStage, StreamClass};
 use crate::config::{AxiConfig, DdrConfig};
 use crate::controller::DdrController;
 use crate::stats::DdrStats;
 use crate::telemetry::DdrCounters;
 use zllm_layout::BurstDescriptor;
+use zllm_telemetry::MetricsRegistry;
 
 /// Outcome of pricing one burst stream through the memory system.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferReport {
-    /// Payload bytes moved.
+    /// Payload bytes moved on the bus.
     pub bytes: u64,
+    /// Payload bytes the requester asked for: `bytes` on an uncompressed
+    /// transfer, the pre-compression size through the compression stage
+    /// (whose `bytes` are wire plus page-map bytes).
+    pub logical_bytes: u64,
     /// DRAM-side busy cycles (at the DRAM clock).
     pub dram_cycles: u64,
     /// PL-side minimum cycles (one 512-bit beat per 300 MHz cycle).
@@ -23,6 +30,9 @@ pub struct TransferReport {
     pub efficiency: f64,
     /// Controller statistics accumulated during this transfer.
     pub stats: DdrStats,
+    /// Decompressor stall exposed beyond `wall_ns`; `0.0` unless the
+    /// transfer carried compressed data.
+    pub decomp_stall_ns: f64,
 }
 
 impl std::fmt::Display for TransferReport {
@@ -56,6 +66,9 @@ impl std::fmt::Display for TransferReport {
 pub struct MemorySystem {
     ctrl: DdrController,
     axi: AxiConfig,
+    /// Inline-compression stage between the requester and the controller
+    /// ([`MemorySystem::set_compression`]).
+    comp: Option<CompressionStage>,
 }
 
 impl MemorySystem {
@@ -79,6 +92,7 @@ impl MemorySystem {
         MemorySystem {
             ctrl: DdrController::new(ddr, lookahead),
             axi,
+            comp: None,
         }
     }
 
@@ -93,6 +107,7 @@ impl MemorySystem {
         MemorySystem {
             ctrl: DdrController::with_counters(ddr, lookahead, counters),
             axi,
+            comp: None,
         }
     }
 
@@ -104,6 +119,53 @@ impl MemorySystem {
     /// The DDR configuration.
     pub fn ddr_config(&self) -> &DdrConfig {
         self.ctrl.config()
+    }
+
+    /// Puts the inline-compression stage (see [`crate::compress`])
+    /// between the requester and the controller, replacing any earlier
+    /// one. Only [`MemorySystem::transfer_classed`] goes through it; what
+    /// [`MemorySystem::transfer_iter`] prices bypasses it.
+    pub fn set_compression(&mut self, cfg: CompressionConfig) {
+        self.comp = Some(CompressionStage::new(cfg));
+    }
+
+    /// Registers the stage's `comp.*` counters and its three
+    /// `comp.ratio.*` gauges in `reg`, which it publishes into from then
+    /// on. Does nothing without a stage, for an all-identity stage (so a
+    /// compression-off snapshot keeps its key set) and once registered.
+    pub fn register_compression(&mut self, reg: &mut MetricsRegistry) {
+        if let Some(stage) = self.comp.as_mut() {
+            stage.register(reg);
+        }
+    }
+
+    /// The stage's cumulative `(logical, wire, metadata)` payload bytes,
+    /// or `None` without a stage.
+    pub fn compression_bytes(&self) -> Option<(u64, u64, u64)> {
+        self.compression_stage().map(CompressionStage::bytes)
+    }
+
+    /// The compression stage, if one is set.
+    pub(crate) fn compression_stage(&self) -> Option<&CompressionStage> {
+        self.comp.as_ref()
+    }
+
+    /// Prices a stream of classed bursts through the compression stage:
+    /// each burst crosses the bus at its class's compressed size, and the
+    /// report adds the logical bytes and the decompressor stall. Without
+    /// a stage this is [`MemorySystem::transfer_iter`] over the bursts.
+    pub fn transfer_classed<I>(&mut self, bursts: I) -> TransferReport
+    where
+        I: IntoIterator<Item = (BurstDescriptor, StreamClass)>,
+    {
+        match self.comp.take() {
+            None => self.transfer_iter(bursts.into_iter().map(|(b, _)| b)),
+            Some(mut stage) => {
+                let report = stage.transfer(self, bursts);
+                self.comp = Some(stage);
+                report
+            }
+        }
     }
 
     /// Prices a stream of bursts issued back-to-back in order, returning
@@ -169,12 +231,14 @@ impl MemorySystem {
 
         TransferReport {
             bytes,
+            logical_bytes: bytes,
             dram_cycles,
             pl_cycles,
             wall_ns,
             bandwidth_gbps,
             efficiency,
             stats,
+            decomp_stall_ns: 0.0,
         }
     }
 

@@ -305,18 +305,6 @@ impl F16 {
         F16(self.0 & 0x7FFF)
     }
 
-    /// Fused multiply-add: `self * a + b` with a single final rounding.
-    ///
-    /// Models a DSP slice computing the product exactly into a wide
-    /// accumulator before rounding.
-    pub fn mul_add(self, a: F16, b: F16) -> F16 {
-        // f32 holds an f16×f16 product exactly (22 significand bits needed),
-        // and f64 holds the subsequent sum exactly, so rounding once from
-        // f64 yields the correctly rounded FMA.
-        let exact = self.to_f64() * a.to_f64() + b.to_f64();
-        F16::from_f64(exact)
-    }
-
     /// Square root, correctly rounded.
     pub fn sqrt(self) -> F16 {
         F16::from_f32(self.to_f32().sqrt())
@@ -616,21 +604,6 @@ mod tests {
         // 2048 + 3 = 2051 is a tie between 2050 (odd mantissa) and 2052
         // (even mantissa): ties-to-even picks 2052.
         assert_eq!((big + F16::from_f32(3.0)).to_f32(), 2052.0);
-    }
-
-    #[test]
-    fn mul_add_single_rounding_differs_from_two_roundings() {
-        // Choose values where (a*b) rounds but fma keeps the exact product:
-        // a = 1 + 2^-10 (ulp precision), b = 1 + 2^-10; a*b = 1 + 2^-9 + 2^-20.
-        let a = F16::from_bits(0x3C01);
-        let two_round = a * a + F16::from_bits(0x0001);
-        let fused = a.mul_add(a, F16::from_bits(0x0001));
-        // Both are valid FP16 values; fused must equal the correctly rounded
-        // exact expression.
-        let exact = a.to_f64() * a.to_f64() + F16::from_bits(0x0001).to_f64();
-        assert_eq!(fused.to_f32(), F16::from_f64(exact).to_f32());
-        // And the two-rounding result may differ — we only check it is close.
-        assert!((two_round.to_f32() - fused.to_f32()).abs() <= 2.0 * F16::EPSILON.to_f32());
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Language-model quality evaluation: cross-entropy, perplexity and
-//! generation agreement.
+//! Language-model quality evaluation: cross-entropy and perplexity.
 //!
 //! The paper's quantization choices (§IV: W4A16 over W8A8, KV8 over KV4)
 //! rest on accuracy arguments. Trained checkpoints and benchmark suites
@@ -85,30 +84,6 @@ pub fn sample_corpus(weights: &ModelWeights, seed: u64, len: usize) -> Vec<usize
     tokens
 }
 
-/// Fraction of steps at which two decoders pick the same greedy token.
-///
-/// # Panics
-///
-/// Panics if `tokens` has fewer than two elements.
-pub fn greedy_agreement<F, G>(mut a: F, mut b: G, tokens: &[usize]) -> f64
-where
-    F: FnMut(usize) -> Vec<f32>,
-    G: FnMut(usize) -> Vec<f32>,
-{
-    assert!(tokens.len() >= 2, "need at least two tokens");
-    let mut agree = 0usize;
-    let mut count = 0usize;
-    for pair in tokens.windows(2) {
-        let la = a(pair[0]);
-        let lb = b(pair[0]);
-        if crate::sampler::argmax(&la) == crate::sampler::argmax(&lb) {
-            agree += 1;
-        }
-        count += 1;
-    }
-    agree as f64 / count as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,16 +158,5 @@ mod tests {
             "KV8 gap too large: {kv8} vs {exact}"
         );
         assert!(kv2 > kv8, "KV2 ({kv2}) should degrade past KV8 ({kv8})");
-    }
-
-    #[test]
-    fn agreement_of_decoder_with_itself_is_one() {
-        let cfg = ModelConfig::test_small();
-        let w = ModelWeights::generate(&cfg, 8);
-        let corpus = sample_corpus(&w, 2, 12);
-        let mut a = Decoder::new(&w, KvCacheF32::new(&cfg));
-        let mut b = Decoder::new(&w, KvCacheF32::new(&cfg));
-        let agree = greedy_agreement(|t| a.forward(t), |t| b.forward(t), &corpus);
-        assert_eq!(agree, 1.0);
     }
 }

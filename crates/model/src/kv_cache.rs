@@ -157,11 +157,6 @@ impl KvCacheQ8 {
     pub fn bits(&self) -> u32 {
         self.bits
     }
-
-    /// Raw quantized K entry (for layout/bandwidth accounting).
-    pub fn key_q(&self, layer: usize, token: usize, head: usize) -> &QuantizedKv {
-        &self.keys[layer][token * self.n_kv_heads + head]
-    }
 }
 
 impl KvStore for KvCacheQ8 {
@@ -254,18 +249,6 @@ mod tests {
                 assert!((x - y).abs() < 0.01, "{x} vs {y}");
             }
         }
-    }
-
-    #[test]
-    fn q8_cache_exposes_raw_entries() {
-        let cfg = ModelConfig::test_small_gqa();
-        let mut cache = KvCacheQ8::new(&cfg);
-        let (k, v) = sample_kv(&cfg, 0);
-        for layer in 0..cfg.n_layers {
-            cache.append(layer, &k, &v);
-        }
-        let entry = cache.key_q(0, 0, 1);
-        assert_eq!(entry.len(), cfg.head_dim());
     }
 
     #[test]

@@ -208,7 +208,7 @@ fn pack_group_stream(q: &crate::group::QuantizedTensor) -> Vec<u8> {
 
 /// Deterministic synthetic quantized-weight stream: Gaussian bulk +
 /// sparse outliers, group-quantized and packed codes/scales/zeros.
-pub fn synthetic_weight_stream(model: &WeightStreamModel, seed: u64) -> Vec<u8> {
+fn synthetic_weight_stream(model: &WeightStreamModel, seed: u64) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
     let values: Vec<f32> = (0..model.elements)
         .map(|_| {
@@ -228,7 +228,7 @@ pub fn synthetic_weight_stream(model: &WeightStreamModel, seed: u64) -> Vec<u8> 
 /// activations with sparse outliers, 8-bit min-max quantized by
 /// [`quantize_kv`]; each line is the codes followed by the 32-bit
 /// scale-zero pack.
-pub fn synthetic_kv_stream(vectors: usize, dim: usize, seed: u64) -> Vec<u8> {
+fn synthetic_kv_stream(vectors: usize, dim: usize, seed: u64) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Vec::with_capacity(vectors * (dim + 4));
     let mut v = Vec::with_capacity(dim);
@@ -255,7 +255,7 @@ pub fn synthetic_kv_stream(vectors: usize, dim: usize, seed: u64) -> Vec<u8> {
 
 /// Deterministic synthetic FP16 activation stream (embedding-table rows):
 /// Gaussian values stored as little-endian half-precision bytes.
-pub fn synthetic_activation_stream(elements: usize, seed: u64) -> Vec<u8> {
+fn synthetic_activation_stream(elements: usize, seed: u64) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Vec::with_capacity(elements * 2);
     for _ in 0..elements {

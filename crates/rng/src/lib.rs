@@ -64,11 +64,6 @@ impl StdRng {
         result
     }
 
-    /// The next 32-bit output (upper half of a 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform draw from a range, for every numeric type the workspace
     /// samples.
     ///
