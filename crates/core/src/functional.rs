@@ -99,11 +99,11 @@ impl QuantizedMatrix {
     ///
     /// With fast kernels enabled ([`zllm_fp16::fast_kernels_enabled`]) a
     /// matrix of codes at most 4 bits wide takes the row-tiled path: the
-    /// rows go four at a time, each row's group decodes through its
-    /// 16-entry per-code table ([`Vpu::dequant_table16`]), the four rows'
-    /// weights interleave lane by lane into one f32 beat, and every
-    /// sequence runs one engine pass over it ([`Vpu::dot4_f32`]) against
-    /// its activations, decoded once per call and replicated four times.
+    /// rows go eight at a time, each group of the eight rows dequantizes
+    /// into one lane-interleaved f32 beat ([`Vpu::dequant_beat8`]), and
+    /// every sequence runs one engine pass over it ([`Vpu::dot8_f32`])
+    /// against its activations, decoded once per call and replicated
+    /// eight times.
     /// Every per-element value, rounding, accumulation order and counter
     /// total is identical to the F16 beat path, which wider codes and
     /// the scalar reference take.
@@ -171,10 +171,10 @@ impl QuantizedMatrix {
         }
     }
 
-    /// The row-tiled path for codes below 16: per tile of four rows and
-    /// per group, one lane-interleaved f32 weight beat (`w4[4i + r]` is
+    /// The row-tiled path for codes below 16: per tile of eight rows and
+    /// per group, one lane-interleaved f32 weight beat (`w8[8i + r]` is
     /// row `r`'s weight `i`; a partial tile's missing rows are +0.0) meets
-    /// each sequence's replicated activations (`x4[4i + r] = x[i]`) in
+    /// each sequence's replicated activations (`x8[8i + r] = x[i]`) in
     /// one engine pass per beat, and each real row's result adds into
     /// that row's accumulator in group order.
     fn matvec_tiles(
@@ -184,69 +184,53 @@ impl QuantizedMatrix {
         scratch: &mut BatchMatvecScratch,
         outs: &mut [Vec<F16>],
     ) {
-        let span = 4 * vpu.lanes();
+        let span = 8 * vpu.lanes();
         let BatchMatvecScratch {
-            w4, x4, dots, accs, ..
+            w8, x8, dots, accs, ..
         } = scratch;
-        x4.resize_with(xs.len(), Vec::new);
-        for (rep, x) in x4.iter_mut().zip(xs) {
-            rep.resize(4 * x.len(), 0.0);
-            for (lanes, v) in rep.chunks_exact_mut(4).zip(x) {
+        x8.resize_with(xs.len(), Vec::new);
+        for (rep, x) in x8.iter_mut().zip(xs) {
+            rep.resize(8 * x.len(), 0.0);
+            for (lanes, v) in rep.chunks_exact_mut(8).zip(x) {
                 lanes.fill(v.to_f32());
             }
         }
-        for tile in self.rows_q.chunks(4) {
-            let gs = tile[0].config().group_size;
+        for tile in self.rows_q.chunks(8) {
+            let (n, gs) = (tile.len(), tile[0].config().group_size);
             accs.clear();
-            accs.resize(4 * xs.len(), 0.0f32);
+            accs.resize(8 * xs.len(), 0.0f32);
             for (g, lo) in (0..self.cols).step_by(gs).enumerate() {
                 let len = gs.min(self.cols - lo);
-                let luts: [[f32; 16]; 4] = std::array::from_fn(|r| {
-                    tile.get(r).map_or([0.0; 16], |row| {
-                        vpu.dequant_table16(row.zeros()[g], row.scales()[g])
-                    })
-                });
-                // A missing row reads the first row's codes through its
-                // all-zero table.
-                let [c0, c1, c2, c3]: [&[u8]; 4] =
-                    std::array::from_fn(|r| &tile[r.min(tile.len() - 1)].codes()[lo..lo + len]);
-                let [l0, l1, l2, l3] = &luts;
-                w4.resize(4 * len, 0.0);
-                let codes = c0.iter().zip(c1).zip(c2).zip(c3);
-                for (w, (((&q0, &q1), &q2), &q3)) in w4.chunks_exact_mut(4).zip(codes) {
-                    let lanes = [
-                        l0[q0 as usize],
-                        l1[q1 as usize],
-                        l2[q2 as usize],
-                        l3[q3 as usize],
-                    ];
-                    w.copy_from_slice(&lanes);
-                }
-                for (acc, x) in accs.chunks_exact_mut(4).zip(x4.iter()) {
-                    for (wb, xb) in w4.chunks(span).zip(x[4 * lo..4 * (lo + len)].chunks(span)) {
-                        let sums = vpu.dot4_f32(dots, tile.len(), wb, xb);
+                let row = |r: usize| &tile[r.min(n - 1)];
+                let codes: [&[u8]; 8] = std::array::from_fn(|r| &row(r).codes()[lo..lo + len]);
+                let zeros: [u8; 8] = std::array::from_fn(|r| row(r).zeros()[g]);
+                let scales: [F16; 8] = std::array::from_fn(|r| row(r).scales()[g]);
+                vpu.dequant_beat8(w8, &codes[..n], &zeros[..n], &scales[..n]);
+                for (acc, x) in accs.chunks_exact_mut(8).zip(x8.iter()) {
+                    for (wb, xb) in w8.chunks(span).zip(x[8 * lo..8 * (lo + len)].chunks(span)) {
+                        let sums = vpu.dot8_f32(dots, n, wb, xb);
                         for (a, s) in acc.iter_mut().zip(sums) {
                             *a += s;
                         }
                     }
                 }
             }
-            for (out, acc) in outs.iter_mut().zip(accs.chunks_exact(4)) {
-                out.extend(acc[..tile.len()].iter().map(|&a| F16::from_f32(a)));
+            for (out, acc) in outs.iter_mut().zip(accs.chunks_exact(8)) {
+                out.extend(acc[..n].iter().map(|&a| F16::from_f32(a)));
             }
         }
     }
 }
 
 /// Reusable scratch for [`QuantizedMatrix::matvec_batch`]: the shared
-/// per-group weight beat (F16 on the row path, four rows lane-interleaved
+/// per-group weight beat (F16 on the row path, eight rows lane-interleaved
 /// in f32 on the tiled one), the per-sequence activations decoded and
-/// replicated four times, and the row accumulators.
+/// replicated eight times, and the row accumulators.
 #[derive(Debug, Clone, Default)]
 pub struct BatchMatvecScratch {
     beat: crate::vpu::WeightBeat,
-    w4: Vec<f32>,
-    x4: Vec<Vec<f32>>,
+    w8: Vec<f32>,
+    x8: Vec<Vec<f32>>,
     dots: zllm_fp16::vector::DotScratch,
     accs: Vec<f32>,
 }
@@ -1514,8 +1498,8 @@ mod tests {
 
         // 4-bit groups of 128, 48 (a short last group and beats shorter
         // than the lanes) and 16, plus 8-bit codes, which always take the
-        // F16 beat path; whole row tiles of four, partial last tiles and
-        // matrices of less than one tile.
+        // F16 beat path; whole row tiles of eight, partial last tiles,
+        // several tiles and matrices of less than one tile.
         let cols = 200;
         let configs = [
             (GroupQuantConfig::w4_g128(), 128),
@@ -1525,7 +1509,7 @@ mod tests {
         ];
         let shapes = configs
             .into_iter()
-            .flat_map(|c| [1usize, 3, 4, 5, 8, 11].map(|rows| (c, rows)));
+            .flat_map(|c| [1usize, 3, 4, 5, 7, 8, 9, 11, 15, 16, 17].map(|rows| (c, rows)));
         for ((cfg, lanes), rows) in shapes {
             let data: Vec<f32> = (0..rows * cols)
                 .map(|i| ((i * 41) % 67) as f32 / 67.0 - 0.5)

@@ -99,9 +99,9 @@ impl Vpu {
         self.engine.dot(w, x).to_f32()
     }
 
-    /// One engine pass over a tile of up to four weight rows, lane
+    /// One engine pass over a tile of up to eight weight rows, lane
     /// interleaved with their activations (see
-    /// [`zllm_fp16::vector::DotEngine::dot4_f32_with`]), with
+    /// [`zllm_fp16::vector::DotEngine::dot8_f32_with`]), with
     /// caller-provided engine scratch. Counts `rows` dot beats, one per
     /// real row: a partial tile pads its missing rows with +0.0 weights,
     /// whose results the caller drops. Result `r` is bit-identical to
@@ -109,33 +109,29 @@ impl Vpu {
     ///
     /// # Panics
     ///
-    /// Panics if `rows > 4` or the operands do not fit one beat.
-    pub fn dot4_f32(
+    /// Panics if `rows > 8` or the operands do not fit one beat.
+    pub fn dot8_f32(
         &self,
         scratch: &mut DotScratch,
         rows: usize,
-        w4: &[f32],
-        x4: &[f32],
-    ) -> [f32; 4] {
-        assert!(rows <= 4, "a tile holds at most four rows");
+        w8: &[f32],
+        x8: &[f32],
+    ) -> [f32; 8] {
+        assert!(rows <= 8, "a tile holds at most eight rows");
         self.counters.dot_beats.add(rows as u64);
-        self.engine.dot4_f32_with(scratch, w4, x4).map(F16::to_f32)
+        self.engine.dot8_f32_with(scratch, w8, x8).map(F16::to_f32)
     }
 
-    /// The per-code dequantization table of one 4-bit group: entry `q` is
-    /// the exact f32 decode of the F16 weight [`Vpu::dequantize_beat`]
-    /// would produce for code `q`. Counts as one dequantized beat, like
-    /// `dequantize_beat_into` — the matvec calls exactly one of the two
+    /// Dequantizes one 4-bit group of up to eight rows into one
+    /// lane-interleaved f32 weight beat (see
+    /// [`zllm_fp16::vector::dequant_beat8`]): `w8[8i + r]` is the exact
+    /// f32 decode of the F16 weight [`Vpu::dequantize_beat`] would produce
+    /// for row `r`'s code `i`. Counts one dequantized beat per row, like
+    /// `dequantize_beat_into` — the matvec takes exactly one of the two
     /// per row and group.
-    pub fn dequant_table16(&self, zero: u8, scale: F16) -> [f32; 16] {
-        self.counters.dequant_beats.inc();
-        let s32 = scale.to_f32();
-        // `demote_round` is exactly `F16::from_f32(v).to_f32()` without the
-        // intermediate F16 — 16 pure-ALU roundings per group.
-        std::array::from_fn(|q| {
-            let centred = q as i32 - zero as i32;
-            zllm_fp16::fast::demote_round(centred as f32 * s32)
-        })
+    pub fn dequant_beat8(&self, w8: &mut Vec<f32>, codes: &[&[u8]], zeros: &[u8], scales: &[F16]) {
+        self.counters.dequant_beats.add(codes.len() as u64);
+        zllm_fp16::vector::dequant_beat8(w8, codes, zeros, scales);
     }
 
     /// A full row dot product streamed beat by beat, accumulated in f32 —

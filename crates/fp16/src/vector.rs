@@ -8,6 +8,8 @@
 //! orderings so experiments can quantify the accuracy/area trade-off the
 //! paper's "bandwidth-area balanced" engine makes.
 
+use crate::fast::demote_round;
+use crate::isa::{self, Level};
 use crate::F16;
 use std::cell::RefCell;
 
@@ -26,8 +28,8 @@ thread_local! {
 /// to the scalar implementation.
 #[derive(Debug, Clone, Default)]
 pub struct DotScratch {
-    /// FP32 lane products, the first level of the adder tree (four rows
-    /// interleaved, for [`DotEngine::dot4_f32_with`]).
+    /// FP32 lane products, the first level of the adder tree (eight rows
+    /// interleaved, for [`DotEngine::dot8_f32_with`]).
     wide: Vec<f32>,
     /// The second FP32 tree buffer: levels alternate between the two.
     spare: Vec<f32>,
@@ -157,38 +159,60 @@ impl DotEngine {
         self.reduce_products(scratch, a.iter().zip(b).map(|(x, y)| decode(x) * decode(y)))
     }
 
-    /// Four dot products in one engine pass: one beat of four weight rows
-    /// against their activations, with the operands interleaved lane by
-    /// lane — `w4[4i + r]` and `x4[4i + r]` are row `r`'s lane-`i`
+    /// Eight dot products in one engine pass: one beat of eight weight
+    /// rows against their activations, with the operands interleaved lane
+    /// by lane — `w8[8i + r]` and `x8[8i + r]` are row `r`'s lane-`i`
     /// operands, given as the exact f32 decodes of F16 values.
     ///
     /// Result `r` is bit-identical to [`DotEngine::dot`] on row `r`'s F16
     /// operands: each product rounds once through binary16, lanes past
     /// the operands contribute +0.0, and the FP32 tree sums the same
     /// `(2i, 2i+1)` lane pairs of every row. On the interleaved layout a
-    /// tree level is `to[4j + r] = from[8j + r] + from[8j + 4 + r]`, one
-    /// packed add per four sums with no shuffles, and the product loop is
-    /// one flat elementwise loop over all four rows.
+    /// tree level is `to[8j + r] = from[16j + r] + from[16j + 8 + r]`,
+    /// vertical adds with no shuffles. The pass runs at the highest ISA
+    /// level the host supports; every level gives the same bits.
     ///
     /// # Panics
     ///
     /// Panics if the operands have different lengths, a length that is
-    /// not a multiple of four, or more than four times the lane count.
-    pub fn dot4_f32_with(&self, scratch: &mut DotScratch, w4: &[f32], x4: &[f32]) -> [F16; 4] {
-        assert_eq!(w4.len(), x4.len(), "operand length mismatch");
-        assert_eq!(w4.len() % 4, 0, "operands must interleave four rows");
-        assert!(w4.len() <= 4 * self.lanes, "operands exceed lane count");
-        let products = w4.iter().zip(x4).map(|(w, x)| w * x);
+    /// not a multiple of eight, or more than eight times the lane count.
+    pub fn dot8_f32_with(&self, scratch: &mut DotScratch, w8: &[f32], x8: &[f32]) -> [F16; 8] {
+        self.dot8_f32_at(isa::level(), scratch, w8, x8)
+    }
+
+    /// [`DotEngine::dot8_f32_with`] at a given ISA level. The AVX2 level
+    /// takes FP32 trees of at least eight lanes, and hands a beat with a
+    /// NaN product back to the baseline level.
+    pub(crate) fn dot8_f32_at(
+        &self,
+        level: Level,
+        scratch: &mut DotScratch,
+        w8: &[f32],
+        x8: &[f32],
+    ) -> [F16; 8] {
+        assert_eq!(w8.len(), x8.len(), "operand length mismatch");
+        assert_eq!(w8.len() % 8, 0, "operands must interleave eight rows");
+        assert!(w8.len() <= 8 * self.lanes, "operands exceed lane count");
+        let products = w8.iter().zip(x8).map(|(w, x)| w * x);
         match self.precision {
             TreePrecision::Fp32 => {
                 let DotScratch { wide, spare, .. } = scratch;
-                wide.resize(4 * self.lanes, 0.0);
-                spare.resize(2 * self.lanes, 0.0);
+                match level {
+                    #[cfg(target_arch = "x86_64")]
+                    Level::Avx2F16c(avx2) if self.lanes >= 8 => {
+                        if let Some(sums) = avx2.dot8(w8, x8, self.lanes, spare) {
+                            return sums.map(F16::from_f32_fast);
+                        }
+                    }
+                    _ => {}
+                }
+                wide.resize(8 * self.lanes, 0.0);
+                spare.resize(4 * self.lanes, 0.0);
                 round_products(wide, products);
-                tree_sum4_f32(wide, spare).map(F16::from_f32_fast)
+                tree_sum8_f32(wide, spare).map(F16::from_f32_fast)
             }
             TreePrecision::Fp16 => std::array::from_fn(|r| {
-                let row = products.clone().skip(r).step_by(4);
+                let row = products.clone().skip(r).step_by(8);
                 self.tree_sum_f16(&mut scratch.narrow, row.map(F16::from_f32_fast))
             }),
         }
@@ -272,9 +296,10 @@ fn tree_sum_f32(level: &mut [f32], spare: &mut [f32]) -> f32 {
         let mut sums = to[..len].chunks_exact_mut(4);
         let mut pairs = from[..2 * len].chunks_exact(8);
         for (s, p) in (&mut sums).zip(&mut pairs) {
-            for j in 0..4 {
-                s[j] = p[2 * j] + p[2 * j + 1];
-            }
+            // All loads before the stores, so the four adds pack into one
+            // without proving that `to` and `from` never overlap.
+            let four: [f32; 4] = std::array::from_fn(|j| p[2 * j] + p[2 * j + 1]);
+            s.copy_from_slice(&four);
         }
         for (s, p) in sums
             .into_remainder()
@@ -288,28 +313,26 @@ fn tree_sum_f32(level: &mut [f32], spare: &mut [f32]) -> f32 {
     from[0]
 }
 
-/// [`tree_sum_f32`] over four interleaved rows, `level[4i + r]` being row
-/// `r`'s lane `i`: each level computes `to[4j + r] = from[8j + r] +
-/// from[8j + 4 + r]`, which for every row is the `(2i, 2i+1)` pairing,
-/// as one packed add per four sums. `spare` must hold at least half of
-/// `level`, whose length is four times a power of two.
-fn tree_sum4_f32(level: &mut [f32], spare: &mut [f32]) -> [f32; 4] {
+/// [`tree_sum_f32`] over eight interleaved rows, `level[8i + r]` being
+/// row `r`'s lane `i`: each level computes `to[8j + r] = from[16j + r] +
+/// from[16j + 8 + r]`, which for every row is the `(2i, 2i+1)` pairing,
+/// as two packed adds per eight sums. `spare` must hold at least half of
+/// `level`, whose length is eight times a power of two.
+fn tree_sum8_f32(level: &mut [f32], spare: &mut [f32]) -> [f32; 8] {
     let (mut from, mut to) = (level, spare);
     let mut len = from.len();
-    while len > 4 {
+    while len > 8 {
         len /= 2;
         for (s, p) in to[..len]
-            .chunks_exact_mut(4)
-            .zip(from[..2 * len].chunks_exact(8))
+            .chunks_exact_mut(8)
+            .zip(from[..2 * len].chunks_exact(16))
         {
-            // All loads before the stores, so the four adds pack into one
-            // without proving that `to` and `from` never overlap.
-            let sums: [f32; 4] = std::array::from_fn(|r| p[r] + p[4 + r]);
+            let sums: [f32; 8] = std::array::from_fn(|r| p[r] + p[8 + r]);
             s.copy_from_slice(&sums);
         }
         std::mem::swap(&mut from, &mut to);
     }
-    [from[0], from[1], from[2], from[3]]
+    std::array::from_fn(|r| from[r])
 }
 
 /// The fast kernels' product rounding: writes each product rounded once
@@ -323,7 +346,7 @@ fn tree_sum4_f32(level: &mut [f32], spare: &mut [f32]) -> [f32; 4] {
 /// are recomputed and the whole beat is rounded by
 /// [`crate::fast::demote_round`]. Both loops compile to packed ops.
 fn round_products(level: &mut [f32], products: impl ExactSizeIterator<Item = f32> + Clone) {
-    use crate::fast::{demote_round, demote_round_check, demote_round_short};
+    use crate::fast::{demote_round_check, demote_round_short};
     let (head, pad) = level.split_at_mut(products.len());
     let mut check = 0i32;
     for (lane, p) in head.iter_mut().zip(products.clone()) {
@@ -336,6 +359,71 @@ fn round_products(level: &mut [f32], products: impl ExactSizeIterator<Item = f32
         }
     }
     pad.fill(0.0);
+}
+
+/// Builds one W4 weight beat of up to eight rows, lane-interleaved the
+/// way [`DotEngine::dot8_f32_with`] takes it: `w8[8i + r]` is row `r`'s
+/// weight `(codes[r][i] − zeros[r]) · scales[r]`, rounded once through
+/// binary16 and given as its exact f32 decode — the operand the
+/// dequantizer hands the multipliers. Rows past `codes.len()` get +0.0
+/// weights. `w8` is resized to eight weights per code of a row. The beat
+/// is built at the highest ISA level the host supports; every level gives
+/// the same bits.
+///
+/// # Panics
+///
+/// Panics if there are no rows or more than eight, the three slices have
+/// different lengths, the rows' code slices have different lengths, or a
+/// code is 16 or more.
+pub fn dequant_beat8(w8: &mut Vec<f32>, codes: &[&[u8]], zeros: &[u8], scales: &[F16]) {
+    dequant_beat8_at(isa::level(), w8, codes, zeros, scales);
+}
+
+/// [`dequant_beat8`] at a given ISA level. The AVX2 level takes rows
+/// whose length is a multiple of 16 and finite scales, and hands other
+/// beats back to the baseline level.
+pub(crate) fn dequant_beat8_at(
+    level: Level,
+    w8: &mut Vec<f32>,
+    codes: &[&[u8]],
+    zeros: &[u8],
+    scales: &[F16],
+) {
+    let rows = codes.len();
+    assert!((1..=8).contains(&rows), "a beat holds one to eight rows");
+    assert!(
+        zeros.len() == rows && scales.len() == rows,
+        "one zero point and one scale per row"
+    );
+    let len = codes[0].len();
+    assert!(
+        codes.iter().all(|c| c.len() == len),
+        "rows of one group have equal lengths"
+    );
+    // A missing row reads the first row's codes with zero point 0 and
+    // scale +0.0: `(q − 0) · +0.0` is +0.0 for every code.
+    let codes: [&[u8]; 8] = std::array::from_fn(|r| codes.get(r).copied().unwrap_or(codes[0]));
+    let zeros: [u8; 8] = std::array::from_fn(|r| zeros.get(r).copied().unwrap_or(0));
+    let scales: [f32; 8] = std::array::from_fn(|r| scales.get(r).map_or(0.0, |s| s.to_f32()));
+    w8.resize(8 * len, 0.0);
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2F16c(avx2) if avx2.beat8(w8, codes, zeros, scales) => {}
+        _ => beat8_tables(w8, &codes, &zeros, &scales),
+    }
+}
+
+/// The baseline level of [`dequant_beat8`]: one sixteen-entry table per
+/// row, entry `q` being the rounded weight of code `q` — one rounding per
+/// code *value* — then the rows' codes gathered through their tables.
+fn beat8_tables(w8: &mut [f32], codes: &[&[u8]; 8], zeros: &[u8; 8], scales: &[f32; 8]) {
+    let tables: [[f32; 16]; 8] = std::array::from_fn(|r| {
+        std::array::from_fn(|q| demote_round((q as i32 - zeros[r] as i32) as f32 * scales[r]))
+    });
+    for (i, w) in w8.chunks_exact_mut(8).enumerate() {
+        let lanes: [f32; 8] = std::array::from_fn(|r| tables[r][codes[r][i] as usize]);
+        w.copy_from_slice(&lanes);
+    }
 }
 
 impl Default for DotEngine {
@@ -425,27 +513,29 @@ mod tests {
         }
     }
 
-    /// Interleaves up to four rows' operands lane by lane, the layout
-    /// [`DotEngine::dot4_f32_with`] takes; rows past `rows.len()` get
+    /// Interleaves up to eight rows' operands lane by lane, the layout
+    /// [`DotEngine::dot8_f32_with`] takes; rows past `rows.len()` get
     /// +0.0 weights against the first row's activations.
     fn interleave(rows: &[(Vec<F16>, Vec<F16>)]) -> (Vec<f32>, Vec<f32>) {
         let len = rows[0].0.len();
-        let (mut w4, mut x4) = (Vec::new(), Vec::new());
+        let (mut w8, mut x8) = (Vec::new(), Vec::new());
         for i in 0..len {
-            for r in 0..4 {
+            for r in 0..8 {
                 let (w, x) = rows.get(r).map_or((0.0, rows[0].1[i].to_f32()), |(a, b)| {
                     (a[i].to_f32(), b[i].to_f32())
                 });
-                w4.push(w);
-                x4.push(x);
+                w8.push(w);
+                x8.push(x);
             }
         }
-        (w4, x4)
+        (w8, x8)
     }
 
-    /// Asserts that the four-dot pass over `rows` gives, for every real
-    /// row, the bits of a single scalar dot with fast kernels off.
-    fn assert_dot4_matches_scalar(
+    /// Asserts that the eight-dot pass over `rows`, at every ISA level
+    /// the host supports, gives for every real row the bits of a single
+    /// scalar dot with fast kernels off, and that the AVX2 kernel declines
+    /// exactly the beats with a NaN product.
+    fn assert_dot8_matches_scalar(
         e: &DotEngine,
         scratch: &mut DotScratch,
         rows: &[(Vec<F16>, Vec<F16>)],
@@ -454,27 +544,42 @@ mod tests {
         crate::fast::set_fast_kernels(false);
         let scalar: Vec<u16> = rows.iter().map(|(a, b)| e.dot(a, b).to_bits()).collect();
         crate::fast::set_fast_kernels(true);
-        let (w4, x4) = interleave(rows);
-        let fused = e.dot4_f32_with(scratch, &w4, &x4);
-        for (r, want) in scalar.iter().enumerate() {
-            assert_eq!(fused[r].to_bits(), *want, "dot4 row {r}: {case}");
+        let (w8, x8) = interleave(rows);
+        for level in isa::levels() {
+            let fused = e.dot8_f32_at(level, scratch, &w8, &x8);
+            for (r, want) in scalar.iter().enumerate() {
+                assert_eq!(fused[r].to_bits(), *want, "row {r} at {level:?}: {case}");
+            }
+            #[cfg(target_arch = "x86_64")]
+            if let Level::Avx2F16c(avx2) = level {
+                if e.precision == TreePrecision::Fp32 && e.lanes >= 8 {
+                    let nan = w8.iter().zip(&x8).any(|(w, x)| (w * x).is_nan());
+                    let declined = avx2.dot8(&w8, &x8, e.lanes, &mut Vec::new()).is_none();
+                    assert_eq!(declined, nan, "AVX2 declines NaN products: {case}");
+                }
+            }
         }
     }
 
     #[test]
-    fn dot4_f32_with_matches_f16_dot_bit_for_bit() {
+    fn dot8_f32_with_matches_f16_dot_bit_for_bit() {
         for precision in [TreePrecision::Fp32, TreePrecision::Fp16] {
             let e = DotEngine::new(64, precision);
             let mut scratch = DotScratch::new();
             for trial in 0..16u64 {
                 let len = 1 + (trial as usize * 11) % 64;
-                let rows: Vec<(Vec<F16>, Vec<F16>)> = (0..4)
-                    .map(|r| (lcg_vec(trial * 9 + r, len), lcg_vec(trial * 9 + r + 4, len)))
+                let rows: Vec<(Vec<F16>, Vec<F16>)> = (0..8)
+                    .map(|r| {
+                        (
+                            lcg_vec(trial * 17 + r, len),
+                            lcg_vec(trial * 17 + r + 8, len),
+                        )
+                    })
                     .collect();
                 // Whole tiles and partial ones padded with +0.0 weights.
-                for tile in 1..=4 {
+                for tile in 1..=8 {
                     let case = format!("{precision:?} len {len}, {tile} rows");
-                    assert_dot4_matches_scalar(&e, &mut scratch, &rows[..tile], &case);
+                    assert_dot8_matches_scalar(&e, &mut scratch, &rows[..tile], &case);
                 }
             }
         }
@@ -486,7 +591,12 @@ mod tests {
     /// (their sums meet as inf − inf = NaN); 3 — NaN operands; 4 — inf × 0
     /// beside inf × finite; 5 — lanes 8k and 8k+1 cancel exactly, beside
     /// products small enough to vanish when added to one of them alone,
-    /// so any tree pairing other than `(2i, 2i+1)` changes the result.
+    /// so any tree pairing other than `(2i, 2i+1)` changes the result;
+    /// 6 — every product is −0.0, so a sum stays −0.0 until a lane past
+    /// the operands adds its +0.0; 7 — lanes 0 and 8 cancel exactly,
+    /// beside products that vanish when added to either alone, so a
+    /// pairing of the tree's blocks of eight lanes other than `(2j,
+    /// 2j+1)` changes the result.
     /// No dot mixes NaNs of opposite sign: an add returns one of its NaN
     /// operands and the compiler may swap an add's operands, so such a
     /// sum has no single bit pattern on either path.
@@ -566,7 +676,7 @@ mod tests {
                 }
                 (a, b)
             }
-            _ => {
+            5 => {
                 let mut small = scaled(&a, 1.0 / 256.0);
                 let mut b = b;
                 for i in (0..n.saturating_sub(1)).step_by(8) {
@@ -574,6 +684,18 @@ mod tests {
                     small[i] = big;
                     small[i + 1] = -big;
                     b[i + 1] = b[i];
+                }
+                (small, b)
+            }
+            6 => (vec![F16::ZERO; n], vec![F16::from_f32(-1.5); n]),
+            _ => {
+                // Products of at most 2^-12: seven of them sum to less
+                // than half an f32 ulp of ±32768.
+                let mut small = scaled(&a, 1.0 / 65536.0);
+                let mut b = b;
+                if n > 8 {
+                    (small[0], small[8]) = (F16::from_f32(4096.0), F16::from_f32(-4096.0));
+                    (b[0], b[8]) = (F16::from_f32(8.0), F16::from_f32(8.0));
                 }
                 (small, b)
             }
@@ -587,8 +709,8 @@ mod tests {
                 let e = DotEngine::new(lanes, precision);
                 let mut scratch = DotScratch::new();
                 // Full beats and short, zero-padded ones.
-                for len in [lanes, lanes - 1, lanes / 2 + 1, 1] {
-                    let rows: Vec<(Vec<F16>, Vec<F16>)> = (0..6u64)
+                for len in [lanes, lanes - 1, lanes / 2 + 1, lanes / 2, 1] {
+                    let rows: Vec<(Vec<F16>, Vec<F16>)> = (0..8u64)
                         .map(|family| special_operands(family, 7 * family + len as u64, len))
                         .collect();
                     for (family, (a, b)) in rows.iter().enumerate() {
@@ -604,16 +726,18 @@ mod tests {
                             "dot_with: {case}"
                         );
                     }
-                    // Every family in every row slot of a four-dot tile,
-                    // and tiles of one to three rows.
-                    for first in 0..6 {
+                    // Every family in every row slot of an eight-dot
+                    // tile, and tiles of one to eight rows.
+                    for first in 0..8 {
                         let tile: Vec<_> =
-                            (first..first + 4).map(|f| rows[f % 6].clone()).collect();
-                        let case = format!(
-                            "{precision:?}, {lanes} lanes, families from {first}, len {len}"
-                        );
-                        assert_dot4_matches_scalar(&e, &mut scratch, &tile, &case);
-                        assert_dot4_matches_scalar(&e, &mut scratch, &tile[..1 + first % 3], &case);
+                            (first..first + 8).map(|f| rows[f % 8].clone()).collect();
+                        for n in 1..=8 {
+                            let case = format!(
+                                "{precision:?}, {lanes} lanes, {n} rows of families from \
+                                 {first}, len {len}"
+                            );
+                            assert_dot8_matches_scalar(&e, &mut scratch, &tile[..n], &case);
+                        }
                     }
                 }
             }
@@ -621,7 +745,7 @@ mod tests {
     }
 
     #[test]
-    fn dot4_rounds_a_tile_with_one_out_of_range_row_through_the_fallback() {
+    fn dot8_rounds_a_tile_with_one_out_of_range_row_through_the_fallback() {
         // Row `k` overflows binary16 in some lanes (family 2), the other
         // rows stay in the shortcut's range: the fallback must round the
         // whole beat, and only row `k` tells a skipped fallback apart.
@@ -629,8 +753,8 @@ mod tests {
         let e = DotEngine::new(128, TreePrecision::Fp32);
         let mut scratch = DotScratch::new();
         for len in [128, 77] {
-            for k in 0..4 {
-                let rows: Vec<(Vec<F16>, Vec<F16>)> = (0..4u64)
+            for k in 0..8 {
+                let rows: Vec<(Vec<F16>, Vec<F16>)> = (0..8u64)
                     .map(|r| {
                         let family = if r == k as u64 {
                             2
@@ -648,10 +772,83 @@ mod tests {
                             .any(|(x, y)| demote_round_check(x.to_f32() * y.to_f32()) < 0)
                     })
                     .collect();
-                let want: Vec<bool> = (0..4).map(|r| r == k).collect();
+                let want: Vec<bool> = (0..8).map(|r| r == k).collect();
                 assert_eq!(trips, want, "only row {k} trips the check");
-                assert_dot4_matches_scalar(&e, &mut scratch, &rows, &format!("row {k}, len {len}"));
+                assert_dot8_matches_scalar(&e, &mut scratch, &rows, &format!("row {k}, len {len}"));
             }
+        }
+    }
+
+    /// [`dequant_beat8`]'s contract element by element:
+    /// `demote_round((q − z) as f32 × s)` per row, +0.0 past the rows.
+    fn beat8_reference(codes: &[&[u8]], zeros: &[u8], scales: &[F16]) -> Vec<u32> {
+        (0..codes[0].len())
+            .flat_map(|i| {
+                (0..8).map(move |r| match codes.get(r) {
+                    Some(c) => {
+                        let centred = c[i] as i32 - zeros[r] as i32;
+                        demote_round(centred as f32 * scales[r].to_f32()).to_bits()
+                    }
+                    None => 0,
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dequant_beat8_matches_per_element_rounding_at_every_level() {
+        // Scales of both signs and many binades, zero points that differ
+        // row by row and equal some codes (a zero weight, −0.0 under a
+        // negative scale), and beats with an inf scale, a NaN scale and a
+        // NaN scale with a payload, which the AVX2 level must hand back.
+        let specials = [
+            None,
+            Some(F16::INFINITY),
+            Some(F16::NEG_INFINITY),
+            Some(F16::NAN),
+            Some(F16::from_bits(0xFE55)),
+        ];
+        for len in [16, 48, 72, 128] {
+            for rows in 1..=8usize {
+                for (case, special) in specials.iter().enumerate() {
+                    let seed = (len * 8 + rows) as u64 * 5 + case as u64;
+                    let bytes: Vec<u8> = lcg_vec(seed, rows * len)
+                        .iter()
+                        .map(|v| (v.to_bits() >> 3) as u8 & 15)
+                        .collect();
+                    let codes: Vec<&[u8]> = bytes.chunks(len).collect();
+                    let zeros: Vec<u8> = (0..rows).map(|r| ((3 * r + case) % 16) as u8).collect();
+                    let mut scales: Vec<F16> = lcg_vec(seed ^ 0xA5, rows)
+                        .iter()
+                        .enumerate()
+                        .map(|(r, s)| F16::from_f32(s.to_f32() * [1e-3, 0.25, 40.0][r % 3]))
+                        .collect();
+                    if let Some(s) = special {
+                        scales[rows / 2] = *s;
+                    }
+                    let want = beat8_reference(&codes, &zeros, &scales);
+                    for level in isa::levels() {
+                        let mut w8 = vec![f32::NAN; 3];
+                        dequant_beat8_at(level, &mut w8, &codes, &zeros, &scales);
+                        let got: Vec<u32> = w8.iter().map(|w| w.to_bits()).collect();
+                        assert_eq!(got, want, "{level:?}, len {len}, {rows} rows, case {case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dequant_beat8_rejects_codes_of_16_or_more_at_every_level() {
+        let codes: Vec<u8> = (0..64)
+            .map(|i| if i == 37 { 16 } else { i as u8 % 16 })
+            .collect();
+        for level in isa::levels() {
+            let built = std::panic::catch_unwind(|| {
+                let mut w8 = Vec::new();
+                dequant_beat8_at(level, &mut w8, &[&codes], &[3], &[F16::ONE]);
+            });
+            assert!(built.is_err(), "{level:?} took code 16");
         }
     }
 
@@ -675,6 +872,7 @@ mod tests {
             .zip(&b)
             .any(|(x, y)| x.is_infinite() && y.to_f32() == 0.0));
         assert!(e.dot(&a, &b).is_nan());
+        assert!(products(6).iter().all(|p| p.to_bits() == 0x8000));
         // Pairing lane i with lane i + len/2 instead gives other bits.
         let mut level: Vec<f32> = products(5).iter().map(|p| p.to_f32()).collect();
         while level.len() > 1 {
@@ -682,6 +880,23 @@ mod tests {
             level = (0..half).map(|i| level[i] + level[i + half]).collect();
         }
         let (a, b) = special_operands(5, 3, 128);
+        assert_ne!(F16::from_f32(level[0]).to_bits(), e.dot(&a, &b).to_bits());
+        // So does pairing block j of eight lanes with block j + n/2.
+        let mut level: Vec<f32> = products(7)
+            .chunks(8)
+            .map(|block| {
+                let mut sums: Vec<f32> = block.iter().map(|p| p.to_f32()).collect();
+                while sums.len() > 1 {
+                    sums = sums.chunks(2).map(|p| p[0] + p[1]).collect();
+                }
+                sums[0]
+            })
+            .collect();
+        while level.len() > 1 {
+            let half = level.len() / 2;
+            level = (0..half).map(|i| level[i] + level[i + half]).collect();
+        }
+        let (a, b) = special_operands(7, 3, 128);
         assert_ne!(F16::from_f32(level[0]).to_bits(), e.dot(&a, &b).to_bits());
     }
 

@@ -138,11 +138,6 @@ impl MetricsRegistry {
         self.counters.get(name).map(Counter::get)
     }
 
-    /// Current value of a gauge, if registered.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).map(Gauge::get)
-    }
-
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
         self.counters.len() + self.gauges.len()
@@ -392,7 +387,7 @@ mod tests {
         assert_eq!(c.get(), 6);
         let g = reg.gauge("a.rate");
         g.set(2.5);
-        assert_eq!(reg.gauge_value("a.rate"), Some(2.5));
+        assert_eq!(reg.snapshot().gauges.get("a.rate"), Some(&2.5));
         assert_eq!(reg.len(), 2);
         assert!(!reg.is_empty());
     }
@@ -424,7 +419,7 @@ mod tests {
         a.merge(&b.snapshot());
         assert_eq!(a.counter_value("n"), Some(7));
         assert_eq!(a.counter_value("only_b"), Some(1));
-        assert_eq!(a.gauge_value("r"), Some(9.0));
+        assert_eq!(a.snapshot().gauges.get("r"), Some(&9.0));
     }
 
     #[test]
