@@ -198,12 +198,21 @@ impl SegmentMemo {
         (i % Self::len(geo)) as usize
     }
 
-    /// The outcome recorded under `key` and the banks it left open.
-    fn get(&self, key: &SegmentKey, geo: &Geometry) -> Option<(&SegmentOutcome, &[OpenedBank])> {
+    /// The slot holding the outcome recorded under `key`, if any.
+    fn get(&self, key: &SegmentKey, geo: &Geometry) -> Option<usize> {
         let i = Self::slot(key, geo);
-        let out = self.slots.get(i)?.as_ref().filter(|o| o.key == *key)?;
+        self.slots.get(i)?.as_ref().filter(|o| o.key == *key)?;
+        Some(i)
+    }
+
+    /// The outcome in slot `i`, one [`Self::get`] found, and the banks it
+    /// left open.
+    fn entry(&self, i: usize, geo: &Geometry) -> (&SegmentOutcome, &[OpenedBank]) {
+        let out = self.slots[i]
+            .as_ref()
+            .expect("a found slot holds an outcome");
         let banks = (geo.bgc * geo.bpg) as usize;
-        Some((out, &self.opened[i * banks..][..out.opened]))
+        (out, &self.opened[i * banks..][..out.opened])
     }
 
     /// Records how segment `rec` priced, given the stretch's counts, banks
@@ -252,6 +261,16 @@ struct Recording {
     counts: (u64, u64, u64),
 }
 
+/// A segment replayed from the memo: the slot of its outcome, its first
+/// bus slot `S` and its first row window.
+#[derive(Debug, Clone, Copy)]
+struct Replay {
+    slot: usize,
+    bus: u64,
+    bank_in_group: u64,
+    row: u64,
+}
+
 /// The controller. Time is measured in DRAM clock cycles from construction.
 ///
 /// # Example
@@ -291,13 +310,16 @@ pub struct DdrController {
     geo: Geometry,
     /// Refresh segments [`Self::stretch`] has walked, for replay.
     memo: SegmentMemo,
-    /// Calls of [`Self::access`] so far, and row-window pieces walked and
-    /// refresh segments replayed by [`Self::stretch`]. Outside the
-    /// telemetry snapshot: they measure how the simulator priced the
-    /// accesses, not the device.
+    /// Calls of [`Self::access`] so far; row-window pieces walked,
+    /// refresh segments replayed, replays of a segment that left some bank
+    /// unopened and writes of a replayed outcome into the bank state by
+    /// [`Self::stretch`]. Outside the telemetry snapshot: they measure how
+    /// the simulator priced the accesses, not the device.
     per_access_steps: u64,
     window_steps: u64,
     segment_replays: u64,
+    eager_replays: u64,
+    materializations: u64,
 }
 
 /// Derived address-map constants (see [`DdrConfig::map_address`]).
@@ -377,6 +399,8 @@ impl DdrController {
             per_access_steps: 0,
             window_steps: 0,
             segment_replays: 0,
+            eager_replays: 0,
+            materializations: 0,
         }
     }
 
@@ -603,10 +627,32 @@ impl DdrController {
     /// moves its outcome by Δ and `k`. So the stretch records each such
     /// segment it walks to its refresh under those inputs taken relative
     /// to `S` (the history's length and all four entries), and replays a
-    /// later segment with an equal key in O(banks): it opens the recorded
-    /// banks at their shifted rows and activate times, restores the
-    /// history and adds the counts. Banks it does not open keep their
-    /// stale activate times, as [`Self::access`] leaves them.
+    /// later segment with an equal key: it adds the recorded counts and
+    /// moves on to the segment's refresh. *Applying* the outcome opens the
+    /// recorded banks at their shifted rows and activate times and
+    /// restores the history; banks it does not open keep their stale
+    /// activate times, as [`Self::access`] leaves them.
+    ///
+    /// A replay whose outcome opened **every** bank is not applied at
+    /// once: the stretch keeps it pending (its memo slot, `S` and first
+    /// window) and applies it only when something reads bank state. That
+    /// is exact for four reasons:
+    ///
+    /// * a replayed segment ends on its refresh slot, so nothing between a
+    ///   replay and the next refresh branch reads bank state;
+    /// * a refresh closes every bank;
+    /// * an all-bank segment rewrites every bank's row and activate time;
+    /// * the activate history is recorded whole, so the next key's history
+    ///   is the pending outcome's, moved from its `S` to the new one.
+    ///
+    /// So at the next refresh the stretch does not close the banks. It
+    /// either chains another all-bank replay, which replaces the pending
+    /// one, or applies the pending outcome, closes the banks and goes on:
+    /// with a replay of an outcome that left some bank unopened, applied at
+    /// once, or with a walk. A run of replayed epochs thus writes the bank
+    /// state once rather than once per epoch. An outcome that left a bank
+    /// unopened is never deferred: that bank keeps an earlier segment's
+    /// stale activate time, which a chained replay would not restore.
     fn stretch(&mut self, addr: u64, max_n: u64, write: bool) -> u64 {
         let geo = self.geo;
         let Geometry {
@@ -642,6 +688,7 @@ impl DdrController {
         };
         let (mut hits, mut misses, mut conflicts) = (0u64, 0u64, 0u64);
         let mut recording = None;
+        let mut pending: Option<Replay> = None;
         let mut j = 0u64;
         let n = 'walk: loop {
             if j == max_n {
@@ -659,9 +706,6 @@ impl DdrController {
                 }
                 let due = bus;
                 while bus >= self.next_refresh {
-                    for b in &mut self.banks {
-                        b.open_row = None;
-                    }
                     bus = bus.max(self.next_refresh) + trfc;
                     self.next_refresh += trefi;
                     self.counters.refreshes.inc();
@@ -669,33 +713,50 @@ impl DdrController {
                 segs.prev = segs.cur;
                 segs.cur = Segment { start: j, bus };
                 let len = (self.next_refresh - bus).div_ceil(cpa);
-                if j >= bgc.max(segs.prev.start + l) && len >= l.max(bgc) && j + len < max_n {
-                    let key = SegmentKey {
-                        offset,
-                        to_refresh: self.next_refresh - bus,
-                        write,
-                        lag: bus - due,
-                        acts: self.recent_acts.shifted(bus.wrapping_neg()),
+                let replayable =
+                    j >= bgc.max(segs.prev.start + l) && len >= l.max(bgc) && j + len < max_n;
+                let key = replayable.then(|| SegmentKey {
+                    offset,
+                    to_refresh: self.next_refresh - bus,
+                    write,
+                    lag: bus - due,
+                    acts: match pending {
+                        Some(p) => self
+                            .memo
+                            .entry(p.slot, &geo)
+                            .0
+                            .acts
+                            .shifted(p.bus.wrapping_sub(bus)),
+                        None => self.recent_acts.shifted(bus.wrapping_neg()),
+                    },
+                });
+                if let Some(slot) = key.and_then(|key| self.memo.get(&key, &geo)) {
+                    let replay = Replay {
+                        slot,
+                        bus,
+                        bank_in_group,
+                        row,
                     };
-                    if let Some((out, opened)) = self.memo.get(&key, &geo) {
-                        for &(group, opened_by, act_at) in opened {
-                            let (b, r) = opened_by.add(bank_in_group, row, bpg);
-                            self.banks[(group + b * bgc) as usize] = Bank {
-                                open_row: Some(r),
-                                act_at: act_at.wrapping_add(bus),
-                            };
-                        }
-                        self.recent_acts = out.acts.shifted(bus);
-                        let (h, m, c) = out.counts;
-                        (hits, misses, conflicts) = (hits + h, misses + m, conflicts + c);
-                        self.segment_replays += 1;
-                        j += len;
-                        let to = offset + len;
-                        offset = to % window;
-                        (bank_in_group, row) =
-                            WindowDelta::new(to / window, bpg).add(bank_in_group, row, bpg);
-                        continue;
+                    let out = self.memo.entry(slot, &geo).0;
+                    let ((h, m, c), all_banks) = (out.counts, out.opened == self.banks.len());
+                    if all_banks {
+                        pending = Some(replay);
+                    } else {
+                        self.close_banks(pending.take());
+                        self.materialize(replay);
+                        self.eager_replays += 1;
                     }
+                    (hits, misses, conflicts) = (hits + h, misses + m, conflicts + c);
+                    self.segment_replays += 1;
+                    j += len;
+                    let to = offset + len;
+                    offset = to % window;
+                    (bank_in_group, row) =
+                        WindowDelta::new(to / window, bpg).add(bank_in_group, row, bpg);
+                    continue;
+                }
+                self.close_banks(pending.take());
+                if let Some(key) = key {
                     recording = Some(Recording {
                         key,
                         bus,
@@ -754,6 +815,9 @@ impl DdrController {
                 }
             }
         };
+        // A replay reaches its refresh inside the burst, whose branch
+        // resolves a pending one before anything can end the stretch.
+        debug_assert!(pending.is_none(), "a deferred replay outlived its stretch");
 
         self.bus_next = segs.slot(n);
         self.counters.row_hits.add(hits);
@@ -779,6 +843,34 @@ impl DdrController {
             self.completions.pop_front();
         }
         n
+    }
+
+    /// Closes every bank at a refresh, first applying a deferred replay's
+    /// outcome so that its activate times and history stand.
+    fn close_banks(&mut self, pending: Option<Replay>) {
+        if let Some(r) = pending {
+            self.materialize(r);
+        }
+        for b in &mut self.banks {
+            b.open_row = None;
+        }
+    }
+
+    /// Applies a replayed segment's outcome: opens the banks it left open
+    /// at their rows and activate times moved to `r`'s first window and
+    /// bus slot, and restores the activate history it ended with.
+    fn materialize(&mut self, r: Replay) {
+        let Geometry { bgc, bpg, .. } = self.geo;
+        let (out, opened) = self.memo.entry(r.slot, &self.geo);
+        for &(group, opened_by, act_at) in opened {
+            let (b, row) = opened_by.add(r.bank_in_group, r.row, bpg);
+            self.banks[(group + b * bgc) as usize] = Bank {
+                open_row: Some(row),
+                act_at: act_at.wrapping_add(r.bus),
+            };
+        }
+        self.recent_acts = out.acts.shifted(r.bus);
+        self.materializations += 1;
     }
 
     /// When access `j` of a stretch arrives: the completion `lookahead`
@@ -1262,6 +1354,35 @@ mod tests {
     }
 
     #[test]
+    fn fast_path_warm_64_mib_read_applies_bank_state_at_most_twice() {
+        // Every refresh epoch of a sequential KV260 read opens all sixteen
+        // banks, so a warm read defers its replays and writes the bank
+        // state only before it walks a segment: its tail, and an epoch the
+        // first read did not meet.
+        let kv260 = DdrConfig::ddr4_2400_kv260();
+        let cold = sequential_64_mib_read();
+        let lookahead = crate::MemorySystem::DEFAULT_LOOKAHEAD;
+        let warm = assert_fast_matches_slow(kv260.clone(), lookahead, &[(0, 1 << 20, false); 2]);
+        let replayed = warm.segment_replays - cold.segment_replays;
+        let applied = warm.materializations - cold.materializations;
+        assert!(replayed >= 460, "{replayed} refresh epochs replayed");
+        assert!(
+            (1..=2).contains(&applied),
+            "bank state applied {applied} times"
+        );
+        // A 400-cycle refresh interval's epoch opens four of the sixteen:
+        // each of its replays is applied at once.
+        let short_epochs = DdrConfig {
+            trefi: 400,
+            ..kv260
+        };
+        let c = assert_fast_matches_slow(short_epochs, 8, &[(0, 1 << 16, false); 2]);
+        assert!(c.segment_replays > 0, "no short epoch replayed");
+        assert_eq!(c.eager_replays, c.segment_replays);
+        assert_eq!(c.materializations, c.segment_replays);
+    }
+
+    #[test]
     #[should_panic(expected = "lookahead must be at least 1")]
     fn zero_lookahead_rejected() {
         let _ = DdrController::new(DdrConfig::default(), 0);
@@ -1311,8 +1432,13 @@ mod tests {
             ]
         }
 
-        /// Every preset at every lookahead depth, and the adversarial
-        /// pacing configs at the depths where stretches run long.
+        /// Every preset at every lookahead depth, the adversarial pacing
+        /// configs at the depths where stretches run long, and KV260
+        /// timing with refresh intervals of 400 to 2,400 cycles: epochs of
+        /// 22 to 522 accesses that open four to sixteen banks, so their
+        /// replays are applied at once or deferred. The last arm skips the
+        /// depths below 6, where CL (17 cycles) outlasts the lookahead's
+        /// bus time and no stretch runs.
         fn memories() -> impl Strategy<Value = (DdrConfig, usize)> {
             let [faw, rrd, lp4_faw] = adversarial_memories();
             prop_oneof![
@@ -1330,7 +1456,37 @@ mod tests {
                     prop_oneof![Just(faw), Just(rrd), Just(lp4_faw)],
                     prop_oneof![Just(32usize), Just(64)],
                 ),
+                (
+                    (400u32..2400).prop_map(|trefi| DdrConfig {
+                        trefi,
+                        ..DdrConfig::ddr4_2400_kv260()
+                    }),
+                    prop_oneof![Just(8usize), Just(32), Just(64)],
+                ),
             ]
+        }
+
+        #[test]
+        fn fast_path_cases_reach_both_replay_paths() {
+            // The cases `fast_path_identical_to_per_access_path` draws must
+            // reach both ways a replay is applied, or it proves less than
+            // it claims: a run of at least two deferred replays of epochs
+            // that opened every bank, which writes the bank state once, and
+            // a replay of an epoch that left a bank unopened, applied at
+            // once. Each case is checked as the property checks it.
+            let name = concat!(module_path!(), "::fast_path_identical_to_per_access_path");
+            let (mut chained, mut eager) = (false, false);
+            for case in 0..ProptestConfig::default().cases as u64 {
+                let mut rng = proptest::TestRng::for_case(name, case);
+                let bursts = burst_streams().generate(&mut rng);
+                let (cfg, lookahead) = memories().generate(&mut rng);
+                let c = assert_fast_matches_slow(cfg, lookahead, &bursts);
+                let deferred = c.segment_replays - c.eager_replays;
+                chained |= deferred > c.materializations - c.eager_replays;
+                eager |= c.eager_replays > 0;
+            }
+            assert!(chained, "no run of two deferred replays");
+            assert!(eager, "no replay of an epoch that left a bank unopened");
         }
 
         proptest! {
@@ -1383,9 +1539,9 @@ mod tests {
 
             /// The burst fast path is **bit-identical** to the per-access
             /// reference on arbitrary burst streams over every memory
-            /// preset and lookahead depth, and over the adversarial pacing
-            /// configs: completion cycles, statistics and timing state
-            /// after every burst. Streams start mid-window, cross row
+            /// preset and lookahead depth, the adversarial pacing configs
+            /// and short refresh intervals: completion cycles, statistics
+            /// and timing state after every burst. Streams start mid-window, cross row
             /// windows, refresh epochs (bursts up to 60k accesses) and
             /// read↔write turnarounds, and revisit a small region so
             /// windows open on hits and conflicts too. This is the

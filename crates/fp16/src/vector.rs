@@ -420,8 +420,25 @@ fn beat8_tables(w8: &mut [f32], codes: &[&[u8]; 8], zeros: &[u8; 8], scales: &[f
     let tables: [[f32; 16]; 8] = std::array::from_fn(|r| {
         std::array::from_fn(|q| demote_round((q as i32 - zeros[r] as i32) as f32 * scales[r]))
     });
-    for (i, w) in w8.chunks_exact_mut(8).enumerate() {
-        let lanes: [f32; 8] = std::array::from_fn(|r| tables[r][codes[r][i] as usize]);
+    // One iterator per row, each re-sliced to the beat once: the gather
+    // indexes only the tables, whose bound rejects a code of 16 or more.
+    let len = w8.len() / 8;
+    let [c0, c1, c2, c3, c4, c5, c6, c7] = codes.map(|c| c[..len].iter());
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &tables;
+    let rows = (c0.zip(c1).zip(c2).zip(c3)).zip(c4.zip(c5).zip(c6).zip(c7));
+    for (w, ((((&q0, &q1), &q2), &q3), (((&q4, &q5), &q6), &q7))) in
+        w8.chunks_exact_mut(8).zip(rows)
+    {
+        let lanes = [
+            t0[q0 as usize],
+            t1[q1 as usize],
+            t2[q2 as usize],
+            t3[q3 as usize],
+            t4[q4 as usize],
+            t5[q5 as usize],
+            t6[q6 as usize],
+            t7[q7 as usize],
+        ];
         w.copy_from_slice(&lanes);
     }
 }
