@@ -11,7 +11,9 @@
 //! cargo run --release -p zllm-bench --bin ablations
 //! ```
 
-use zllm_accel::{AccelConfig, AccelDecoder, DecodeEngine, QuantizedModel};
+use zllm_accel::{
+    AccelConfig, AccelDecoder, DecodeEngine, EngineConfig, ImageSpec, QuantizedModel,
+};
 use zllm_bench::{fmt_pct, par_map, print_table};
 use zllm_layout::weight::WeightFormat;
 use zllm_model::kv_cache::KvCacheF32;
@@ -200,7 +202,11 @@ fn main() {
     // no longer fits the 4 GiB map.
     let rows = par_map(vec![1usize, 2, 3, 4, 6, 8, 12, 16, 24, 32], |batch| {
         let price = |accel: AccelConfig| {
-            DecodeEngine::new_batched(accel, &ModelConfig::llama2_7b(), 256, batch)
+            let image = ImageSpec {
+                batch,
+                ..ImageSpec::new(256)
+            };
+            DecodeEngine::build(accel, &ModelConfig::llama2_7b(), EngineConfig::new(image))
                 .map(|mut engine| engine.decode_token_batch(240, batch).tokens_per_s)
         };
         let mut rich = AccelConfig::kv260();

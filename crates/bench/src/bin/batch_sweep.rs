@@ -13,7 +13,7 @@
 //! cargo run --release -p zllm-bench --bin batch_sweep
 //! ```
 
-use zllm_accel::{AccelConfig, DecodeEngine};
+use zllm_accel::{AccelConfig, DecodeEngine, EngineConfig, ImageSpec};
 use zllm_bench::{fmt_pct, par_map, print_table};
 use zllm_model::ModelConfig;
 
@@ -28,7 +28,11 @@ fn sweep(name: &str, accel: AccelConfig) {
     println!("{name} — LLaMA2-7B, {CTX_CAPACITY}-token KV provisioning per sequence\n");
     let model = ModelConfig::llama2_7b();
     let rows: Vec<Vec<Vec<String>>> = par_map(BATCHES.to_vec(), |batch| {
-        match DecodeEngine::new_batched(accel.clone(), &model, CTX_CAPACITY, batch) {
+        let image = ImageSpec {
+            batch,
+            ..ImageSpec::new(CTX_CAPACITY)
+        };
+        match DecodeEngine::build(accel.clone(), &model, EngineConfig::new(image)) {
             Err(e) => vec![vec![
                 format!("{batch}"),
                 "-".into(),

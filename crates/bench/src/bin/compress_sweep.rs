@@ -7,9 +7,9 @@
 //! controller moves `ceil(logical / ratio)` beats, decompresses at line
 //! rate beside the PHY (fixed pipe latency + throughput cap), and
 //! charges page-map metadata beats for the compressed page table. The
-//! sweep prices TinyLlama-1.1B generations twice — through
-//! [`zllm_accel::DecodeEngine::new_compressed`] and through a plain
-//! twin — on two memory systems (the KV260's DDR4-2400 and the
+//! sweep prices TinyLlama-1.1B generations twice — through an engine
+//! with [`zllm_accel::EngineConfig::compression`] set and through a
+//! plain twin — on two memory systems (the KV260's DDR4-2400 and the
 //! LPDDR5-6400 swap), using the PL-overclocked engine
 //! ([`zllm_bench::comp_accel`]): the stock KV260 consumes exactly one
 //! logical beat per 300 MHz cycle — balanced against DDR4-2400 — so

@@ -49,7 +49,7 @@
 
 use std::path::PathBuf;
 use zllm_accel::telemetry::{DiffStatus, MetricKind, Snapshot};
-use zllm_accel::{AccelConfig, DecodeEngine, TierConfig};
+use zllm_accel::{AccelConfig, DecodeEngine, EngineConfig, ImageSpec, TierConfig};
 use zllm_bench::scenario::tiered::{self, BOARD_BYTES, MAX_COVER_LOSS};
 use zllm_bench::scenario::{comp, paged, spec};
 use zllm_bench::{cli_value_arg, comp_accel, print_table, spec_accel};
@@ -194,11 +194,14 @@ fn single() -> Outcome {
 /// Batching exists to pay the dense weight stream once, so the
 /// amortization is a hard check, not just a baseline diff.
 fn batch4() -> Outcome {
-    let mut engine = DecodeEngine::new_batched(
+    let image = ImageSpec {
+        batch: BATCH,
+        ..ImageSpec::new(BATCH_CTX_CAPACITY)
+    };
+    let mut engine = DecodeEngine::build(
         AccelConfig::kv260(),
         &ModelConfig::llama2_7b(),
-        BATCH_CTX_CAPACITY,
-        BATCH,
+        EngineConfig::new(image),
     )
     .expect("LLaMA2-7B with 4 KV provisions fits the 4GB device");
     let mut min_amortization = f64::INFINITY;

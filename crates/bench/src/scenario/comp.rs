@@ -8,7 +8,7 @@
 //! seed [`SEED`]; an all-identity stage must price byte-invisibly.
 
 use zllm_accel::telemetry::Snapshot;
-use zllm_accel::{AccelConfig, DecodeEngine};
+use zllm_accel::{AccelConfig, DecodeEngine, EngineConfig, ImageSpec};
 use zllm_ddr::{CompressionConfig, StreamRatio};
 use zllm_model::ModelConfig;
 use zllm_quant::entropy::StreamRatios;
@@ -98,13 +98,12 @@ pub fn compressed(accel: &AccelConfig, (weight, kv, activation): (f64, f64, f64)
         StreamRatio::from_ratio(kv),
         StreamRatio::from_ratio(activation),
     );
+    let cfg = EngineConfig {
+        compression: Some(cfg),
+        ..EngineConfig::new(ImageSpec::new(CTX_CAPACITY))
+    };
     priced(
-        DecodeEngine::new_compressed(
-            accel.clone(),
-            &ModelConfig::tiny_llama_1_1b(),
-            CTX_CAPACITY,
-            cfg,
-        )
-        .expect("TinyLlama-1.1B fits the 4GB device"),
+        DecodeEngine::build(accel.clone(), &ModelConfig::tiny_llama_1_1b(), cfg)
+            .expect("TinyLlama-1.1B fits the 4GB device"),
     )
 }

@@ -66,7 +66,7 @@ impl Run {
 pub fn run(accel: &AccelConfig, alpha: f64, k: usize, seed: u64) -> Run {
     let model = ModelConfig::tiny_llama_1_1b();
     let engine = || {
-        DecodeEngine::new_batched(accel.clone(), &model, CTX_CAPACITY, 1)
+        DecodeEngine::new(accel.clone(), &model, CTX_CAPACITY)
             .expect("TinyLlama-1.1B fits the 4GB device")
     };
     let mut eng = engine();

@@ -11,7 +11,9 @@
 //! exactly the sum of the layer bytes.
 
 use zllm_accel::telemetry::Snapshot;
-use zllm_accel::{AccelConfig, DecodeEngine, ModelImage, TierConfig, TierReport};
+use zllm_accel::{
+    AccelConfig, DecodeEngine, EngineConfig, ImageSpec, ModelImage, TierConfig, TierReport,
+};
 use zllm_model::ModelConfig;
 
 /// Decode context every run prices at.
@@ -108,8 +110,12 @@ pub struct Run {
 
 /// Decodes [`TOKENS`] tokens at [`CTX`] on a tiered engine.
 pub fn run(accel: &AccelConfig, model: &ModelConfig, tier: TierConfig) -> Run {
-    let mut engine = DecodeEngine::new_tiered(accel.clone(), model, CTX + TOKENS, tier)
-        .expect("tiered build fits a virtual map");
+    let cfg = EngineConfig {
+        tier: Some(tier),
+        ..EngineConfig::new(ImageSpec::new(CTX + TOKENS))
+    };
+    let mut engine =
+        DecodeEngine::build(accel.clone(), model, cfg).expect("tiered build fits a virtual map");
     for _ in 1..TOKENS {
         engine.decode_token(CTX);
     }

@@ -352,7 +352,7 @@ struct LayerKv {
 }
 
 /// The shared physical page pool of a paged batch decoder — the
-/// functional mirror of [`crate::ModelImage::build_paged`]: fixed-size
+/// functional mirror of [`crate::KvLayout::Paged`]: fixed-size
 /// pages of `page_tokens` tokens granted on demand through the layout
 /// allocator, each holding that token span's K/V codes for every layer.
 /// Paging only remaps *where* codes are stored, never what is computed,
@@ -558,6 +558,10 @@ struct SeqState {
 #[derive(Debug)]
 pub struct AccelBatchDecoder<'m> {
     model: &'m QuantizedModel,
+    /// The model layers this decoder runs: all of them, or one pipeline
+    /// stage's range inside a [`ShardedBatchDecoder`]. KV state is
+    /// indexed by the layer's offset in this range.
+    layers: std::ops::Range<usize>,
     vpu: Vpu,
     rope: RopeUnit,
     rms: RmsNormUnit,
@@ -600,17 +604,29 @@ impl<'m> AccelBatchDecoder<'m> {
     ///
     /// Panics if `batch` is zero.
     pub fn new(model: &'m QuantizedModel, batch: usize) -> AccelBatchDecoder<'m> {
+        AccelBatchDecoder::stage(model, batch, 0..model.config().n_layers)
+    }
+
+    /// A decoder over model layers `layers` only, with per-sequence KV
+    /// state and quantizers for exactly those layers: one stage of a
+    /// [`ShardedBatchDecoder`].
+    fn stage(
+        model: &'m QuantizedModel,
+        batch: usize,
+        layers: std::ops::Range<usize>,
+    ) -> AccelBatchDecoder<'m> {
         assert!(batch > 0, "batch must be at least one sequence");
         let cfg = model.config();
         let seqs = (0..batch)
             .map(|_| SeqState {
-                quantizer: KvQuantizer::new(cfg.n_layers * cfg.n_kv_heads * 2),
-                kv: vec![LayerKv::default(); cfg.n_layers],
+                quantizer: KvQuantizer::new(layers.len() * cfg.n_kv_heads * 2),
+                kv: vec![LayerKv::default(); layers.len()],
                 pos: 0,
             })
             .collect();
         AccelBatchDecoder {
             model,
+            layers,
             vpu: Vpu::kv260(),
             rope: RopeUnit::new(cfg.head_dim()),
             rms: RmsNormUnit::new(cfg.norm_eps),
@@ -625,7 +641,7 @@ impl<'m> AccelBatchDecoder<'m> {
     /// Creates a decoder for `batch` concurrent sequences whose KV codes
     /// live in a shared pool of `total_pages` pages of `page_tokens`
     /// tokens each, granted on demand as sequences decode — the
-    /// functional mirror of [`crate::ModelImage::build_paged`]. Paging
+    /// functional mirror of [`crate::KvLayout::Paged`]. Paging
     /// remaps storage only; logits are bit-identical to
     /// [`AccelBatchDecoder::new`] fed the same tokens.
     ///
@@ -641,7 +657,7 @@ impl<'m> AccelBatchDecoder<'m> {
         page_tokens: usize,
     ) -> AccelBatchDecoder<'m> {
         let mut dec = AccelBatchDecoder::new(model, batch);
-        let n_layers = model.config().n_layers;
+        let n_layers = dec.layers.len();
         dec.pool = Some(KvPagePool::new(total_pages, batch, page_tokens, n_layers));
         dec
     }
@@ -662,9 +678,9 @@ impl<'m> AccelBatchDecoder<'m> {
             crate::vpu::VpuCounters::register(reg, "vpu"),
         );
         let counters = zllm_layout::kv_pack::KvPackCounters::register(reg, "kv_pack");
+        let streams = dec.layers.len() * cfg.n_kv_heads * 2;
         for seq in &mut dec.seqs {
-            seq.quantizer =
-                KvQuantizer::with_counters(cfg.n_layers * cfg.n_kv_heads * 2, counters.clone());
+            seq.quantizer = KvQuantizer::with_counters(streams, counters.clone());
         }
         dec
     }
@@ -698,13 +714,13 @@ impl<'m> AccelBatchDecoder<'m> {
     ///
     /// Panics if `slot` is out of range.
     pub fn reset_seq(&mut self, slot: usize) {
-        let cfg = self.model.config();
+        let (n_layers, n_kv_heads) = (self.layers.len(), self.model.config().n_kv_heads);
         let state = &mut self.seqs[slot];
         state.quantizer = KvQuantizer::with_counters(
-            cfg.n_layers * cfg.n_kv_heads * 2,
+            n_layers * n_kv_heads * 2,
             state.quantizer.counters().clone(),
         );
-        state.kv = vec![LayerKv::default(); cfg.n_layers];
+        state.kv = vec![LayerKv::default(); n_layers];
         state.pos = 0;
         // A paged slot also returns its physical pages to the pool —
         // the functional evict-on-finish.
@@ -724,14 +740,19 @@ impl<'m> AccelBatchDecoder<'m> {
     /// are not at the same position, any token is out of vocabulary, or
     /// the context is full.
     pub fn decode_batch(&mut self, tokens: &[usize]) -> Vec<Vec<f32>> {
+        let steps = self.lockstep(tokens);
+        self.decode_at(&steps)
+    }
+
+    /// `tokens` as one decode step of every slot, in slot order.
+    fn lockstep(&self, tokens: &[usize]) -> Vec<(usize, usize)> {
         assert_eq!(tokens.len(), self.seqs.len(), "one token per sequence");
         let pos0 = self.seqs[0].pos;
         assert!(
             self.seqs.iter().all(|s| s.pos == pos0),
             "sequences are ragged; use decode_at"
         );
-        let steps: Vec<(usize, usize)> = tokens.iter().copied().enumerate().collect();
-        self.decode_at(&steps)
+        tokens.iter().copied().enumerate().collect()
     }
 
     /// Decodes one token for each `(slot, token)` pair, every sequence at
@@ -748,7 +769,16 @@ impl<'m> AccelBatchDecoder<'m> {
     /// range, a token out of vocabulary, or a sequence whose context is
     /// full.
     pub fn decode_at(&mut self, steps: &[(usize, usize)]) -> Vec<Vec<f32>> {
-        let cfg = self.model.config().clone();
+        self.check_steps(steps);
+        let mut xs = self.embed(steps);
+        self.run_layers(steps, &mut xs);
+        self.head(&xs)
+    }
+
+    /// Asserts what [`AccelBatchDecoder::decode_at`] documents under
+    /// `# Panics`.
+    fn check_steps(&self, steps: &[(usize, usize)]) {
+        let cfg = self.model.config();
         assert!(!steps.is_empty(), "at least one sequence required");
         for (i, &(slot, t)) in steps.iter().enumerate() {
             assert!(slot < self.seqs.len(), "slot {slot} out of range");
@@ -762,8 +792,20 @@ impl<'m> AccelBatchDecoder<'m> {
                 "context window exhausted"
             );
         }
-        let b = steps.len();
+    }
 
+    /// The steps' FP16 embedding rows: the hidden states entering the
+    /// first layer.
+    fn embed(&self, steps: &[(usize, usize)]) -> Vec<Vec<F16>> {
+        steps
+            .iter()
+            .map(|&(_, t)| self.model.embedding[t].clone())
+            .collect()
+    }
+
+    /// Runs this decoder's layers over the hidden states `xs` of the
+    /// stepping slots, then advances those slots' positions.
+    fn run_layers(&mut self, steps: &[(usize, usize)], xs: &mut [Vec<F16>]) {
         // Paged storage: grant every participating sequence the page its
         // write-back lands on *before* any layer runs — one on-demand
         // allocation per crossed page boundary, exactly the step the
@@ -773,39 +815,162 @@ impl<'m> AccelBatchDecoder<'m> {
                 pool.ensure(slot, self.seqs[slot].pos);
             }
         }
-
-        let mut xs: Vec<Vec<F16>> = steps
-            .iter()
-            .map(|&(_, t)| self.model.embedding[t].clone())
-            .collect();
+        let model = self.model;
         let s = &mut self.scratch;
-        s.xn.resize_with(b, Vec::new);
-        s.attn_out.resize_with(b, Vec::new);
-        s.inner.resize_with(b, Vec::new);
-
-        for (layer_idx, layer) in self.model.layers.iter().enumerate() {
-            batch_layer_forward(
-                layer,
-                layer_idx,
-                &cfg,
-                &self.vpu,
-                &self.rope,
-                &self.rms,
-                &self.softmax,
-                &self.silu,
-                &mut self.seqs,
-                self.pool.as_mut(),
-                steps,
-                &mut xs,
-                s,
-            );
-        }
-
-        for (xn, x) in s.xn.iter_mut().zip(&xs) {
-            *xn = self.rms.normalize(x, &self.model.final_norm);
+        s.xn.resize_with(steps.len(), Vec::new);
+        s.attn_out.resize_with(steps.len(), Vec::new);
+        s.inner.resize_with(steps.len(), Vec::new);
+        for (kv_idx, layer) in model.layers[self.layers.clone()].iter().enumerate() {
+            self.layer_forward(layer, kv_idx, steps, xs);
         }
         for &(slot, _) in steps {
             self.seqs[slot].pos += 1;
+        }
+    }
+
+    /// One transformer layer of the batched datapath over the stepping
+    /// slots' hidden states `xs`. `kv_idx` is the layer's offset in this
+    /// decoder's range, which indexes its per-sequence KV storage. With a
+    /// page pool, KV codes live in shared physical pages instead of the
+    /// slot-local vectors; the arithmetic and its order are identical
+    /// either way.
+    fn layer_forward(
+        &mut self,
+        layer: &QuantizedLayer,
+        kv_idx: usize,
+        steps: &[(usize, usize)],
+        xs: &mut [Vec<F16>],
+    ) {
+        let AccelBatchDecoder {
+            model,
+            vpu,
+            rope,
+            rms,
+            softmax,
+            silu,
+            seqs,
+            pool,
+            scratch: s,
+            ..
+        } = self;
+        let cfg = model.config();
+        let hd = cfg.head_dim();
+        let group = cfg.n_heads / cfg.n_kv_heads;
+        let scale = F16::from_f32(1.0 / (hd as f32).sqrt());
+
+        // Attention block.
+        for (xn, x) in s.xn.iter_mut().zip(xs.iter()) {
+            *xn = rms.normalize(x, &layer.attn_norm);
+        }
+        layer.wq.matvec_batch(vpu, &s.xn, &mut s.mv, &mut s.q);
+        layer.wk.matvec_batch(vpu, &s.xn, &mut s.mv, &mut s.k);
+        layer.wv.matvec_batch(vpu, &s.xn, &mut s.mv, &mut s.v);
+
+        for (i, &(slot, _)) in steps.iter().enumerate() {
+            let state = &mut seqs[slot];
+            let pos = state.pos;
+            for h in 0..cfg.n_heads {
+                rope.apply(&mut s.q[i][h * hd..(h + 1) * hd], pos as u32);
+            }
+            for h in 0..cfg.n_kv_heads {
+                rope.apply(&mut s.k[i][h * hd..(h + 1) * hd], pos as u32);
+                // Online KV8 quantization into this sequence's FIFO.
+                let kq = state
+                    .quantizer
+                    .quantize_head(0, &s.k[i][h * hd..(h + 1) * hd]);
+                let vq = state
+                    .quantizer
+                    .quantize_head(0, &s.v[i][h * hd..(h + 1) * hd]);
+                match pool.as_mut() {
+                    Some(pool) => pool.push(slot, kv_idx, pos, kq.codes, vq.codes),
+                    None => {
+                        state.kv[kv_idx].keys.push(kq.codes);
+                        state.kv[kv_idx].values.push(vq.codes);
+                    }
+                }
+            }
+        }
+
+        for (i, &(slot, _)) in steps.iter().enumerate() {
+            let state = &seqs[slot];
+            let pos = state.pos;
+            let attn_out = &mut s.attn_out[i];
+            attn_out.clear();
+            attn_out.resize(cfg.d_model, F16::ZERO);
+            for h in 0..cfg.n_heads {
+                let kv_head = h / group;
+                let qh = &s.q[i][h * hd..(h + 1) * hd];
+                s.scores.clear();
+                for t in 0..=pos {
+                    match pool.as_ref() {
+                        Some(pool) => pool
+                            .key(slot, kv_idx, t, kv_head, cfg.n_kv_heads)
+                            .dequantize_f16_into(&mut s.kv),
+                        None => state.kv[kv_idx].keys[t * cfg.n_kv_heads + kv_head]
+                            .dequantize_f16_into(&mut s.kv),
+                    }
+                    s.scores.push(F16::from_f32(vpu.dot_row(qh, &s.kv)) * scale);
+                }
+                let probs = softmax.softmax(&s.scores);
+                // Weighted value sum, accumulated in f32 per lane.
+                s.acc.clear();
+                s.acc.resize(hd, 0.0);
+                for (t, &p) in probs.iter().enumerate() {
+                    match pool.as_ref() {
+                        Some(pool) => pool
+                            .value(slot, kv_idx, t, kv_head, cfg.n_kv_heads)
+                            .dequantize_f16_into(&mut s.kv),
+                        None => state.kv[kv_idx].values[t * cfg.n_kv_heads + kv_head]
+                            .dequantize_f16_into(&mut s.kv),
+                    }
+                    for (a, vv) in s.acc.iter_mut().zip(&s.kv) {
+                        *a += (p * *vv).to_f32();
+                    }
+                }
+                for (o, a) in attn_out[h * hd..(h + 1) * hd].iter_mut().zip(&s.acc) {
+                    *o = F16::from_f32(*a);
+                }
+            }
+        }
+
+        layer
+            .wo
+            .matvec_batch(vpu, &s.attn_out, &mut s.mv, &mut s.proj);
+        for (x, proj) in xs.iter_mut().zip(&s.proj) {
+            for (xi, pi) in x.iter_mut().zip(proj) {
+                *xi += *pi;
+            }
+        }
+
+        // MLP block.
+        for (xn, x) in s.xn.iter_mut().zip(xs.iter()) {
+            *xn = rms.normalize(x, &layer.mlp_norm);
+        }
+        layer
+            .w_gate
+            .matvec_batch(vpu, &s.xn, &mut s.mv, &mut s.gate);
+        layer.w_up.matvec_batch(vpu, &s.xn, &mut s.mv, &mut s.up);
+        for (inner, (gate, up)) in s.inner.iter_mut().zip(s.gate.iter().zip(&s.up)) {
+            *inner = silu.gate(gate, up);
+        }
+        layer
+            .w_down
+            .matvec_batch(vpu, &s.inner, &mut s.mv, &mut s.proj);
+        for (x, proj) in xs.iter_mut().zip(&s.proj) {
+            for (xi, di) in x.iter_mut().zip(proj) {
+                *xi += *di;
+            }
+        }
+    }
+
+    /// The final norm and LM head over the last layer's hidden states:
+    /// each stepping sequence's next-token logits. Runs after this
+    /// decoder's [`AccelBatchDecoder::run_layers`] sized the scratch for
+    /// the step.
+    fn head(&mut self, xs: &[Vec<F16>]) -> Vec<Vec<f32>> {
+        let s = &mut self.scratch;
+        for (xn, x) in s.xn.iter_mut().zip(xs) {
+            *xn = self.rms.normalize(x, &self.model.final_norm);
         }
         self.model
             .lm_head
@@ -825,12 +990,7 @@ impl<'m> AccelBatchDecoder<'m> {
     /// Panics if `prompts` is empty or any step's width differs from the
     /// batch.
     pub fn prefill_batch(&mut self, prompts: &[Vec<usize>]) -> Vec<Vec<f32>> {
-        assert!(!prompts.is_empty(), "empty prompt");
-        let mut logits = Vec::new();
-        for step in prompts {
-            logits = self.decode_batch(step);
-        }
-        logits
+        prefill_lockstep(prompts, |step| self.decode_batch(step))
     }
 
     /// Runs the target model over one speculative verify window:
@@ -875,6 +1035,7 @@ impl<'m> AccelBatchDecoder<'m> {
     /// sequence's position.
     pub fn rollback_seq(&mut self, slot: usize, keep_pos: usize) {
         let cfg = self.model.config();
+        let n_layers = self.layers.len();
         assert!(slot < self.seqs.len(), "slot {slot} out of range");
         assert!(
             keep_pos <= self.seqs[slot].pos,
@@ -910,9 +1071,9 @@ impl<'m> AccelBatchDecoder<'m> {
         // Rebuild the pack FIFO: replay the retained packs in quantize
         // order (token → layer → kv-head → K then V, exactly as
         // `batch_layer_forward` appended them).
-        let mut packs = Vec::with_capacity(keep_pos * cfg.n_layers * cfg.n_kv_heads * 2);
+        let mut packs = Vec::with_capacity(keep_pos * n_layers * cfg.n_kv_heads * 2);
         for t in 0..keep_pos {
-            for layer in 0..cfg.n_layers {
+            for layer in 0..n_layers {
                 for h in 0..cfg.n_kv_heads {
                     let (k, v) = match &self.pool {
                         Some(pool) => (
@@ -934,7 +1095,7 @@ impl<'m> AccelBatchDecoder<'m> {
         }
         let state = &mut self.seqs[slot];
         let counters = state.quantizer.counters().clone();
-        let mut fresh = KvQuantizer::new(cfg.n_layers * cfg.n_kv_heads * 2);
+        let mut fresh = KvQuantizer::new(n_layers * cfg.n_kv_heads * 2);
         for pack in packs {
             fresh.replay_pack(pack);
         }
@@ -942,6 +1103,20 @@ impl<'m> AccelBatchDecoder<'m> {
         state.quantizer = fresh;
         state.pos = keep_pos;
     }
+}
+
+/// Decodes `prompts[step]` for every sequence in lockstep, one step
+/// after another, returning the last step's logits.
+fn prefill_lockstep(
+    prompts: &[Vec<usize>],
+    mut decode_batch: impl FnMut(&[usize]) -> Vec<Vec<f32>>,
+) -> Vec<Vec<f32>> {
+    assert!(!prompts.is_empty(), "empty prompt");
+    let mut logits = Vec::new();
+    for step in prompts {
+        logits = decode_batch(step);
+    }
+    logits
 }
 
 /// Greedy accept/reject of a verify window's logits against the draft
@@ -973,161 +1148,19 @@ pub fn greedy_accept(logits: &[Vec<f32>], drafts: &[usize]) -> (usize, usize) {
     (accepted, zllm_model::sampler::argmax(&logits[accepted]))
 }
 
-/// One transformer layer of the batched datapath — the exact operation
-/// sequence [`AccelBatchDecoder::decode_at`] runs, factored out so the
-/// pipeline-sharded decoder executes the identical code path per stage
-/// and its logits stay bit-identical to the single-board decoder by
-/// construction. `kv_idx` indexes the caller's per-sequence KV storage
-/// (global layer index for the full decoder, stage-local for a shard).
-/// With `pool` set, KV codes live in shared physical pages (the paged
-/// decoder) instead of the slot-local vectors; the arithmetic and its
-/// order are identical either way.
-#[allow(clippy::too_many_arguments)]
-fn batch_layer_forward(
-    layer: &QuantizedLayer,
-    kv_idx: usize,
-    cfg: &ModelConfig,
-    vpu: &Vpu,
-    rope: &RopeUnit,
-    rms: &RmsNormUnit,
-    softmax: &SoftmaxUnit,
-    silu: &SiluUnit,
-    seqs: &mut [SeqState],
-    mut pool: Option<&mut KvPagePool>,
-    steps: &[(usize, usize)],
-    xs: &mut [Vec<F16>],
-    s: &mut BatchScratch,
-) {
-    let hd = cfg.head_dim();
-    let group = cfg.n_heads / cfg.n_kv_heads;
-    let scale = F16::from_f32(1.0 / (hd as f32).sqrt());
-
-    // Attention block.
-    for (xn, x) in s.xn.iter_mut().zip(xs.iter()) {
-        *xn = rms.normalize(x, &layer.attn_norm);
-    }
-    layer.wq.matvec_batch(vpu, &s.xn, &mut s.mv, &mut s.q);
-    layer.wk.matvec_batch(vpu, &s.xn, &mut s.mv, &mut s.k);
-    layer.wv.matvec_batch(vpu, &s.xn, &mut s.mv, &mut s.v);
-
-    for (i, &(slot, _)) in steps.iter().enumerate() {
-        let state = &mut seqs[slot];
-        let pos = state.pos;
-        for h in 0..cfg.n_heads {
-            rope.apply(&mut s.q[i][h * hd..(h + 1) * hd], pos as u32);
-        }
-        for h in 0..cfg.n_kv_heads {
-            rope.apply(&mut s.k[i][h * hd..(h + 1) * hd], pos as u32);
-            // Online KV8 quantization into this sequence's FIFO.
-            let kq = state
-                .quantizer
-                .quantize_head(0, &s.k[i][h * hd..(h + 1) * hd]);
-            let vq = state
-                .quantizer
-                .quantize_head(0, &s.v[i][h * hd..(h + 1) * hd]);
-            match pool.as_deref_mut() {
-                Some(pool) => pool.push(slot, kv_idx, pos, kq.codes, vq.codes),
-                None => {
-                    state.kv[kv_idx].keys.push(kq.codes);
-                    state.kv[kv_idx].values.push(vq.codes);
-                }
-            }
-        }
-    }
-
-    for (i, &(slot, _)) in steps.iter().enumerate() {
-        let state = &seqs[slot];
-        let pos = state.pos;
-        let attn_out = &mut s.attn_out[i];
-        attn_out.clear();
-        attn_out.resize(cfg.d_model, F16::ZERO);
-        for h in 0..cfg.n_heads {
-            let kv_head = h / group;
-            let qh = &s.q[i][h * hd..(h + 1) * hd];
-            s.scores.clear();
-            for t in 0..=pos {
-                match pool.as_deref() {
-                    Some(pool) => pool
-                        .key(slot, kv_idx, t, kv_head, cfg.n_kv_heads)
-                        .dequantize_f16_into(&mut s.kv),
-                    None => state.kv[kv_idx].keys[t * cfg.n_kv_heads + kv_head]
-                        .dequantize_f16_into(&mut s.kv),
-                }
-                s.scores.push(F16::from_f32(vpu.dot_row(qh, &s.kv)) * scale);
-            }
-            let probs = softmax.softmax(&s.scores);
-            // Weighted value sum, accumulated in f32 per lane.
-            s.acc.clear();
-            s.acc.resize(hd, 0.0);
-            for (t, &p) in probs.iter().enumerate() {
-                match pool.as_deref() {
-                    Some(pool) => pool
-                        .value(slot, kv_idx, t, kv_head, cfg.n_kv_heads)
-                        .dequantize_f16_into(&mut s.kv),
-                    None => state.kv[kv_idx].values[t * cfg.n_kv_heads + kv_head]
-                        .dequantize_f16_into(&mut s.kv),
-                }
-                for (a, vv) in s.acc.iter_mut().zip(&s.kv) {
-                    *a += (p * *vv).to_f32();
-                }
-            }
-            for (o, a) in attn_out[h * hd..(h + 1) * hd].iter_mut().zip(&s.acc) {
-                *o = F16::from_f32(*a);
-            }
-        }
-    }
-
-    layer
-        .wo
-        .matvec_batch(vpu, &s.attn_out, &mut s.mv, &mut s.proj);
-    for (x, proj) in xs.iter_mut().zip(&s.proj) {
-        for (xi, pi) in x.iter_mut().zip(proj) {
-            *xi += *pi;
-        }
-    }
-
-    // MLP block.
-    for (xn, x) in s.xn.iter_mut().zip(xs.iter()) {
-        *xn = rms.normalize(x, &layer.mlp_norm);
-    }
-    layer
-        .w_gate
-        .matvec_batch(vpu, &s.xn, &mut s.mv, &mut s.gate);
-    layer.w_up.matvec_batch(vpu, &s.xn, &mut s.mv, &mut s.up);
-    for (inner, (gate, up)) in s.inner.iter_mut().zip(s.gate.iter().zip(&s.up)) {
-        *inner = silu.gate(gate, up);
-    }
-    layer
-        .w_down
-        .matvec_batch(vpu, &s.inner, &mut s.mv, &mut s.proj);
-    for (x, proj) in xs.iter_mut().zip(&s.proj) {
-        for (xi, di) in x.iter_mut().zip(proj) {
-            *xi += *di;
-        }
-    }
-}
-
-/// One pipeline stage of the sharded decoder: a contiguous global layer
-/// range plus the per-sequence KV state for exactly those layers — the
-/// state the board holding this shard would keep in its own DDR.
-#[derive(Debug)]
-struct ShardStage {
-    layers: std::ops::Range<usize>,
-    seqs: Vec<SeqState>,
-}
-
 /// The functional decoder for a pipeline-parallel sharded batch.
 ///
 /// The model's layers split into `stages` contiguous ranges (see
-/// [`crate::image::split_layers`]); each stage keeps its own per-sequence
-/// KV history and online KV8 quantizers for exactly its layers, as each
-/// board of a cluster would, and the hidden-state vector is handed from
-/// stage to stage exactly as the interconnect would carry it. Every stage
-/// runs the identical per-layer datapath as [`AccelBatchDecoder`]
-/// (the shared `batch_layer_forward`), and KV8 codes are a pure function
-/// of the head vector being quantized, so per-sequence logits are
-/// **bit-identical** to the single-board decoder — the determinism test
-/// the cluster layer's pricing rests on.
+/// [`crate::image::split_layers`]), and each stage is an
+/// [`AccelBatchDecoder`] over its own range: it keeps its own
+/// per-sequence KV history and online KV8 quantizers for exactly its
+/// layers, as each board of a cluster would. The first stage embeds, the
+/// hidden-state vectors are handed from stage to stage exactly as the
+/// interconnect would carry them, and the last stage applies the final
+/// norm and LM head. KV8 codes are a pure function of the head vector
+/// being quantized, so per-sequence logits are **bit-identical** to the
+/// single-board decoder — the determinism test the cluster layer's
+/// pricing rests on.
 ///
 /// # Example
 ///
@@ -1145,14 +1178,8 @@ struct ShardStage {
 /// ```
 #[derive(Debug)]
 pub struct ShardedBatchDecoder<'m> {
-    model: &'m QuantizedModel,
-    vpu: Vpu,
-    rope: RopeUnit,
-    rms: RmsNormUnit,
-    softmax: SoftmaxUnit,
-    silu: SiluUnit,
-    stages: Vec<ShardStage>,
-    scratch: BatchScratch,
+    /// One decoder per stage, first to last.
+    stages: Vec<AccelBatchDecoder<'m>>,
 }
 
 impl<'m> ShardedBatchDecoder<'m> {
@@ -1164,31 +1191,11 @@ impl<'m> ShardedBatchDecoder<'m> {
     /// Panics if `batch` is zero, or `stages` is zero or exceeds the
     /// model's layer count.
     pub fn new(model: &'m QuantizedModel, batch: usize, stages: usize) -> ShardedBatchDecoder<'m> {
-        assert!(batch > 0, "batch must be at least one sequence");
-        let cfg = model.config();
-        let stages = crate::image::split_layers(cfg.n_layers, stages)
+        let stages = crate::image::split_layers(model.config().n_layers, stages)
             .into_iter()
-            .map(|layers| ShardStage {
-                seqs: (0..batch)
-                    .map(|_| SeqState {
-                        quantizer: KvQuantizer::new(layers.len() * cfg.n_kv_heads * 2),
-                        kv: vec![LayerKv::default(); layers.len()],
-                        pos: 0,
-                    })
-                    .collect(),
-                layers,
-            })
+            .map(|layers| AccelBatchDecoder::stage(model, batch, layers))
             .collect();
-        ShardedBatchDecoder {
-            model,
-            vpu: Vpu::kv260(),
-            rope: RopeUnit::new(cfg.head_dim()),
-            rms: RmsNormUnit::new(cfg.norm_eps),
-            softmax: SoftmaxUnit::new(),
-            silu: SiluUnit::new(),
-            stages,
-            scratch: BatchScratch::default(),
-        }
+        ShardedBatchDecoder { stages }
     }
 
     /// Pipeline stages.
@@ -1198,12 +1205,12 @@ impl<'m> ShardedBatchDecoder<'m> {
 
     /// Sequences in the batch.
     pub fn batch(&self) -> usize {
-        self.stages[0].seqs.len()
+        self.stages[0].batch()
     }
 
     /// Tokens processed so far by the furthest-ahead sequence.
     pub fn pos(&self) -> usize {
-        self.stages[0].seqs.iter().map(|s| s.pos).max().unwrap_or(0)
+        self.stages[0].pos()
     }
 
     /// Tokens processed so far by the sequence in `slot`.
@@ -1212,7 +1219,7 @@ impl<'m> ShardedBatchDecoder<'m> {
     ///
     /// Panics if `slot` is out of range.
     pub fn seq_pos(&self, slot: usize) -> usize {
-        self.stages[0].seqs[slot].pos
+        self.stages[0].seq_pos(slot)
     }
 
     /// Re-arms `slot` for a fresh sequence on **every** stage — the
@@ -1222,15 +1229,8 @@ impl<'m> ShardedBatchDecoder<'m> {
     ///
     /// Panics if `slot` is out of range.
     pub fn reset_seq(&mut self, slot: usize) {
-        let cfg = self.model.config();
         for stage in &mut self.stages {
-            let state = &mut stage.seqs[slot];
-            state.quantizer = KvQuantizer::with_counters(
-                stage.layers.len() * cfg.n_kv_heads * 2,
-                state.quantizer.counters().clone(),
-            );
-            state.kv = vec![LayerKv::default(); stage.layers.len()];
-            state.pos = 0;
+            stage.reset_seq(slot);
         }
     }
 
@@ -1241,13 +1241,7 @@ impl<'m> ShardedBatchDecoder<'m> {
     ///
     /// Panics as [`AccelBatchDecoder::decode_batch`] does.
     pub fn decode_batch(&mut self, tokens: &[usize]) -> Vec<Vec<f32>> {
-        assert_eq!(tokens.len(), self.batch(), "one token per sequence");
-        let pos0 = self.stages[0].seqs[0].pos;
-        assert!(
-            self.stages[0].seqs.iter().all(|s| s.pos == pos0),
-            "sequences are ragged; use decode_at"
-        );
-        let steps: Vec<(usize, usize)> = tokens.iter().copied().enumerate().collect();
+        let steps = self.stages[0].lockstep(tokens);
         self.decode_at(&steps)
     }
 
@@ -1261,68 +1255,13 @@ impl<'m> ShardedBatchDecoder<'m> {
     ///
     /// Panics as [`AccelBatchDecoder::decode_at`] does.
     pub fn decode_at(&mut self, steps: &[(usize, usize)]) -> Vec<Vec<f32>> {
-        let cfg = self.model.config().clone();
-        assert!(!steps.is_empty(), "at least one sequence required");
-        for (i, &(slot, t)) in steps.iter().enumerate() {
-            assert!(slot < self.batch(), "slot {slot} out of range");
-            assert!(
-                !steps[..i].iter().any(|&(s, _)| s == slot),
-                "duplicate slot in decode step"
-            );
-            assert!(t < cfg.vocab_size, "token {t} out of vocabulary");
-            assert!(
-                self.stages[0].seqs[slot].pos < cfg.max_seq_len,
-                "context window exhausted"
-            );
-        }
-        let b = steps.len();
-
-        // Stage 0 owns the embedding table.
-        let mut xs: Vec<Vec<F16>> = steps
-            .iter()
-            .map(|&(_, t)| self.model.embedding[t].clone())
-            .collect();
-        let s = &mut self.scratch;
-        s.xn.resize_with(b, Vec::new);
-        s.attn_out.resize_with(b, Vec::new);
-        s.inner.resize_with(b, Vec::new);
-
+        self.stages[0].check_steps(steps);
+        let mut xs = self.stages[0].embed(steps);
         for stage in &mut self.stages {
-            for (kv_idx, layer_idx) in stage.layers.clone().enumerate() {
-                batch_layer_forward(
-                    &self.model.layers[layer_idx],
-                    kv_idx,
-                    &cfg,
-                    &self.vpu,
-                    &self.rope,
-                    &self.rms,
-                    &self.softmax,
-                    &self.silu,
-                    &mut stage.seqs,
-                    None,
-                    steps,
-                    &mut xs,
-                    s,
-                );
-            }
+            stage.run_layers(steps, &mut xs);
         }
-
-        // The last stage owns the final norm and LM head.
-        for (xn, x) in s.xn.iter_mut().zip(&xs) {
-            *xn = self.rms.normalize(x, &self.model.final_norm);
-        }
-        for stage in &mut self.stages {
-            for &(slot, _) in steps {
-                stage.seqs[slot].pos += 1;
-            }
-        }
-        self.model
-            .lm_head
-            .matvec_batch(&self.vpu, &s.xn, &mut s.mv, &mut s.logits);
-        s.logits
-            .iter()
-            .map(|logits| logits.iter().map(|v| v.to_f32()).collect())
-            .collect()
+        let last = self.stages.last_mut().expect("at least one stage");
+        last.head(&xs)
     }
 
     /// Runs a lockstep prefill phase, returning the last step's logits.
@@ -1332,12 +1271,7 @@ impl<'m> ShardedBatchDecoder<'m> {
     /// Panics if `prompts` is empty or any step's width differs from the
     /// batch.
     pub fn prefill_batch(&mut self, prompts: &[Vec<usize>]) -> Vec<Vec<f32>> {
-        assert!(!prompts.is_empty(), "empty prompt");
-        let mut logits = Vec::new();
-        for step in prompts {
-            logits = self.decode_batch(step);
-        }
-        logits
+        prefill_lockstep(prompts, |step| self.decode_batch(step))
     }
 }
 

@@ -22,9 +22,9 @@ pub const PROJECTIONS: [&str; 7] = ["wq", "wk", "wv", "wo", "w_gate", "w_up", "w
 
 /// Splits `n_layers` transformer layers into `stages` contiguous,
 /// near-even ranges — the canonical pipeline-parallel shard boundaries
-/// shared by [`ModelImage::build_shard`] callers and the functional
-/// sharded decoder. Earlier stages absorb the remainder, so stage sizes
-/// differ by at most one layer.
+/// shared by the sharded engine's [`ImageSpec::layers`] and the
+/// functional sharded decoder. Earlier stages absorb the remainder, so
+/// stage sizes differ by at most one layer.
 ///
 /// # Panics
 ///
@@ -44,6 +44,67 @@ pub fn split_layers(n_layers: usize, stages: usize) -> Vec<std::ops::Range<usize
         start += len;
     }
     out
+}
+
+/// How an image lays out each sequence's KV space.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KvLayout {
+    /// One consecutive slot block per sequence in each (layer, K/V)
+    /// region, so each sequence's history is one DDR burst.
+    Contiguous,
+    /// The same KV provisioning carved into fixed-size pages granted on
+    /// demand, with per-sequence page tables placed in DDR and every KV
+    /// access indirecting through them. A history read is one burst per
+    /// page, and a decode step pays a page-table read plus a one-beat
+    /// table write at each page boundary. Pages use a canonical
+    /// interleaved physical placement (logical page `p` of sequence `s`
+    /// lives at physical page `p × batch + s`), so the burst streams are
+    /// a pure function of `(slot, ctx)` — cacheable like every other
+    /// schedule — while still modelling the scatter a shared page pool
+    /// produces.
+    Paged {
+        /// Tokens per page: a positive multiple of the 16-token pack
+        /// window that divides the context capacity.
+        page_tokens: usize,
+    },
+}
+
+/// What one [`ModelImage`] holds: every variation of the paper's image
+/// is a field here, set with struct-update syntax over [`ImageSpec::new`]
+/// (see [`crate::EngineConfig`] for an example).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ImageSpec {
+    /// Maximum context length each sequence's KV space holds.
+    pub ctx_capacity: usize,
+    /// Concurrent sequences the KV space is provisioned for (at least
+    /// one). The weight streams are placed once whatever the batch —
+    /// batching never duplicates them — so only KV space scales.
+    pub batch: usize,
+    /// Contiguous or paged KV space.
+    pub kv: KvLayout,
+    /// `Some(range)` places one pipeline-parallel shard: the weight
+    /// streams and KV regions of layers `range` only, plus the embedding
+    /// table when the range starts at layer 0 and the LM head when it
+    /// ends at the last layer. Everything on the image — layer
+    /// accessors, KV budget, request pricing, schedules — then speaks
+    /// shard-local layer indices (`0..range.len()`). A board holding a
+    /// shard spends its DDR only on its own slice, so per-board KV
+    /// budgets shrink with depth — the lever the cluster layer prices.
+    /// `None` places every layer.
+    pub layers: Option<std::ops::Range<usize>>,
+}
+
+impl ImageSpec {
+    /// The paper's image: one sequence of `ctx_capacity` tokens,
+    /// contiguous KV, every layer.
+    pub fn new(ctx_capacity: usize) -> ImageSpec {
+        ImageSpec {
+            ctx_capacity,
+            batch: 1,
+            kv: KvLayout::Contiguous,
+            layers: None,
+        }
+    }
 }
 
 /// One placed weight stream.
@@ -85,10 +146,6 @@ pub struct ModelImage {
     /// weight image is shared by every sequence; only KV space scales.
     batch: usize,
     map: MemoryMap,
-    /// Global index of the first transformer layer this image holds.
-    /// Zero for a full image; the shard boundary for pipeline-parallel
-    /// splits built by [`ModelImage::build_shard`].
-    layer_offset: usize,
     /// Whether this image places the LM head (the last pipeline stage).
     owns_head: bool,
     /// `None` for shards that do not hold the embedding table (every
@@ -103,9 +160,7 @@ pub struct ModelImage {
     /// physical pages addressed through per-sequence page tables.
     kv_regions: Vec<Region>,
     kv_meta: Region,
-    /// `Some(page_tokens)` for a paged image ([`ModelImage::build_paged`]):
-    /// KV space is carved into fixed-size pages of this many tokens and
-    /// every KV access indirects through a per-sequence page table.
+    /// `Some(page_tokens)` for a paged image ([`KvLayout::Paged`]).
     page_tokens: Option<usize>,
     /// The per-sequence page tables in DDR (paged images only).
     page_table: Option<Region>,
@@ -115,8 +170,8 @@ pub struct ModelImage {
 }
 
 impl ModelImage {
-    /// Builds the image for a model at a given context capacity (one
-    /// sequence).
+    /// Builds the paper's image: one sequence of `ctx_capacity` tokens,
+    /// contiguous KV, every layer ([`ImageSpec::new`]).
     ///
     /// # Errors
     ///
@@ -127,132 +182,12 @@ impl ModelImage {
         format: WeightFormat,
         ctx_capacity: usize,
     ) -> Result<ModelImage, AllocError> {
-        ModelImage::build_batched(model, format, ctx_capacity, 1)
-    }
-
-    /// Builds the image with KV space for `batch` concurrent sequences of
-    /// `ctx_capacity` tokens each. The weight streams are placed exactly
-    /// as in the single-sequence image — batching never duplicates them —
-    /// so `batch = 1` reproduces [`ModelImage::build`] byte for byte.
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation failure if weights plus `batch` KV FIFOs
-    /// exceed the 4 GB device — the capacity wall the batch sweep tables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    pub fn build_batched(
-        model: &ModelConfig,
-        format: WeightFormat,
-        ctx_capacity: usize,
-        batch: usize,
-    ) -> Result<ModelImage, AllocError> {
-        ModelImage::build_ranged(model, format, ctx_capacity, batch, 0..model.n_layers, None)
-    }
-
-    /// Builds a **paged** image: the same weight placement and total KV
-    /// provisioning as [`ModelImage::build_batched`], but the KV space is
-    /// carved into fixed-size pages of `page_tokens` tokens granted on
-    /// demand, with per-sequence page tables placed in DDR and every KV
-    /// access indirecting through them. Pages use a canonical interleaved
-    /// physical placement (logical page `p` of sequence `s` lives at
-    /// physical page `p × batch + s`), so the burst streams are a pure
-    /// function of `(slot, ctx)` — cacheable like every other schedule —
-    /// while still modelling the scatter a shared page pool produces.
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation failure if the image (weights, KV pool,
-    /// scale-zero packs, page tables) exceeds the 4 GB device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero, `page_tokens` is not a positive
-    /// multiple of the 16-token pack window, or `ctx_capacity` is not a
-    /// multiple of `page_tokens`.
-    pub fn build_paged(
-        model: &ModelConfig,
-        format: WeightFormat,
-        ctx_capacity: usize,
-        batch: usize,
-        page_tokens: usize,
-    ) -> Result<ModelImage, AllocError> {
-        ModelImage::build_ranged(
-            model,
-            format,
-            ctx_capacity,
-            batch,
-            0..model.n_layers,
-            Some(page_tokens),
-        )
-    }
-
-    /// Builds the image of one pipeline-parallel shard: the weight
-    /// streams and KV regions of layers `layers.start..layers.end` only,
-    /// plus the embedding table when the shard starts at layer 0 and the
-    /// LM head when it ends at the last layer. Everything on the image —
-    /// layer accessors, KV budget, request pricing, schedules — then
-    /// speaks shard-local layer indices (`0..layers.len()`); the global
-    /// boundary is recorded as [`ModelImage::layer_offset`].
-    ///
-    /// A board holding a shard spends its DDR only on its own slice, so
-    /// per-board KV budgets shrink with depth and the freed capacity can
-    /// be re-provisioned as extra sequence slots — the lever the cluster
-    /// layer prices.
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation failure if the shard does not fit the 4 GB
-    /// device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero or `layers` is empty or out of range.
-    pub fn build_shard(
-        model: &ModelConfig,
-        format: WeightFormat,
-        ctx_capacity: usize,
-        batch: usize,
-        layers: std::ops::Range<usize>,
-    ) -> Result<ModelImage, AllocError> {
-        ModelImage::build_ranged(model, format, ctx_capacity, batch, layers, None)
-    }
-
-    /// [`ModelImage::build_shard`] with paged KV space on the shard —
-    /// the per-board analogue of [`ModelImage::build_paged`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation failure if the shard does not fit the 4 GB
-    /// device.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`ModelImage::build_paged`] and
-    /// [`ModelImage::build_shard`] do.
-    pub fn build_shard_paged(
-        model: &ModelConfig,
-        format: WeightFormat,
-        ctx_capacity: usize,
-        batch: usize,
-        layers: std::ops::Range<usize>,
-        page_tokens: usize,
-    ) -> Result<ModelImage, AllocError> {
-        ModelImage::build_ranged(
-            model,
-            format,
-            ctx_capacity,
-            batch,
-            layers,
-            Some(page_tokens),
-        )
+        ModelImage::from_spec(model, format, &ImageSpec::new(ctx_capacity))
     }
 
     /// Builds the image for **tiered** (flash-backed) weight storage:
-    /// identical to [`ModelImage::build`] when the model fits the 4 GiB
-    /// device, and otherwise placed in the smallest power-of-two
+    /// [`ModelImage::build`] when the model fits the 4 GiB device, and
+    /// otherwise placed in the smallest power-of-two
     /// [`MemoryMap::tiered_virtual`] address space that holds it. Layers
     /// keep canonical, stable addresses either way — which layers are
     /// *physically* resident is the `WeightCache`'s accounting, enforced
@@ -268,66 +203,72 @@ impl ModelImage {
         format: WeightFormat,
         ctx_capacity: usize,
     ) -> Result<ModelImage, AllocError> {
-        let mut last = match ModelImage::build(model, format, ctx_capacity) {
+        ModelImage::place(model, format, &ImageSpec::new(ctx_capacity), true)
+    }
+
+    /// Places the image `spec` describes in the 4 GB map.
+    ///
+    /// # Errors
+    ///
+    /// Returns the allocation failure if the image (weights, KV space,
+    /// scale-zero packs, page tables) exceeds the 4 GB device — for a
+    /// batched image, the capacity wall the batch sweep tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec.batch` is zero, a paged layout's `page_tokens` is
+    /// not a positive multiple of the 16-token pack window or does not
+    /// divide `spec.ctx_capacity`, or `spec.layers` is empty or out of
+    /// range.
+    pub fn from_spec(
+        model: &ModelConfig,
+        format: WeightFormat,
+        spec: &ImageSpec,
+    ) -> Result<ModelImage, AllocError> {
+        ModelImage::place(model, format, spec, false)
+    }
+
+    /// [`ModelImage::from_spec`], except that with `virtual_fallback` an
+    /// image that overflows the board goes to the smallest power-of-two
+    /// virtual map that holds it: [`ModelImage::build_tiered`]'s rule,
+    /// which only an engine with a weight tier may take, since only its
+    /// budget keeps the physical footprint on the board.
+    pub(crate) fn place(
+        model: &ModelConfig,
+        format: WeightFormat,
+        spec: &ImageSpec,
+        virtual_fallback: bool,
+    ) -> Result<ModelImage, AllocError> {
+        let mut last = match ModelImage::place_in(model, format, spec, MemoryMap::kv260()) {
             Ok(image) => return Ok(image),
-            Err(e) => e,
+            Err(e) if virtual_fallback => e,
+            Err(e) => return Err(e),
         };
         for gib in [8u64, 16, 32, 64] {
-            match ModelImage::build_virtual(model, format, ctx_capacity, gib << 30) {
-                Ok(image) => return Ok(image),
+            let map = MemoryMap::tiered_virtual(gib << 30);
+            match ModelImage::place_in(model, format, spec, map) {
+                Ok(mut image) => {
+                    image.tiered_virtual = true;
+                    return Ok(image);
+                }
                 Err(e) => last = e,
             }
         }
         Err(last)
     }
 
-    fn build_virtual(
+    fn place_in(
         model: &ModelConfig,
         format: WeightFormat,
-        ctx_capacity: usize,
-        total_bytes: u64,
-    ) -> Result<ModelImage, AllocError> {
-        let mut image = ModelImage::build_ranged_in(
-            model,
-            format,
-            ctx_capacity,
-            1,
-            0..model.n_layers,
-            None,
-            MemoryMap::tiered_virtual(total_bytes),
-        )?;
-        image.tiered_virtual = true;
-        Ok(image)
-    }
-
-    fn build_ranged(
-        model: &ModelConfig,
-        format: WeightFormat,
-        ctx_capacity: usize,
-        batch: usize,
-        layers: std::ops::Range<usize>,
-        page_tokens: Option<usize>,
-    ) -> Result<ModelImage, AllocError> {
-        ModelImage::build_ranged_in(
-            model,
-            format,
-            ctx_capacity,
-            batch,
-            layers,
-            page_tokens,
-            MemoryMap::kv260(),
-        )
-    }
-
-    fn build_ranged_in(
-        model: &ModelConfig,
-        format: WeightFormat,
-        ctx_capacity: usize,
-        batch: usize,
-        layers: std::ops::Range<usize>,
-        page_tokens: Option<usize>,
+        spec: &ImageSpec,
         mut map: MemoryMap,
     ) -> Result<ModelImage, AllocError> {
+        let (ctx_capacity, batch) = (spec.ctx_capacity, spec.batch);
+        let layers = spec.layers.clone().unwrap_or(0..model.n_layers);
+        let page_tokens = match spec.kv {
+            KvLayout::Contiguous => None,
+            KvLayout::Paged { page_tokens } => Some(page_tokens),
+        };
         assert!(batch > 0, "batch must be at least 1");
         if let Some(pt) = page_tokens {
             assert!(
@@ -463,7 +404,6 @@ impl ModelImage {
             ctx_capacity,
             batch,
             map,
-            layer_offset: layers.start,
             owns_head,
             embedding,
             projections,
@@ -475,18 +415,12 @@ impl ModelImage {
         })
     }
 
-    /// The model configuration this image holds. For a shard built by
-    /// [`ModelImage::build_shard`] this is the shard-local view —
-    /// `n_layers` is the slice length, and every layer-indexed accessor
-    /// takes shard-local indices.
+    /// The model configuration this image holds. For a shard
+    /// ([`ImageSpec::layers`]) this is the shard-local view — `n_layers`
+    /// is the slice length, and every layer-indexed accessor takes
+    /// shard-local indices.
     pub fn model(&self) -> &ModelConfig {
         &self.model
-    }
-
-    /// Global index of the first layer this image holds (zero for a full
-    /// image).
-    pub fn layer_offset(&self) -> usize {
-        self.layer_offset
     }
 
     /// Whether this image places the FP16 embedding table (true for full
@@ -659,13 +593,8 @@ impl ModelImage {
         (logical * self.batch + seq) as u64
     }
 
-    /// Write burst for the current token's K (or V) vector of one layer.
-    pub fn kv_write_burst(&self, layer: usize, value: bool, token: usize) -> BurstDescriptor {
-        self.kv_write_burst_seq(layer, value, token, 0)
-    }
-
-    /// [`ModelImage::kv_write_burst`] for sequence `seq` of a batched
-    /// image.
+    /// Write burst for the current token's K (or V) vector of one layer,
+    /// for sequence `seq`.
     ///
     /// # Panics
     ///
@@ -690,14 +619,9 @@ impl ModelImage {
         BurstDescriptor::write(addr, (tb / BEAT_BYTES as u64) as u32)
     }
 
-    /// Write burst for one flushed scale-zero FIFO element.
-    pub fn kv_meta_write_burst(&self, stream: usize, window16: u64) -> BurstDescriptor {
-        self.kv_meta_write_burst_seq(stream, window16, 0)
-    }
-
-    /// [`ModelImage::kv_meta_write_burst`] for sequence `seq` of a
-    /// batched image: each sequence flushes into its own block of the
-    /// packed scale-zero region.
+    /// Write burst for one flushed scale-zero FIFO element of sequence
+    /// `seq`: each sequence flushes into its own block of the packed
+    /// scale-zero region.
     ///
     /// # Panics
     ///
@@ -747,20 +671,10 @@ impl ModelImage {
         self.page_tokens.is_some()
     }
 
-    /// Physical pages in the paged KV pool
-    /// (`batch × ctx_capacity / page_tokens`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a contiguous image.
-    pub fn total_kv_pages(&self) -> usize {
-        let pt = self.page_tokens.expect("contiguous image has no pages");
-        self.batch * (self.ctx_capacity / pt)
-    }
-
     /// KV bytes one page accounts for: its codes in every layer plus its
     /// page-aligned share of the scale-zero region. Because pages are
-    /// whole 16-token windows, `total_kv_pages × kv_page_bytes` equals
+    /// whole 16-token windows, the pool's `batch × ctx_capacity /
+    /// page_tokens` pages times `kv_page_bytes` equals
     /// [`ModelImage::kv_budget_bytes`] exactly — paging re-divides the
     /// budget, it does not shrink or inflate it.
     ///
@@ -868,6 +782,38 @@ impl ModelImage {
 mod tests {
     use super::*;
 
+    /// `test_small` placed as `spec` describes.
+    fn small(spec: ImageSpec) -> ModelImage {
+        ModelImage::from_spec(&ModelConfig::test_small(), WeightFormat::kv260(), &spec)
+            .expect("fits")
+    }
+
+    /// `batch` contiguous sequences of `ctx` tokens.
+    fn batched(ctx: usize, batch: usize) -> ModelImage {
+        small(ImageSpec {
+            batch,
+            ..ImageSpec::new(ctx)
+        })
+    }
+
+    /// `batch` sequences of `ctx` tokens in 16-token pages.
+    fn paged(ctx: usize, batch: usize) -> ModelImage {
+        small(ImageSpec {
+            batch,
+            kv: KvLayout::Paged { page_tokens: 16 },
+            ..ImageSpec::new(ctx)
+        })
+    }
+
+    /// Layers `layers` of `batch` sequences of `ctx` tokens.
+    fn shard(ctx: usize, batch: usize, layers: std::ops::Range<usize>) -> ModelImage {
+        small(ImageSpec {
+            batch,
+            layers: Some(layers),
+            ..ImageSpec::new(ctx)
+        })
+    }
+
     #[test]
     fn llama2_7b_image_reproduces_fig1() {
         let image = ModelImage::build(&ModelConfig::llama2_7b(), WeightFormat::kv260(), 1024)
@@ -915,8 +861,8 @@ mod tests {
         assert_eq!(tb % BEAT_BYTES as u64, 0);
         let read = image.kv_read_burst(0, false, 10);
         assert_eq!(read.bytes(), tb * 10);
-        let w0 = image.kv_write_burst(0, false, 0);
-        let w1 = image.kv_write_burst(0, false, 1);
+        let w0 = image.kv_write_burst_seq(0, false, 0, 0);
+        let w1 = image.kv_write_burst_seq(0, false, 1, 0);
         assert_eq!(w1.addr - w0.addr, tb);
         assert!(w0.write);
         // K and V regions are distinct.
@@ -938,7 +884,7 @@ mod tests {
     fn meta_write_bursts_are_beat_sized() {
         let cfg = ModelConfig::test_small();
         let image = ModelImage::build(&cfg, WeightFormat::kv260(), 64).expect("fits");
-        let b = image.kv_meta_write_burst(3, 1);
+        let b = image.kv_meta_write_burst_seq(3, 1, 0);
         assert_eq!(b.beats, 1);
         assert!(b.write);
     }
@@ -955,7 +901,7 @@ mod tests {
     fn batched_image_shares_weights_and_separates_kv() {
         let cfg = ModelConfig::test_small();
         let single = ModelImage::build(&cfg, WeightFormat::kv260(), 32).expect("fits");
-        let batched = ModelImage::build_batched(&cfg, WeightFormat::kv260(), 32, 4).expect("fits");
+        let batched = batched(32, 4);
         assert_eq!(single.batch(), 1);
         assert_eq!(batched.batch(), 4);
         // The dense weight image is identical — batching never duplicates it.
@@ -981,7 +927,7 @@ mod tests {
     #[test]
     fn kv_budget_prices_full_occupancy() {
         let cfg = ModelConfig::test_small();
-        let image = ModelImage::build_batched(&cfg, WeightFormat::kv260(), 32, 4).expect("fits");
+        let image = batched(32, 4);
         // A full slot costs exactly 1/batch of the provisioned budget.
         assert_eq!(image.kv_request_bytes(32) * 4, image.kv_budget_bytes());
         // Footprint is monotone in tokens and zero at zero.
@@ -998,19 +944,14 @@ mod tests {
 
     #[test]
     fn paged_image_redivides_the_kv_budget_exactly() {
-        let cfg = ModelConfig::test_small();
-        let flat = ModelImage::build_batched(&cfg, WeightFormat::kv260(), 32, 4).expect("fits");
-        let paged = ModelImage::build_paged(&cfg, WeightFormat::kv260(), 32, 4, 16).expect("fits");
+        let flat = batched(32, 4);
+        let paged = paged(32, 4);
         assert!(paged.is_paged() && !flat.is_paged());
         assert_eq!(paged.page_tokens(), Some(16));
         // Paging re-divides the same budget: pages × page bytes is the
         // whole KV budget, and that budget matches the contiguous image.
         assert_eq!(paged.kv_budget_bytes(), flat.kv_budget_bytes());
-        assert_eq!(paged.total_kv_pages(), 4 * 2);
-        assert_eq!(
-            paged.total_kv_pages() as u64 * paged.kv_page_bytes(),
-            paged.kv_budget_bytes()
-        );
+        assert_eq!(4 * 2 * paged.kv_page_bytes(), paged.kv_budget_bytes());
         // Page-rounded charging: whole pages, monotone, capped at full.
         assert_eq!(paged.page_rounded_request_bytes(0, 16), 0);
         assert_eq!(
@@ -1034,9 +975,8 @@ mod tests {
 
     #[test]
     fn paged_reads_fragment_but_conserve_bytes() {
-        let cfg = ModelConfig::test_small();
-        let flat = ModelImage::build_batched(&cfg, WeightFormat::kv260(), 32, 4).expect("fits");
-        let paged = ModelImage::build_paged(&cfg, WeightFormat::kv260(), 32, 4, 16).expect("fits");
+        let flat = batched(32, 4);
+        let paged = paged(32, 4);
         for ctx in [1usize, 15, 16, 17, 31, 32] {
             let flat_bytes: u64 = flat
                 .kv_read_bursts_seq(0, false, ctx, 1)
@@ -1063,8 +1003,7 @@ mod tests {
 
     #[test]
     fn page_table_bursts_are_priced_per_sequence() {
-        let cfg = ModelConfig::test_small();
-        let paged = ModelImage::build_paged(&cfg, WeightFormat::kv260(), 32, 4, 16).expect("fits");
+        let paged = paged(32, 4);
         // 2 entries × 4 B rounds up to one 64 B beat per sequence.
         let r0 = paged.kv_page_table_read_burst(0);
         let r1 = paged.kv_page_table_read_burst(1);
@@ -1081,40 +1020,39 @@ mod tests {
     #[should_panic(expected = "positive multiple")]
     fn paged_image_rejects_misaligned_page_size() {
         let cfg = ModelConfig::test_small();
-        let _ = ModelImage::build_paged(&cfg, WeightFormat::kv260(), 32, 4, 24);
+        let spec = ImageSpec {
+            batch: 4,
+            kv: KvLayout::Paged { page_tokens: 24 },
+            ..ImageSpec::new(32)
+        };
+        let _ = ModelImage::from_spec(&cfg, WeightFormat::kv260(), &spec);
     }
 
     #[test]
     #[should_panic(expected = "paged image history is fragmented")]
     fn contiguous_read_accessor_rejects_paged_images() {
-        let cfg = ModelConfig::test_small();
-        let paged = ModelImage::build_paged(&cfg, WeightFormat::kv260(), 32, 4, 16).expect("fits");
+        let paged = paged(32, 4);
         let _ = paged.kv_read_burst_seq(0, false, 4, 0);
     }
 
     #[test]
     #[should_panic(expected = "sequence beyond provisioned batch")]
     fn kv_read_checks_batch() {
-        let cfg = ModelConfig::test_small();
-        let image = ModelImage::build_batched(&cfg, WeightFormat::kv260(), 16, 2).expect("fits");
+        let image = batched(16, 2);
         let _ = image.kv_read_burst_seq(0, false, 4, 2);
     }
 
     #[test]
     fn shards_partition_the_full_image() {
         let cfg = ModelConfig::test_small();
-        let full = ModelImage::build_batched(&cfg, WeightFormat::kv260(), 32, 2).expect("fits");
+        let full = batched(32, 2);
         let mid = cfg.n_layers / 2;
-        let first =
-            ModelImage::build_shard(&cfg, WeightFormat::kv260(), 32, 2, 0..mid).expect("fits");
-        let last = ModelImage::build_shard(&cfg, WeightFormat::kv260(), 32, 2, mid..cfg.n_layers)
-            .expect("fits");
+        let first = shard(32, 2, 0..mid);
+        let last = shard(32, 2, mid..cfg.n_layers);
 
         // Ownership splits along the pipeline.
         assert!(first.owns_embedding() && !first.owns_head());
         assert!(!last.owns_embedding() && last.owns_head());
-        assert_eq!(first.layer_offset(), 0);
-        assert_eq!(last.layer_offset(), mid);
         assert_eq!(first.model().n_layers, mid);
         assert_eq!(last.model().n_layers, cfg.n_layers - mid);
 
@@ -1140,8 +1078,7 @@ mod tests {
         assert_eq!(last.layer_projections(0)[0].layer, mid);
 
         // A full build is a degenerate shard.
-        let whole = ModelImage::build_shard(&cfg, WeightFormat::kv260(), 32, 2, 0..cfg.n_layers)
-            .expect("fits");
+        let whole = shard(32, 2, 0..cfg.n_layers);
         assert_eq!(whole.weight_stream_bytes(), full.weight_stream_bytes());
         assert_eq!(whole.kv_budget_bytes(), full.kv_budget_bytes());
         assert!(whole.owns_embedding() && whole.owns_head());
@@ -1151,17 +1088,12 @@ mod tests {
     #[should_panic(expected = "does not place the embedding table")]
     fn tail_shard_has_no_embedding() {
         let cfg = ModelConfig::test_small();
-        let shard = ModelImage::build_shard(&cfg, WeightFormat::kv260(), 16, 1, 1..cfg.n_layers)
-            .expect("fits");
-        let _ = shard.embedding_row_burst(0);
+        let _ = shard(16, 1, 1..cfg.n_layers).embedding_row_burst(0);
     }
 
     #[test]
     #[should_panic(expected = "does not place the LM head")]
     fn head_shard_has_no_lm_head() {
-        let cfg = ModelConfig::test_small();
-        let shard =
-            ModelImage::build_shard(&cfg, WeightFormat::kv260(), 16, 1, 0..1).expect("fits");
-        let _ = shard.lm_head();
+        let _ = shard(16, 1, 0..1).lm_head();
     }
 }

@@ -52,10 +52,10 @@ pub use config::AccelConfig;
 pub use functional::{
     greedy_accept, AccelBatchDecoder, AccelDecoder, QuantizedModel, ShardedBatchDecoder,
 };
-pub use image::{split_layers, ModelImage};
+pub use image::{split_layers, ImageSpec, KvLayout, ModelImage};
 pub use schedule::{OpKind, PrefillChunk, SpecWindow};
 pub use tier::{BlindLru, PrefetchPolicy, ScheduleAware, TierConfig, TierReport};
-pub use trace::{DecodeEngine, DraftCost, TokenReport};
+pub use trace::{DecodeEngine, DraftCost, EngineConfig, TokenReport};
 
 /// The unified metrics registry every unit publishes into — re-exported
 /// so downstream crates need no direct `zllm-telemetry` dependency.

@@ -644,6 +644,7 @@ pub fn speculative_verify_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::{ImageSpec, KvLayout};
     use zllm_layout::weight::WeightFormat;
     use zllm_model::ModelConfig;
 
@@ -652,9 +653,17 @@ mod tests {
             .expect("test model fits")
     }
 
-    fn batched_image(batch: usize) -> ModelImage {
-        ModelImage::build_batched(&ModelConfig::test_small(), WeightFormat::kv260(), 32, batch)
+    /// `test_small` placed as `spec` describes.
+    fn placed(spec: ImageSpec) -> ModelImage {
+        ModelImage::from_spec(&ModelConfig::test_small(), WeightFormat::kv260(), &spec)
             .expect("test model fits")
+    }
+
+    fn batched_image(batch: usize) -> ModelImage {
+        placed(ImageSpec {
+            batch,
+            ..ImageSpec::new(32)
+        })
     }
 
     /// The ops of `kind` at `layer` (`None`: step-wide ops), in issue
@@ -956,14 +965,11 @@ mod tests {
     }
 
     fn paged_image(batch: usize) -> ModelImage {
-        ModelImage::build_paged(
-            &ModelConfig::test_small(),
-            WeightFormat::kv260(),
-            32,
+        placed(ImageSpec {
             batch,
-            16,
-        )
-        .expect("test model fits")
+            kv: KvLayout::Paged { page_tokens: 16 },
+            ..ImageSpec::new(32)
+        })
     }
 
     /// Bytes in the page-table metadata ops alone.
@@ -1231,12 +1237,16 @@ mod tests {
     #[test]
     fn shard_schedules_partition_full_ddr_traffic() {
         let cfg = ModelConfig::test_small();
-        let full = ModelImage::build_batched(&cfg, WeightFormat::kv260(), 32, 2).expect("fits");
+        let full = batched_image(2);
         let mid = cfg.n_layers / 2;
-        let first =
-            ModelImage::build_shard(&cfg, WeightFormat::kv260(), 32, 2, 0..mid).expect("fits");
-        let last = ModelImage::build_shard(&cfg, WeightFormat::kv260(), 32, 2, mid..cfg.n_layers)
-            .expect("fits");
+        let shard = |layers| {
+            placed(ImageSpec {
+                batch: 2,
+                layers: Some(layers),
+                ..ImageSpec::new(32)
+            })
+        };
+        let (first, last) = (shard(0..mid), shard(mid..cfg.n_layers));
         let slots = [(0usize, 15usize), (1, 7)];
         for mode in [PipelineMode::Fused, PipelineMode::Coarse] {
             let whole = ragged_token_schedule(&full, &slots, mode);
@@ -1274,6 +1284,7 @@ mod tests {
 #[cfg(all(test, feature = "proptest"))]
 mod properties {
     use super::*;
+    use crate::image::ImageSpec;
     use proptest::prelude::*;
     use zllm_layout::weight::WeightFormat;
     use zllm_model::ModelConfig;
@@ -1298,13 +1309,13 @@ mod properties {
             coarse in proptest::bool::ANY,
         ) {
             let mode = if coarse { PipelineMode::Coarse } else { PipelineMode::Fused };
-            let image = ModelImage::build_batched(
-                &ModelConfig::test_small(),
-                WeightFormat::kv260(),
-                32,
-                6,
-            )
-            .expect("test model fits");
+            let spec = ImageSpec {
+                batch: 6,
+                ..ImageSpec::new(32)
+            };
+            let image =
+                ModelImage::from_spec(&ModelConfig::test_small(), WeightFormat::kv260(), &spec)
+                    .expect("test model fits");
             let (w1, s1) = split(&batched_token_schedule(&image, ctx, 1, mode));
             let sched = batched_token_schedule(&image, ctx, batch, mode);
             let (w, s) = split(&sched);

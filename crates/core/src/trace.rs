@@ -10,7 +10,7 @@
 //! construction.
 
 use crate::config::AccelConfig;
-use crate::image::ModelImage;
+use crate::image::{ImageSpec, ModelImage};
 use crate::schedule::{
     batched_token_schedule, chunked_prefill_schedule, ragged_token_schedule,
     speculative_verify_schedule, token_schedule, OpKind, PrefillChunk, SpecWindow, TokenSchedule,
@@ -130,6 +130,60 @@ pub enum DraftCost {
     },
 }
 
+/// Everything a [`DecodeEngine`] is built from besides the accelerator:
+/// the image to place, and the two optional stages on its memory path.
+/// Set fields with struct-update syntax over [`EngineConfig::new`].
+///
+/// ```
+/// use zllm_accel::{AccelConfig, DecodeEngine, EngineConfig, ImageSpec, KvLayout};
+/// use zllm_model::ModelConfig;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let image = ImageSpec {
+///     batch: 4,
+///     kv: KvLayout::Paged { page_tokens: 16 },
+///     ..ImageSpec::new(32)
+/// };
+/// let cfg = EngineConfig::new(image);
+/// let mut engine = DecodeEngine::build(AccelConfig::kv260(), &ModelConfig::test_small(), cfg)?;
+/// assert!(engine.decode_token_ragged(&[(0, 5), (3, 20)]).tokens_per_s > 0.0);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct EngineConfig {
+    /// The model image: context capacity, batch, KV layout and layer
+    /// range.
+    pub image: ImageSpec,
+    /// `Some` keeps the weights on flash with `weight_budget_bytes` of
+    /// layer weights DDR-resident: each step is priced flat, then its
+    /// layer runs are walked against the flash timeline
+    /// ([`crate::tier`]), with the cache warm at start. An image too big
+    /// for the 4 GiB device is then placed in a virtual address space, as
+    /// [`ModelImage::build_tiered`] places it, and
+    /// [`DecodeEngine::tier_physical_bytes`] is what must fit the board.
+    pub tier: Option<TierConfig>,
+    /// `Some` prices every step through the inline-compression stage
+    /// ([`MemorySystem::set_compression`]): weight, KV and activation
+    /// bursts cross the bus at their compressed wire size plus page-map
+    /// metadata, and the decompressor's stall extends the wall.
+    /// `decode.bytes.*` and the report's `bytes` stay logical; an
+    /// all-identity stage is a bit-identical pass-through that registers
+    /// no `comp.*` telemetry. Tier staging and synthetic drafts bypass it.
+    pub compression: Option<CompressionConfig>,
+}
+
+impl EngineConfig {
+    /// An engine over `image` with neither a weight tier nor compression.
+    pub fn new(image: ImageSpec) -> EngineConfig {
+        EngineConfig {
+            image,
+            tier: None,
+            compression: None,
+        }
+    }
+}
+
 /// Averaged report over a generation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
@@ -165,8 +219,8 @@ pub struct DecodeEngine {
     image: ModelImage,
     mem: MemorySystem,
     vpu: Vpu,
-    /// Flash-backed weight tier ([`DecodeEngine::new_tiered`]); `None`
-    /// for the ordinary all-in-DDR engine.
+    /// Flash-backed weight tier ([`EngineConfig::tier`]); `None` for the
+    /// ordinary all-in-DDR engine.
     tier: Option<TierState>,
     /// The paper's theoretical roofline for this model on this bandwidth.
     roofline_tokens_per_s: f64,
@@ -294,7 +348,42 @@ impl DecodeMetrics {
 }
 
 impl DecodeEngine {
-    /// Builds the engine, placing the model image in the 4 GB map.
+    /// Builds the engine `cfg` describes, placing its image in the 4 GB
+    /// map. A shard image ([`ImageSpec::layers`]) prices exactly its own
+    /// DDR traffic: a stage without the embedding table or LM head
+    /// schedules no bytes for them, so the union of the shard engines'
+    /// traffic equals the single-board engine's.
+    ///
+    /// # Errors
+    ///
+    /// Returns the allocation error if the image does not fit: on
+    /// LLaMA2-7B-class models the KV cache is 256 KiB per token per
+    /// sequence, so large `batch × ctx_capacity` products hit the
+    /// capacity wall the paper's single-user design deliberately avoids.
+    /// With a tier, only an image that exceeds even the largest virtual
+    /// map fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`ModelImage::from_spec`] does, or if a tier's weight
+    /// budget cannot hold the largest single layer.
+    pub fn build(
+        accel: AccelConfig,
+        model: &ModelConfig,
+        cfg: EngineConfig,
+    ) -> Result<DecodeEngine, AllocError> {
+        let image = ModelImage::place(model, accel.format, &cfg.image, cfg.tier.is_some())?;
+        Ok(DecodeEngine::with_image(
+            accel,
+            image,
+            cfg.tier,
+            cfg.compression,
+        ))
+    }
+
+    /// [`DecodeEngine::build`] of the paper's one-sequence image
+    /// ([`ImageSpec::new`]): the shorthand most single-board callers and
+    /// the benchmark harness use.
     ///
     /// # Errors
     ///
@@ -304,67 +393,65 @@ impl DecodeEngine {
         model: &ModelConfig,
         ctx_capacity: usize,
     ) -> Result<DecodeEngine, AllocError> {
-        DecodeEngine::new_batched(accel, model, ctx_capacity, 1)
+        DecodeEngine::build(
+            accel,
+            model,
+            EngineConfig::new(ImageSpec::new(ctx_capacity)),
+        )
     }
 
-    /// Builds an engine provisioned for up to `max_batch` concurrent
-    /// sequences: the image reserves `max_batch` per-sequence KV cache and
-    /// metadata regions (weights are shared). `new` is this at
-    /// `max_batch = 1`.
+    /// A tiered engine ([`EngineConfig::tier`]) over an image the caller
+    /// has already placed, for callers that measure placement apart from
+    /// engine set-up, as the benchmark harness does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weight budget cannot hold the largest single layer.
+    pub fn with_image_tiered(
+        accel: AccelConfig,
+        image: ModelImage,
+        tier: TierConfig,
+    ) -> DecodeEngine {
+        DecodeEngine::with_image(accel, image, Some(tier), None)
+    }
+
+    /// [`DecodeEngine::new`] with the compression stage
+    /// ([`EngineConfig::compression`]): the shorthand the compression
+    /// determinism test uses.
     ///
     /// # Errors
     ///
-    /// Returns the allocation error if the model plus the batched KV
-    /// provisioning does not fit the 4 GB map — on LLaMA2-7B-class models
-    /// the KV cache is 256 KiB per token per sequence, so large
-    /// `batch × ctx_capacity` products hit the capacity wall the paper's
-    /// single-user design deliberately avoids.
-    pub fn new_batched(
+    /// Returns the allocation error if the model does not fit.
+    pub fn new_compressed(
         accel: AccelConfig,
         model: &ModelConfig,
         ctx_capacity: usize,
-        max_batch: usize,
+        cfg: CompressionConfig,
     ) -> Result<DecodeEngine, AllocError> {
-        let image = ModelImage::build_batched(model, accel.format, ctx_capacity, max_batch)?;
-        Ok(DecodeEngine::with_image(accel, image))
+        let cfg = EngineConfig {
+            compression: Some(cfg),
+            ..EngineConfig::new(ImageSpec::new(ctx_capacity))
+        };
+        DecodeEngine::build(accel, model, cfg)
     }
 
-    /// [`DecodeEngine::new_batched`] over a *paged* KV image: the same
-    /// budget carved into `page_tokens`-token pages with per-sequence
-    /// page tables, whose lookups and appends the schedules price as
-    /// real metadata bursts (see [`ModelImage::build_paged`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation error if the model plus the KV pool does
-    /// not fit the 4 GB map.
-    pub fn new_paged(
+    fn with_image(
         accel: AccelConfig,
-        model: &ModelConfig,
-        ctx_capacity: usize,
-        max_batch: usize,
-        page_tokens: usize,
-    ) -> Result<DecodeEngine, AllocError> {
-        let image =
-            ModelImage::build_paged(model, accel.format, ctx_capacity, max_batch, page_tokens)?;
-        Ok(DecodeEngine::with_image(accel, image))
-    }
-
-    /// Builds the engine over an already-placed image — the path the
-    /// cluster layer takes to stand one engine up per pipeline shard
-    /// (see [`ModelImage::build_shard`]). The engine prices exactly the
-    /// image's own DDR traffic: a stage without the embedding table or
-    /// LM head schedules no bytes for them, so the union of the shard
-    /// engines' traffic equals the single-board engine's.
-    pub fn with_image(accel: AccelConfig, image: ModelImage) -> DecodeEngine {
+        image: ModelImage,
+        tier: Option<TierConfig>,
+        compression: Option<CompressionConfig>,
+    ) -> DecodeEngine {
         let model = image.model().clone();
         let mut registry = MetricsRegistry::new();
-        let mem = MemorySystem::with_counters(
+        let mut mem = MemorySystem::with_counters(
             accel.ddr.clone(),
             accel.axi,
             accel.mem_lookahead,
             DdrCounters::register(&mut registry, "ddr.port0"),
         );
+        if let Some(cfg) = compression {
+            mem.set_compression(cfg);
+        }
         let vpu = Vpu::with_counters(
             accel.lanes,
             zllm_fp16::vector::TreePrecision::Fp32,
@@ -384,64 +471,15 @@ impl DecodeEngine {
             vpu,
             accel,
             model,
+            tier: tier.map(|tier| TierState::new(&image, tier)),
             image,
             mem,
-            tier: None,
             roofline_tokens_per_s: roofline,
             registry,
             metrics,
             schedules: HashMap::new(),
             draft: None,
         }
-    }
-
-    /// Builds a **tiered** engine: weights live on the configured flash
-    /// device and only `tier.weight_budget_bytes` of layer weights are
-    /// DDR-resident at a time, managed by the tier's prefetch policy.
-    /// Models too big for the 4 GiB device are placed in an extended
-    /// virtual address space ([`ModelImage::build_tiered`]); the physical
-    /// footprint is then `non-layer bytes + weight budget` (see
-    /// [`DecodeEngine::tier_physical_bytes`]), which is how a 13B-shape
-    /// model decodes on a 4 GiB board.
-    ///
-    /// Every token is first priced exactly as the flat engine would, then
-    /// the schedule's layer runs are walked against the flash timeline:
-    /// prefetches overlap decode, demand misses and late prefetches stall
-    /// it, and staging writes contend on the shared DDR controller.
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation error if the model exceeds even the largest
-    /// virtual map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weight budget cannot hold the largest single layer.
-    pub fn new_tiered(
-        accel: AccelConfig,
-        model: &ModelConfig,
-        ctx_capacity: usize,
-        tier: TierConfig,
-    ) -> Result<DecodeEngine, AllocError> {
-        let image = ModelImage::build_tiered(model, accel.format, ctx_capacity)?;
-        Ok(DecodeEngine::with_image_tiered(accel, image, tier))
-    }
-
-    /// [`DecodeEngine::with_image`] plus a weight tier over the image's
-    /// layers. The cache starts warm in the policy's preferred order —
-    /// the boot-time model load is not decode time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weight budget cannot hold the largest single layer.
-    pub fn with_image_tiered(
-        accel: AccelConfig,
-        image: ModelImage,
-        tier: TierConfig,
-    ) -> DecodeEngine {
-        let mut engine = DecodeEngine::with_image(accel, image);
-        engine.tier = Some(TierState::new(&engine.image, tier));
-        engine
     }
 
     /// The tier's activity so far, or `None` on a flat engine.
@@ -456,40 +494,6 @@ impl DecodeEngine {
         self.tier
             .as_ref()
             .map(|t| self.image.non_layer_resident_bytes() + t.cache.budget_bytes())
-    }
-
-    /// Puts the inline-compression stage in front of the DDR controller
-    /// ([`MemorySystem::set_compression`]): weight, KV and activation
-    /// bursts are priced at their compressed wire size per the
-    /// configuration's per-class ratios, page-map metadata bursts are
-    /// charged, and the decompressor's cut-through stall is folded into
-    /// the wall.
-    ///
-    /// Logical accounting is unchanged: `decode.bytes.*` and the report's
-    /// `bytes` stay at logical size, while `comp.bytes.wire` and the
-    /// `ddr.port0.*` counters reflect what actually crossed the bus. With
-    /// every ratio at 1.0 the stage is a bit-identical pass-through and
-    /// registers no `comp.*` telemetry. Tiered staging and synthetic
-    /// draft traffic are priced with [`MemorySystem::transfer_iter`],
-    /// which bypasses the stage.
-    pub fn enable_compression(&mut self, cfg: CompressionConfig) {
-        self.mem.set_compression(cfg);
-    }
-
-    /// [`DecodeEngine::new`] with the compression stage enabled.
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation error if the model does not fit.
-    pub fn new_compressed(
-        accel: AccelConfig,
-        model: &ModelConfig,
-        ctx_capacity: usize,
-        cfg: CompressionConfig,
-    ) -> Result<DecodeEngine, AllocError> {
-        let mut engine = DecodeEngine::new(accel, model, ctx_capacity)?;
-        engine.enable_compression(cfg);
-        Ok(engine)
     }
 
     /// The compression stage's cumulative `(logical, wire, metadata)`
@@ -549,7 +553,7 @@ impl DecodeEngine {
     /// # Panics
     ///
     /// Panics if `batch` is zero or exceeds the engine's provisioning
-    /// (`max_batch` passed to [`DecodeEngine::new_batched`]).
+    /// ([`ImageSpec::batch`]).
     pub fn decode_token_batch(&mut self, ctx: usize, batch: usize) -> TokenReport {
         let cached = self.schedule_for(ctx, batch);
         self.price(&cached)
@@ -671,13 +675,9 @@ impl DecodeEngine {
             }
             DraftCost::Synthetic { model } => {
                 if !matches!(&self.draft, Some((m, _)) if m == model) {
-                    let image = ModelImage::build_batched(
-                        model,
-                        self.accel.format,
-                        self.image.ctx_capacity(),
-                        1,
-                    )
-                    .expect("draft model must fit the device");
+                    let image =
+                        ModelImage::build(model, self.accel.format, self.image.ctx_capacity())
+                            .expect("draft model must fit the device");
                     self.draft = Some((model.clone(), image));
                 }
                 let DecodeEngine {
@@ -964,6 +964,7 @@ impl DecodeEngine {
 mod tests {
     use super::*;
     use crate::config::PipelineMode;
+    use crate::image::KvLayout;
     use crate::schedule::token_schedule;
 
     fn small_engine(mode: PipelineMode) -> DecodeEngine {
@@ -983,16 +984,51 @@ mod tests {
         )
     }
 
-    /// A paged `test_small` engine: 4 slots of 32 tokens, 16-token pages.
-    fn paged_engine() -> DecodeEngine {
-        DecodeEngine::new_paged(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4, 16)
+    /// A `test_small` engine on the KV260.
+    fn engine(cfg: EngineConfig) -> DecodeEngine {
+        DecodeEngine::build(AccelConfig::kv260(), &ModelConfig::test_small(), cfg)
             .expect("test model fits")
+    }
+
+    /// `batch` contiguous `test_small` slots of 32 tokens.
+    fn batched(batch: usize) -> EngineConfig {
+        EngineConfig::new(ImageSpec {
+            batch,
+            ..ImageSpec::new(32)
+        })
+    }
+
+    /// 4 slots of 32 tokens in 16-token pages.
+    fn paged() -> EngineConfig {
+        EngineConfig::new(ImageSpec {
+            batch: 4,
+            kv: KvLayout::Paged { page_tokens: 16 },
+            ..ImageSpec::new(32)
+        })
+    }
+
+    /// A verify pass with one window per `(slot, ctx)` that drafts
+    /// nothing: a decode step with speculation switched off.
+    fn zero_draft_verify(engine: &mut DecodeEngine, slots: &[(usize, usize)]) -> TokenReport {
+        let windows: Vec<SpecWindow> = slots
+            .iter()
+            .map(|&(slot, ctx)| SpecWindow {
+                slot,
+                ctx,
+                drafted: 0,
+                accepted: 0,
+            })
+            .collect();
+        engine.decode_speculative(&windows, &DraftCost::FlatNs { ns_per_token: 0.0 })
     }
 
     /// One step of each kind but single-sequence decode: a lockstep
     /// batch, a ragged step, a two-chunk prefill and a two-window verify
-    /// with a synthetic draft.
-    fn every_step_kind(engine: &mut DecodeEngine) -> Vec<TokenReport> {
+    /// with a synthetic draft. With `zero_draft` the lockstep and ragged
+    /// steps are priced as [`zero_draft_verify`] passes.
+    fn every_step_kind(engine: &mut DecodeEngine, zero_draft: bool) -> Vec<TokenReport> {
+        let lockstep = [(0, 5), (1, 5), (2, 5), (3, 5)];
+        let ragged = [(0, 3), (2, 17), (3, 30)];
         let chunks = [
             PrefillChunk {
                 slot: 1,
@@ -1023,26 +1059,39 @@ mod tests {
             model: ModelConfig::test_small(),
         };
         vec![
-            engine.decode_token_batch(5, 4),
-            engine.decode_token_ragged(&[(0, 3), (2, 17), (3, 30)]),
+            if zero_draft {
+                zero_draft_verify(engine, &lockstep)
+            } else {
+                engine.decode_token_batch(5, 4)
+            },
+            if zero_draft {
+                zero_draft_verify(engine, &ragged)
+            } else {
+                engine.decode_token_ragged(&ragged)
+            },
             engine.prefill_chunked(&chunks),
             engine.decode_speculative(&windows, &draft),
         ]
     }
 
-    /// A tiered `test_small` engine whose schedule-aware eMMC tier holds
-    /// 1.5 layers, so every token stages layers from flash.
-    fn thrashing_engine() -> DecodeEngine {
+    /// One 64-token `test_small` sequence behind a schedule-aware eMMC
+    /// tier that holds 1.5 layers, so every token stages layers from
+    /// flash.
+    fn thrashing() -> EngineConfig {
         let model = ModelConfig::test_small();
-        let accel = AccelConfig::kv260();
-        let image = ModelImage::build_tiered(&model, accel.format, 64).expect("test model fits");
+        let image = ModelImage::build(&model, AccelConfig::kv260().format, 64).expect("fits");
         let layer = (0..model.n_layers)
             .map(|l| image.layer_weight_bytes(l))
             .max()
             .expect("model has layers");
         let budget = (1.5 * layer as f64) as u64;
-        let tier = TierConfig::schedule_aware(zllm_ddr::FlashConfig::emmc_hs400(), budget);
-        DecodeEngine::with_image_tiered(accel, image, tier)
+        EngineConfig {
+            tier: Some(TierConfig::schedule_aware(
+                zllm_ddr::FlashConfig::emmc_hs400(),
+                budget,
+            )),
+            ..EngineConfig::new(ImageSpec::new(64))
+        }
     }
 
     #[test]
@@ -1235,13 +1284,10 @@ mod tests {
                 "schedule_aware" => TierConfig::schedule_aware(flash, u64::MAX / 2),
                 _ => TierConfig::blind_lru(flash, u64::MAX / 2),
             };
-            let mut tiered = DecodeEngine::new_tiered(
-                AccelConfig::kv260(),
-                &ModelConfig::test_small(),
-                32,
-                tier,
-            )
-            .expect("test model fits without a virtual map");
+            let mut tiered = engine(EngineConfig {
+                tier: Some(tier),
+                ..EngineConfig::new(ImageSpec::new(32))
+            });
             assert!(!tiered.image().is_tiered_virtual());
             for ctx in [0, 4, 15, 31] {
                 let f = flat.decode_token(ctx);
@@ -1276,9 +1322,12 @@ mod tests {
         // counters and snapshot keys. This is what lets the `comp.*`
         // scenario enter the perf baseline without perturbing any
         // pre-existing key.
+        let identity = |cfg: EngineConfig| EngineConfig {
+            compression: Some(CompressionConfig::identity()),
+            ..cfg
+        };
         let mut plain = small_engine(PipelineMode::Fused);
-        let mut comp = small_engine(PipelineMode::Fused);
-        comp.enable_compression(zllm_ddr::compress::CompressionConfig::identity());
+        let mut comp = engine(identity(EngineConfig::new(ImageSpec::new(32))));
         for ctx in [0, 4, 15, 31] {
             let p = plain.decode_token(ctx);
             let c = comp.decode_token(ctx);
@@ -1300,12 +1349,11 @@ mod tests {
         );
 
         // Every other step kind, on a paged engine.
-        let mut plain = paged_engine();
-        let mut comp = paged_engine();
-        comp.enable_compression(CompressionConfig::identity());
-        let steps = every_step_kind(&mut plain)
+        let mut plain = engine(paged());
+        let mut comp = engine(identity(paged()));
+        let steps = every_step_kind(&mut plain, false)
             .into_iter()
-            .zip(every_step_kind(&mut comp));
+            .zip(every_step_kind(&mut comp, false));
         for (i, (p, c)) in steps.enumerate() {
             assert_eq!(p.bytes, c.bytes, "step {i}");
             assert_eq!(p.mem_ns.to_bits(), c.mem_ns.to_bits(), "step {i}");
@@ -1352,11 +1400,15 @@ mod tests {
                 .fold(hash, |h, v| fnv1a(h, &v.to_le_bytes()))
         }
         let cfg = ratios(1.7, 1.3, 1.1);
-        let mut paged = paged_engine();
-        paged.enable_compression(cfg);
-        let mut tiered = thrashing_engine();
-        tiered.enable_compression(cfg);
-        let mut hash = every_step_kind(&mut paged)
+        let mut paged = engine(EngineConfig {
+            compression: Some(cfg),
+            ..paged()
+        });
+        let mut tiered = engine(EngineConfig {
+            compression: Some(cfg),
+            ..thrashing()
+        });
+        let mut hash = every_step_kind(&mut paged, false)
             .iter()
             .fold(0xcbf2_9ce4_8422_2325, fold_report);
         hash = fnv1a(hash, paged.metrics_snapshot().to_json().as_bytes());
@@ -1394,9 +1446,11 @@ mod tests {
         assert_eq!(draft_bytes(&comp), draft_bytes(&plain));
         assert_eq!(comp.compression_bytes().expect("stage set").0, verify.bytes);
 
-        let mut plain = thrashing_engine();
-        let mut comp = thrashing_engine();
-        comp.enable_compression(cfg);
+        let mut plain = engine(thrashing());
+        let mut comp = engine(EngineConfig {
+            compression: Some(cfg),
+            ..thrashing()
+        });
         let mut step_bytes = 0;
         for ctx in 4..=6 {
             plain.decode_token(ctx);
@@ -1409,42 +1463,84 @@ mod tests {
     }
 
     #[test]
-    fn composed_off_switches_price_identically_to_plain_engine() {
-        // A covering tier budget and identity compression on one engine:
-        // each feature switched off must stay byte-invisible when the
-        // other is present too.
-        let mut plain = small_engine(PipelineMode::Fused);
-        let tier = TierConfig::schedule_aware(zllm_ddr::FlashConfig::emmc_hs400(), u64::MAX / 2);
-        let mut composed =
-            DecodeEngine::new_tiered(AccelConfig::kv260(), &ModelConfig::test_small(), 32, tier)
-                .expect("test model fits without a virtual map");
-        composed.enable_compression(zllm_ddr::compress::CompressionConfig::identity());
-        for ctx in [0, 4, 15, 31] {
-            let p = plain.decode_token(ctx);
-            let c = composed.decode_token(ctx);
-            assert_eq!(p.bytes, c.bytes, "ctx {ctx}");
-            assert_eq!(p.mem_ns.to_bits(), c.mem_ns.to_bits(), "ctx {ctx}");
-            assert_eq!(p.wall_ns.to_bits(), c.wall_ns.to_bits(), "ctx {ctx}");
-            assert_eq!(p.breakdown, c.breakdown, "ctx {ctx}");
+    fn off_switches_alone_and_in_pairs_price_identically_to_the_base() {
+        // Every feature switched off must stay byte-invisible, also beside
+        // any other: a covering tier budget, identity compression, a
+        // full-range layer slice and verify windows that draft nothing,
+        // each alone and in every pair, on a contiguous one-sequence base
+        // (four decode steps) and on a paged four-slot base (every step
+        // kind). Reports must equal the base's to the bit (their Debug
+        // text round-trips every float) and so must the snapshot. A
+        // zero-draft window is still a window, so with that switch on the
+        // `spec.*` counts differ by design and are left out on both sides.
+        type Switch = (&'static str, fn(&mut EngineConfig, &mut bool));
+        let switches: [Switch; 4] = [
+            ("covering tier", |cfg, _| {
+                let flash = zllm_ddr::FlashConfig::emmc_hs400();
+                cfg.tier = Some(TierConfig::schedule_aware(flash, u64::MAX / 2));
+            }),
+            ("identity compression", |cfg, _| {
+                cfg.compression = Some(CompressionConfig::identity());
+            }),
+            ("full layer range", |cfg, _| {
+                cfg.image.layers = Some(0..ModelConfig::test_small().n_layers);
+            }),
+            ("zero-draft verify", |_, zero_draft| *zero_draft = true),
+        ];
+        let priced = |cfg: EngineConfig, zero_draft: bool| {
+            let mut engine = engine(cfg);
+            let reports = if engine.image().batch() >= 4 {
+                every_step_kind(&mut engine, zero_draft)
+            } else {
+                [0, 4, 15, 31]
+                    .into_iter()
+                    .map(|ctx| match zero_draft {
+                        true => zero_draft_verify(&mut engine, &[(0, ctx)]),
+                        false => engine.decode_token(ctx),
+                    })
+                    .collect()
+            };
+            (format!("{reports:?}"), engine.metrics_snapshot())
+        };
+        let json = |mut snap: Snapshot, without_spec: bool| {
+            if without_spec {
+                snap.counters.retain(|k, _| !k.starts_with("spec."));
+                snap.gauges.retain(|k, _| !k.starts_with("spec."));
+            }
+            snap.to_json()
+        };
+        let bases: [fn() -> EngineConfig; 2] = [|| batched(1), paged];
+        for base in bases {
+            let base_name = format!("{:?}", base().image.kv);
+            let (want, want_snap) = priced(base(), false);
+            for i in 0..switches.len() {
+                for j in i..switches.len() {
+                    let (mut cfg, mut zero_draft) = (base(), false);
+                    switches[i].1(&mut cfg, &mut zero_draft);
+                    switches[j].1(&mut cfg, &mut zero_draft);
+                    let row = match i == j {
+                        true => format!("{base_name} base, {}", switches[i].0),
+                        false => format!("{base_name} base, {} + {}", switches[i].0, switches[j].0),
+                    };
+                    let (got, got_snap) = priced(cfg, zero_draft);
+                    assert_eq!(got, want, "{row}: reports");
+                    assert_eq!(
+                        json(got_snap, zero_draft),
+                        json(want_snap.clone(), zero_draft),
+                        "{row}: snapshot"
+                    );
+                }
+            }
         }
-        let ps = plain.metrics_snapshot();
-        let cs = composed.metrics_snapshot();
-        assert_eq!(ps.counters, cs.counters);
-        assert_eq!(
-            ps.gauges.keys().collect::<Vec<_>>(),
-            cs.gauges.keys().collect::<Vec<_>>()
-        );
     }
 
     #[test]
     fn compression_shrinks_wire_traffic_and_registers_metrics() {
         let mut plain = small_engine(PipelineMode::Fused);
-        let mut comp = small_engine(PipelineMode::Fused);
-        comp.enable_compression(zllm_ddr::compress::CompressionConfig::with_ratios(
-            zllm_ddr::compress::StreamRatio::from_ratio(2.0),
-            zllm_ddr::compress::StreamRatio::from_ratio(1.2),
-            zllm_ddr::compress::StreamRatio::from_ratio(1.1),
-        ));
+        let mut comp = engine(EngineConfig {
+            compression: Some(ratios(2.0, 1.2, 1.1)),
+            ..EngineConfig::new(ImageSpec::new(32))
+        });
         // `comp.*` appears only once compressed traffic flows.
         assert!(!comp
             .metrics_snapshot()
@@ -1478,9 +1574,7 @@ mod tests {
         // so even DDR row dynamics match) — this is what keeps the
         // committed perf baseline valid.
         let mut single = small_engine(PipelineMode::Fused);
-        let mut one =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 1)
-                .expect("fits");
+        let mut one = engine(batched(1));
         for ctx in [0, 4, 15, 31] {
             let s = single.decode_token(ctx);
             let b = one.decode_token_batch(ctx, 1);
@@ -1506,9 +1600,7 @@ mod tests {
         // different addresses (row locality may shift), but everything
         // the schedule determines is still identical at B = 1 — and no
         // decode.batch.* gauges leak into the snapshot.
-        let mut wide =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4)
-                .expect("fits");
+        let mut wide = engine(batched(4));
         for ctx in [0, 4, 15, 31] {
             let b = wide.decode_token_batch(ctx, 1);
             let s = single.decode_token(ctx);
@@ -1529,9 +1621,7 @@ mod tests {
 
     #[test]
     fn batched_step_amortizes_weights_and_grows_kv_share() {
-        let mut engine =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 8)
-                .expect("fits");
+        let mut engine = engine(batched(8));
         let b1 = engine.decode_token_batch(16, 1);
         let b4 = engine.decode_token_batch(16, 4);
         let b8 = engine.decode_token_batch(16, 8);
@@ -1555,9 +1645,7 @@ mod tests {
 
     #[test]
     fn batched_compute_scales_on_shared_beats_only() {
-        let mut engine =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4)
-                .expect("fits");
+        let mut engine = engine(batched(4));
         let b1 = engine.decode_token_batch(16, 1);
         let b4 = engine.decode_token_batch(16, 4);
         // Shared weight beats cost 4x; per-sequence KV beats are 4x as
@@ -1568,9 +1656,7 @@ mod tests {
 
     #[test]
     fn schedule_cache_keys_on_ctx_and_batch() {
-        let mut engine =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4)
-                .expect("fits");
+        let mut engine = engine(batched(4));
         engine.decode_token_batch(8, 1);
         engine.decode_token_batch(8, 4);
         engine.decode_token_batch(8, 4);
@@ -1580,9 +1666,7 @@ mod tests {
 
     #[test]
     fn uniform_ragged_step_prices_like_lockstep() {
-        let mut engine =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4)
-                .expect("fits");
+        let mut engine = engine(batched(4));
         let lock = engine.decode_token_batch(8, 4);
         let ragged = engine.decode_token_ragged(&[(0, 8), (1, 8), (2, 8), (3, 8)]);
         assert_eq!(lock.bytes, ragged.bytes);
@@ -1596,9 +1680,7 @@ mod tests {
 
     #[test]
     fn ragged_step_prices_each_sequence_at_its_own_context() {
-        let mut engine =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4)
-                .expect("fits");
+        let mut engine = engine(batched(4));
         let ragged = engine.decode_token_ragged(&[(0, 2), (1, 30), (3, 0)]);
         assert_eq!(ragged.batch, 3);
         assert_eq!(ragged.ctx, 30, "reported ctx is the longest sequence's");
@@ -1625,12 +1707,8 @@ mod tests {
 
     #[test]
     fn paged_engine_prices_page_tables_and_contiguous_stays_pristine() {
-        let mut flat =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4)
-                .expect("fits");
-        let mut paged =
-            DecodeEngine::new_paged(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4, 16)
-                .expect("fits");
+        let mut flat = engine(batched(4));
+        let mut paged = engine(paged());
         assert!(paged.image().is_paged());
         let f = flat.decode_token_ragged(&[(0, 5), (1, 17)]);
         let p = paged.decode_token_ragged(&[(0, 5), (1, 17)]);
@@ -1651,9 +1729,7 @@ mod tests {
     fn paged_rejection_across_a_page_boundary_prices_the_truncation() {
         // Positions 14..=22 are verified and all drafts rejected: the
         // page-table entry appended at p = 16 is truncated again.
-        let mut engine =
-            DecodeEngine::new_paged(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4, 16)
-                .expect("fits");
+        let mut engine = engine(paged());
         engine.decode_speculative(
             &[SpecWindow {
                 slot: 0,
@@ -1675,9 +1751,7 @@ mod tests {
 
     #[test]
     fn chunked_prefill_beats_token_by_token_bytes() {
-        let mut engine =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 2)
-                .expect("fits");
+        let mut engine = engine(batched(2));
         let chunk = engine.prefill_chunked(&[crate::schedule::PrefillChunk {
             slot: 0,
             start: 0,
@@ -1694,9 +1768,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate slot in ragged schedule")]
     fn ragged_duplicate_slot_panics() {
-        let mut engine =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4)
-                .expect("fits");
+        let mut engine = engine(batched(4));
         let _ = engine.decode_token_ragged(&[(1, 4), (1, 6)]);
     }
 
@@ -1712,7 +1784,7 @@ mod tests {
         // The paper's engine matches compute to bandwidth exactly, so
         // batching buys (almost) nothing — by design.
         let batched = |accel: AccelConfig| {
-            DecodeEngine::new_batched(accel, &ModelConfig::test_small(), 32, 8).expect("fits")
+            DecodeEngine::build(accel, &ModelConfig::test_small(), batched(8)).expect("fits")
         };
         let mut balanced = batched(AccelConfig::kv260());
         let t1 = balanced.decode_token_batch(8, 1).tokens_per_s;
@@ -1891,22 +1963,10 @@ mod tests {
             /// drift between steps, so wall time is excluded).
             #[test]
             fn cache_hit_matches_rebuild(ctx in 0usize..32, batch in 1usize..=4) {
-                let mut warm = DecodeEngine::new_batched(
-                    AccelConfig::kv260(),
-                    &ModelConfig::test_small(),
-                    32,
-                    4,
-                )
-                .expect("fits");
+                let mut warm = engine(batched(4));
                 let rebuilt = warm.decode_token_batch(ctx, batch); // miss
                 let hit = warm.decode_token_batch(ctx, batch); // hit
-                let mut fresh = DecodeEngine::new_batched(
-                    AccelConfig::kv260(),
-                    &ModelConfig::test_small(),
-                    32,
-                    4,
-                )
-                .expect("fits");
+                let mut fresh = engine(batched(4));
                 let independent = fresh.decode_token_batch(ctx, batch); // rebuild
                 for other in [&hit, &independent] {
                     prop_assert_eq!(rebuilt.bytes, other.bytes);

@@ -361,8 +361,8 @@ impl DdrController {
     ///
     /// # Panics
     ///
-    /// Panics if `lookahead` is zero or the refresh timing is invalid (see
-    /// [`Self::with_counters`]).
+    /// Panics if `lookahead` is zero or the bank geometry or refresh
+    /// timing is invalid (see [`Self::with_counters`]).
     pub fn new(cfg: DdrConfig, lookahead: usize) -> DdrController {
         DdrController::with_counters(cfg, lookahead, DdrCounters::detached())
     }
@@ -372,10 +372,18 @@ impl DdrController {
     ///
     /// # Panics
     ///
-    /// Panics if `lookahead` is zero, or if refresh never lets the bus
-    /// run: `trefi` is zero or `trfc` is not shorter than it.
+    /// Panics if `lookahead` is zero, if `banks` is not a positive
+    /// multiple of `bank_groups` (a group count of zero counts as one),
+    /// or if refresh never lets the bus run: `trefi` is zero or `trfc` is
+    /// not shorter than it.
     pub fn with_counters(cfg: DdrConfig, lookahead: usize, counters: DdrCounters) -> DdrController {
         assert!(lookahead > 0, "lookahead must be at least 1");
+        assert!(
+            cfg.banks > 0 && cfg.banks.is_multiple_of(cfg.bank_groups.max(1)),
+            "banks ({}) must be a positive multiple of bank_groups ({})",
+            cfg.banks,
+            cfg.bank_groups
+        );
         assert!(cfg.trefi > 0, "trefi must be at least 1");
         assert!(cfg.trfc < cfg.trefi, "trfc must be shorter than trefi");
         let banks = vec![Bank::default(); cfg.banks as usize];
@@ -1189,15 +1197,36 @@ mod tests {
         (1 << 27, 100_000, false),
     ];
 
-    #[test]
-    fn fast_path_exact_on_long_multi_epoch_streams() {
-        let presets = [
+    /// Every memory preset.
+    fn presets() -> [DdrConfig; 5] {
+        [
             DdrConfig::ddr4_2400_kv260(),
             DdrConfig::lpddr4_2133_ultra96(),
             DdrConfig::ddr4_2666_zcu102(),
             DdrConfig::lpddr5_orin_nano(),
             DdrConfig::lpddr5_6400_embedded(),
-        ];
+        ]
+    }
+
+    #[test]
+    fn fast_path_falls_back_to_per_access_at_lookahead_one_and_two() {
+        // A stretch needs CL ≤ (lookahead − 1) × cycles per access; CL is
+        // 17–40 cycles against 4–8 per access, so at depths 1 and 2 no
+        // preset runs one and every access of a read goes through
+        // `access()`, bit-identical with the fast path off.
+        for (i, cfg) in presets().into_iter().enumerate() {
+            for lookahead in [1, 2] {
+                let c = assert_fast_matches_slow(cfg.clone(), lookahead, &[(0, 8192, false)]);
+                let case = format!("preset {i} at lookahead {lookahead}");
+                assert_eq!(c.per_access_steps, c.stats().accesses(), "{case}");
+                assert_eq!(c.window_steps, 0, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn fast_path_exact_on_long_multi_epoch_streams() {
+        let presets = presets();
         let short_epochs = DdrConfig {
             trefi: 400,
             ..DdrConfig::ddr4_2400_kv260()
@@ -1389,6 +1418,28 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "banks (2) must be a positive multiple of bank_groups (4)")]
+    fn fewer_banks_than_bank_groups_rejected() {
+        // Bank group 2 would index past the two banks.
+        let cfg = DdrConfig {
+            banks: 2,
+            ..DdrConfig::ddr4_2400_kv260()
+        };
+        let _ = DdrController::new(cfg, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "banks (6) must be a positive multiple of bank_groups (4)")]
+    fn banks_not_a_multiple_of_bank_groups_rejected() {
+        // One bank per group would be addressed and two never would.
+        let cfg = DdrConfig {
+            banks: 6,
+            ..DdrConfig::ddr4_2400_kv260()
+        };
+        let _ = DdrController::new(cfg, 8);
+    }
+
+    #[test]
     #[should_panic(expected = "trefi must be at least 1")]
     fn zero_refresh_interval_rejected() {
         let cfg = DdrConfig {
@@ -1432,13 +1483,17 @@ mod tests {
             ]
         }
 
-        /// Every preset at every lookahead depth, the adversarial pacing
-        /// configs at the depths where stretches run long, and KV260
-        /// timing with refresh intervals of 400 to 2,400 cycles: epochs of
-        /// 22 to 522 accesses that open four to sixteen banks, so their
-        /// replays are applied at once or deferred. The last arm skips the
-        /// depths below 6, where CL (17 cycles) outlasts the lookahead's
-        /// bus time and no stretch runs.
+        /// Every preset at the lookahead depths where each of them runs
+        /// stretches (below 6 most presets price every access through
+        /// `access()`, which would compare the per-access path with
+        /// itself; `fast_path_falls_back_to_per_access_at_lookahead_one_and_two`
+        /// pins that fallback), the adversarial pacing configs at the
+        /// depths where stretches run long, and KV260 timing with refresh
+        /// intervals of 400 to 2,400 cycles: epochs of 22 to 522 accesses
+        /// that open four to sixteen banks, so their replays are applied
+        /// at once or deferred. The last arm skips the depths below 6,
+        /// where CL (17 cycles) outlasts the lookahead's bus time and no
+        /// stretch runs.
         fn memories() -> impl Strategy<Value = (DdrConfig, usize)> {
             let [faw, rrd, lp4_faw] = adversarial_memories();
             prop_oneof![
@@ -1450,7 +1505,7 @@ mod tests {
                         Just(DdrConfig::lpddr5_orin_nano()),
                         Just(DdrConfig::lpddr5_6400_embedded()),
                     ],
-                    prop_oneof![Just(1usize), Just(2), Just(8), Just(32), Just(64)],
+                    prop_oneof![Just(6usize), Just(8), Just(32), Just(64)],
                 ),
                 (
                     prop_oneof![Just(faw), Just(rrd), Just(lp4_faw)],
@@ -1473,14 +1528,21 @@ mod tests {
             // it claims: a run of at least two deferred replays of epochs
             // that opened every bank, which writes the bank state once, and
             // a replay of an epoch that left a bank unopened, applied at
-            // once. Each case is checked as the property checks it.
+            // once. Every case of the preset arm must walk a window piece,
+            // or it compares the per-access path with itself. Each case is
+            // checked as the property checks it.
             let name = concat!(module_path!(), "::fast_path_identical_to_per_access_path");
             let (mut chained, mut eager) = (false, false);
             for case in 0..ProptestConfig::default().cases as u64 {
                 let mut rng = proptest::TestRng::for_case(name, case);
                 let bursts = burst_streams().generate(&mut rng);
                 let (cfg, lookahead) = memories().generate(&mut rng);
+                let preset = presets().contains(&cfg);
                 let c = assert_fast_matches_slow(cfg, lookahead, &bursts);
+                assert!(
+                    !preset || c.window_steps > 0,
+                    "preset case {case} at lookahead {lookahead} walked no window piece"
+                );
                 let deferred = c.segment_replays - c.eager_replays;
                 chained |= deferred > c.materializations - c.eager_replays;
                 eager |= c.eager_replays > 0;

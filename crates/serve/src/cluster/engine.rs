@@ -1,7 +1,7 @@
 //! The pipeline-parallel sharded decode engine.
 //!
-//! One [`DecodeEngine`] per stage, each over a
-//! [`ModelImage::build_shard`] image holding only its own layer range —
+//! One [`DecodeEngine`] per stage, each over a shard image
+//! ([`ImageSpec::layers`]) holding only its own layer range —
 //! so each simulated board pays DDR traffic for exactly its slice
 //! (embedding on the first stage, LM head on the last, every layer's
 //! weights/KV/metadata on its owner), and the union of the stages'
@@ -11,9 +11,8 @@
 //! under `cluster.bytes.*`.
 
 use crate::cluster::interconnect::InterconnectConfig;
-use zllm_accel::image::ModelImage;
 use zllm_accel::telemetry::{Counter, Gauge, MetricsRegistry, Snapshot};
-use zllm_accel::{split_layers, AccelConfig, DecodeEngine, PrefillChunk};
+use zllm_accel::{split_layers, AccelConfig, DecodeEngine, EngineConfig, ImageSpec, PrefillChunk};
 use zllm_layout::addr_map::AllocError;
 use zllm_model::ModelConfig;
 
@@ -61,8 +60,12 @@ pub struct ShardedEngine {
 
 impl ShardedEngine {
     /// Builds `depth` stage engines over near-even layer-range shards of
-    /// `model` (see [`split_layers`]), each provisioned for `slots`
-    /// concurrent sequences of `ctx_capacity` tokens.
+    /// `model` (see [`split_layers`]). `image` gives every stage its
+    /// context capacity, concurrent sequence slots and KV layout; its
+    /// `layers` is replaced by each stage's own range. With paged KV,
+    /// each board fragments its own KV reads along page boundaries and
+    /// prices its own page-table bursts, so the pipeline's admission can
+    /// charge actual growth at the bottleneck stage.
     ///
     /// # Errors
     ///
@@ -72,77 +75,30 @@ impl ShardedEngine {
     /// # Panics
     ///
     /// Panics if `depth` is zero or exceeds the model's layer count, or
-    /// `slots` is zero.
+    /// as [`zllm_accel::ModelImage::from_spec`] does.
     pub fn new(
         accel: &AccelConfig,
         model: &ModelConfig,
-        ctx_capacity: usize,
-        slots: usize,
+        image: ImageSpec,
         depth: usize,
         interconnect: InterconnectConfig,
-    ) -> Result<ShardedEngine, AllocError> {
-        ShardedEngine::build(accel, model, ctx_capacity, slots, depth, interconnect, None)
-    }
-
-    /// [`ShardedEngine::new`] with every stage's KV space paged into
-    /// `page_tokens`-token pages: each board fragments its own KV reads
-    /// along page boundaries and prices its own page-table bursts, so
-    /// the pipeline's admission can charge actual growth at the
-    /// bottleneck stage.
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation failure if any shard misses the 4 GB
-    /// per-board map.
-    pub fn new_paged(
-        accel: &AccelConfig,
-        model: &ModelConfig,
-        ctx_capacity: usize,
-        slots: usize,
-        depth: usize,
-        interconnect: InterconnectConfig,
-        page_tokens: usize,
-    ) -> Result<ShardedEngine, AllocError> {
-        ShardedEngine::build(
-            accel,
-            model,
-            ctx_capacity,
-            slots,
-            depth,
-            interconnect,
-            Some(page_tokens),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        accel: &AccelConfig,
-        model: &ModelConfig,
-        ctx_capacity: usize,
-        slots: usize,
-        depth: usize,
-        interconnect: InterconnectConfig,
-        page_tokens: Option<usize>,
     ) -> Result<ShardedEngine, AllocError> {
         let mut stages = Vec::with_capacity(depth);
         for range in split_layers(model.n_layers, depth) {
-            let image = match page_tokens {
-                Some(pt) => ModelImage::build_shard_paged(
-                    model,
-                    accel.format,
-                    ctx_capacity,
-                    slots,
-                    range,
-                    pt,
-                )?,
-                None => ModelImage::build_shard(model, accel.format, ctx_capacity, slots, range)?,
+            let stage = ImageSpec {
+                layers: Some(range),
+                ..image.clone()
             };
-            stages.push(DecodeEngine::with_image(accel.clone(), image));
+            stages.push(DecodeEngine::build(
+                accel.clone(),
+                model,
+                EngineConfig::new(stage),
+            )?);
         }
         let bottleneck = stages
             .iter()
             .enumerate()
-            .max_by_key(|(_, e)| e.image().kv_request_bytes(ctx_capacity))
+            .max_by_key(|(_, e)| e.image().kv_request_bytes(image.ctx_capacity))
             .map(|(i, _)| i)
             .expect("at least one stage");
         let mut registry = MetricsRegistry::new();
@@ -307,12 +263,19 @@ impl ShardedEngine {
 mod tests {
     use super::*;
 
+    /// Two slots of 32 tokens.
+    fn slots() -> ImageSpec {
+        ImageSpec {
+            batch: 2,
+            ..ImageSpec::new(32)
+        }
+    }
+
     fn engine(depth: usize) -> ShardedEngine {
         ShardedEngine::new(
             &AccelConfig::kv260(),
             &ModelConfig::test_small(),
-            32,
-            2,
+            slots(),
             depth,
             InterconnectConfig::aurora_x4(),
         )
@@ -322,9 +285,12 @@ mod tests {
     #[test]
     fn single_stage_is_the_single_board_engine() {
         let mut sharded = engine(1);
-        let mut single =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 2)
-                .expect("fits");
+        let mut single = DecodeEngine::build(
+            AccelConfig::kv260(),
+            &ModelConfig::test_small(),
+            EngineConfig::new(slots()),
+        )
+        .expect("fits");
         let slots = [(0usize, 4usize), (1, 9)];
         let step = sharded.decode_step(&slots);
         let want = single.decode_token_ragged(&slots).wall_ns;
@@ -368,9 +334,12 @@ mod tests {
     #[test]
     fn stage_budgets_partition_the_single_board_budget() {
         let sharded = engine(2);
-        let single =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 2)
-                .expect("fits");
+        let single = DecodeEngine::build(
+            AccelConfig::kv260(),
+            &ModelConfig::test_small(),
+            EngineConfig::new(slots()),
+        )
+        .expect("fits");
         let total: u64 = (0..sharded.depth())
             .map(|s| sharded.stage_kv_budget_bytes(s))
             .sum();

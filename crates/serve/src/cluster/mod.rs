@@ -14,7 +14,7 @@
 //!   `cluster.bytes.*`;
 //! * [`engine`] — [`ShardedEngine`]: one trace-driven
 //!   [`zllm_accel::DecodeEngine`] per pipeline stage over a
-//!   layer-range [`zllm_accel::image::ModelImage::build_shard`] image,
+//!   layer-range shard image ([`zllm_accel::ImageSpec::layers`]),
 //!   aggregated into per-step cadence (steady-state, stages overlapped)
 //!   and fill latency (first result through an empty pipeline);
 //! * [`router`] — request placement over replica pipelines:

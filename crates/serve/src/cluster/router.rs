@@ -180,7 +180,7 @@ mod properties {
     use crate::admission::{AdmissionConfig, AdmissionController, Granted};
     use crate::cluster::{InterconnectConfig, ShardedEngine};
     use proptest::prelude::*;
-    use zllm_accel::AccelConfig;
+    use zllm_accel::{AccelConfig, ImageSpec};
     use zllm_model::ModelConfig;
 
     #[derive(Debug, Clone)]
@@ -213,8 +213,10 @@ mod properties {
                     ShardedEngine::new(
                         &AccelConfig::kv260(),
                         &model,
-                        32,
-                        2,
+                        ImageSpec {
+                            batch: 2,
+                            ..ImageSpec::new(32)
+                        },
                         depth,
                         InterconnectConfig::aurora_x4(),
                     )

@@ -25,7 +25,7 @@ use crate::cluster::router::{PipelineLoad, PlacementPolicy};
 use crate::request::{Request, RequestOutcome};
 use crate::sched::{Core, OutcomeFold};
 use crate::server::PagedConfig;
-use zllm_accel::{AccelConfig, PrefillChunk};
+use zllm_accel::{AccelConfig, ImageSpec, KvLayout, PrefillChunk};
 use zllm_layout::addr_map::AllocError;
 use zllm_model::ModelConfig;
 
@@ -227,33 +227,23 @@ impl ClusterServer {
         assert!(cfg.pipelines > 0, "at least one pipeline required");
         assert!(cfg.prefill_chunk > 0, "prefill chunk must cover a token");
         assert!(cfg.deadline_scale > 0.0, "deadline scale must be positive");
+        let mut image = ImageSpec {
+            batch: cfg.slots,
+            ..ImageSpec::new(cfg.ctx_capacity)
+        };
         if let Some(p) = &cfg.paged {
             assert!(
                 p.watermark > 0.0 && p.watermark <= 1.0,
                 "watermark must be in (0, 1]"
             );
+            image.kv = KvLayout::Paged {
+                page_tokens: p.page_tokens,
+            };
         }
         let mut pipes = Vec::with_capacity(cfg.pipelines);
         for _ in 0..cfg.pipelines {
-            let engine = match &cfg.paged {
-                Some(p) => ShardedEngine::new_paged(
-                    accel,
-                    model,
-                    cfg.ctx_capacity,
-                    cfg.slots,
-                    cfg.depth,
-                    cfg.interconnect,
-                    p.page_tokens,
-                )?,
-                None => ShardedEngine::new(
-                    accel,
-                    model,
-                    cfg.ctx_capacity,
-                    cfg.slots,
-                    cfg.depth,
-                    cfg.interconnect,
-                )?,
-            };
+            let engine =
+                ShardedEngine::new(accel, model, image.clone(), cfg.depth, cfg.interconnect)?;
             let core = Core::new(
                 AdmissionConfig {
                     slots: cfg.slots,

@@ -25,7 +25,9 @@
 use crate::admission::AdmissionConfig;
 use crate::request::{Request, RequestOutcome};
 use crate::sched::{Core, OutcomeFold};
-use zllm_accel::{AccelConfig, DecodeEngine, DraftCost, SpecWindow};
+use zllm_accel::{
+    AccelConfig, DecodeEngine, DraftCost, EngineConfig, ImageSpec, KvLayout, SpecWindow,
+};
 use zllm_layout::addr_map::AllocError;
 use zllm_model::ModelConfig;
 use zllm_rng::StdRng;
@@ -303,20 +305,24 @@ impl Server {
                 "draft cost must be nonnegative"
             );
         }
-        let engine = match &cfg.paged {
-            Some(p) => {
-                assert!(
-                    cfg.mode == BatchingMode::Continuous,
-                    "paged serving requires continuous batching"
-                );
-                assert!(
-                    p.watermark > 0.0 && p.watermark <= 1.0,
-                    "watermark must be in (0, 1]"
-                );
-                DecodeEngine::new_paged(accel, model, cfg.ctx_capacity, cfg.slots, p.page_tokens)?
-            }
-            None => DecodeEngine::new_batched(accel, model, cfg.ctx_capacity, cfg.slots)?,
+        let mut image = ImageSpec {
+            batch: cfg.slots,
+            ..ImageSpec::new(cfg.ctx_capacity)
         };
+        if let Some(p) = &cfg.paged {
+            assert!(
+                cfg.mode == BatchingMode::Continuous,
+                "paged serving requires continuous batching"
+            );
+            assert!(
+                p.watermark > 0.0 && p.watermark <= 1.0,
+                "watermark must be in (0, 1]"
+            );
+            image.kv = KvLayout::Paged {
+                page_tokens: p.page_tokens,
+            };
+        }
+        let engine = DecodeEngine::build(accel, model, EngineConfig::new(image))?;
         let budget_bytes = cfg
             .kv_budget_bytes
             .unwrap_or_else(|| engine.image().kv_budget_bytes());

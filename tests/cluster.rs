@@ -2,8 +2,7 @@
 //! partition the single board's work exactly, price interconnect hops
 //! explicitly, and replay request traces bit-identically.
 
-use zllm::accel::image::ModelImage;
-use zllm::accel::{split_layers, AccelConfig, DecodeEngine};
+use zllm::accel::{split_layers, AccelConfig, DecodeEngine, EngineConfig, ImageSpec, ModelImage};
 use zllm::model::ModelConfig;
 use zllm::serve::cluster::{ClusterConfig, ClusterServer, InterconnectConfig, ShardedEngine};
 use zllm::serve::{generate, ArrivalModel, PlacementPolicy, Request, TrafficConfig};
@@ -28,11 +27,15 @@ fn shard_images_partition_the_7b_board() {
     // none is dropped.
     let cfg = ModelConfig::llama2_7b();
     let format = zllm::layout::weight::WeightFormat::kv260();
-    let full = ModelImage::build_batched(&cfg, format, 1024, 1).expect("one board fits");
+    let full = ModelImage::build(&cfg, format, 1024).expect("one board fits");
     let mut weight_total = 0;
     let mut kv_total = 0;
     for range in split_layers(cfg.n_layers, 4) {
-        let shard = ModelImage::build_shard(&cfg, format, 1024, 1, range).expect("shard fits");
+        let spec = ImageSpec {
+            layers: Some(range),
+            ..ImageSpec::new(1024)
+        };
+        let shard = ModelImage::from_spec(&cfg, format, &spec).expect("shard fits");
         assert!(shard.occupancy() < full.occupancy());
         weight_total += shard.weight_stream_bytes();
         kv_total += shard.kv_budget_bytes();
@@ -49,12 +52,20 @@ fn sharded_engine_conserves_ddr_traffic_and_prices_hops() {
         n_layers: 4,
         ..ModelConfig::test_small()
     };
-    let single = DecodeEngine::new_batched(AccelConfig::kv260(), &model, 64, 2).expect("fits");
+    let slots = ImageSpec {
+        batch: 2,
+        ..ImageSpec::new(64)
+    };
+    let single = DecodeEngine::build(
+        AccelConfig::kv260(),
+        &model,
+        EngineConfig::new(slots.clone()),
+    )
+    .expect("fits");
     let mut fleet = ShardedEngine::new(
         &AccelConfig::kv260(),
         &model,
-        64,
-        2,
+        slots,
         4,
         InterconnectConfig::aurora_x4(),
     )
