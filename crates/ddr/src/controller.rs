@@ -114,6 +114,19 @@ impl Segments {
         };
         s.bus + (j - s.start) * self.cpa
     }
+
+    /// Both segments moved `accesses` accesses and `cycles` bus cycles on.
+    fn shifted(self, accesses: u64, cycles: u64) -> Segments {
+        let shift = |s: Segment| Segment {
+            start: s.start + accesses,
+            bus: s.bus + cycles,
+        };
+        Segments {
+            cpa: self.cpa,
+            prev: shift(self.prev),
+            cur: shift(self.cur),
+        }
+    }
 }
 
 /// What pricing a refresh segment depends on, every time taken relative
@@ -271,6 +284,48 @@ struct Replay {
     row: u64,
 }
 
+/// The stretch after one replay of a chain: the replay's memo slot and
+/// first bus slot `S`, and the stretch's accesses and counts after it.
+#[derive(Debug, Clone, Copy)]
+struct ChainLink {
+    slot: usize,
+    bus: u64,
+    j: u64,
+    counts: (u64, u64, u64),
+}
+
+/// The deferred replays of an unbroken chain (see [`DdrController::stretch`]),
+/// in order, and per memo slot the index of the chain's replay of it.
+#[derive(Debug, Clone, Default)]
+struct Chain {
+    links: Vec<ChainLink>,
+    /// Allocated once, at the first link, with one entry per memo slot.
+    seen: Vec<Option<usize>>,
+}
+
+impl Chain {
+    /// Appends `link`, or returns the chain's earlier replay of the same
+    /// slot and the number of replays from it up to `link`: one period.
+    fn push(&mut self, link: ChainLink, slots: usize) -> Option<(ChainLink, u64)> {
+        if self.seen.is_empty() {
+            self.seen.resize(slots, None);
+        }
+        if let Some(i) = self.seen[link.slot] {
+            return Some((self.links[i], (self.links.len() - i) as u64));
+        }
+        self.seen[link.slot] = Some(self.links.len());
+        self.links.push(link);
+        None
+    }
+
+    /// Ends the chain.
+    fn reset(&mut self) {
+        for link in self.links.drain(..) {
+            self.seen[link.slot] = None;
+        }
+    }
+}
+
 /// The controller. Time is measured in DRAM clock cycles from construction.
 ///
 /// # Example
@@ -310,14 +365,19 @@ pub struct DdrController {
     geo: Geometry,
     /// Refresh segments [`Self::stretch`] has walked, for replay.
     memo: SegmentMemo,
+    /// The running stretch's chain of deferred replays; empty between
+    /// stretches.
+    chain: Chain,
     /// Calls of [`Self::access`] so far; row-window pieces walked,
-    /// refresh segments replayed, replays of a segment that left some bank
-    /// unopened and writes of a replayed outcome into the bank state by
-    /// [`Self::stretch`]. Outside the telemetry snapshot: they measure how
-    /// the simulator priced the accesses, not the device.
+    /// refresh segments replayed, refresh epochs jumped in whole periods,
+    /// replays of a segment that left some bank unopened and writes of a
+    /// replayed outcome into the bank state by [`Self::stretch`]. Outside
+    /// the telemetry snapshot: they measure how the simulator priced the
+    /// accesses, not the device.
     per_access_steps: u64,
     window_steps: u64,
     segment_replays: u64,
+    jumped_epochs: u64,
     eager_replays: u64,
     materializations: u64,
 }
@@ -404,9 +464,11 @@ impl DdrController {
             fast_path: true,
             geo,
             memo: SegmentMemo::default(),
+            chain: Chain::default(),
             per_access_steps: 0,
             window_steps: 0,
             segment_replays: 0,
+            jumped_epochs: 0,
             eager_replays: 0,
             materializations: 0,
         }
@@ -558,8 +620,9 @@ impl DdrController {
     /// [`Self::set_fast_path`]) a burst is priced as one *stretch*: a run
     /// of accesses whose data transfers each start the moment the bus
     /// frees, advanced without calling [`Self::access`]. A stretch crosses
-    /// row windows and refresh epochs, and replays a refresh epoch whose
-    /// inputs match one the controller has priced before (see `stretch`).
+    /// row windows and refresh epochs, replays a refresh epoch whose
+    /// inputs match one the controller has priced before, and adds whole
+    /// periods of replayed epochs at once (see `stretch`).
     /// It ends only at the end of the burst, at a change of bus direction,
     /// or at the first access that would wait for something other than the
     /// bus (an activate, the lookahead window, tCCD_L or CAS latency); that
@@ -661,6 +724,39 @@ impl DdrController {
     /// state once rather than once per epoch. An outcome that left a bank
     /// unopened is never deferred: that bank keeps an earlier segment's
     /// stale activate time, which a chained replay would not restore.
+    ///
+    /// **Period jump.** A *chain* is a run of deferred replays with no walk
+    /// and no eager replay since it began. The memo records only at the
+    /// refresh that ends a walked segment, so during a chain each slot
+    /// holds one key, and two replays of one slot replay one key. The
+    /// stretch after a chained replay, taken relative to the replay's
+    /// first access, `S` and first window, is a function of that key:
+    ///
+    /// * the next segment starts `len = ⌈to_refresh / cpa⌉` accesses on,
+    ///   at window offset `offset + len mod window`;
+    /// * the refreshes due there, and so the next `to_refresh` and `lag`,
+    ///   follow from `to_refresh` and the timing;
+    /// * the next activate history is the pending outcome's, moved to the
+    ///   next `S`;
+    /// * nothing reads the bank state or the controller's history until
+    ///   the chain ends, and the pending outcome then rewrites both.
+    ///
+    /// So a chain's keys walk a functional graph. When a replay uses a slot
+    /// an earlier replay of its chain used, the stretch after it is the
+    /// stretch after the earlier one moved by one period: `ΔL` accesses
+    /// (whole windows, as the offsets match), `ΔT` bus cycles (whole
+    /// refresh intervals, as `to_refresh` matches) and the counts the
+    /// period added. The replays after it repeat the period for as long as
+    /// they stay replayable, and of those conditions only `j + len < max_n`
+    /// depends on where a segment lies. So the stretch adds `k` periods at
+    /// once, `k` the largest that keeps the last jumped replay's end inside
+    /// the burst: it moves `j`, both segments, the next refresh, the row
+    /// window and the pending replay by `k·ΔL` accesses, `k·ΔT` cycles and
+    /// `k·ΔL / window` windows, and adds `k` times the period's counts and
+    /// `k·ΔT / tREFI` refreshes. Each slot keeps the index of its replay
+    /// in the chain, so the first repeat is found when it happens, one
+    /// period after the replay it repeats. A walk, an eager replay or a
+    /// jump ends the chain.
     fn stretch(&mut self, addr: u64, max_n: u64, write: bool) -> u64 {
         let geo = self.geo;
         let Geometry {
@@ -761,6 +857,41 @@ impl DdrController {
                     offset = to % window;
                     (bank_in_group, row) =
                         WindowDelta::new(to / window, bpg).add(bank_in_group, row, bpg);
+                    let link = ChainLink {
+                        slot,
+                        bus,
+                        j,
+                        counts: (hits, misses, conflicts),
+                    };
+                    let repeat = if all_banks {
+                        self.chain.push(link, SegmentMemo::len(&geo) as usize)
+                    } else {
+                        None
+                    };
+                    if let Some((first, epochs)) = repeat {
+                        // The stretch after `first` recurs here, one period
+                        // on: add the most whole periods that keep the last
+                        // jumped replay's end inside the burst.
+                        let (dj, dbus) = (j - first.j, bus - first.bus);
+                        let k = (max_n - 1 - j) / dj;
+                        let (kj, kbus) = (k * dj, k * dbus);
+                        let windows = WindowDelta::new(kj / window, bpg);
+                        j += kj;
+                        segs = segs.shifted(kj, kbus);
+                        self.next_refresh += kbus;
+                        debug_assert_eq!(kbus % trefi, 0, "a period spans whole refresh intervals");
+                        self.counters.refreshes.add(kbus / trefi);
+                        let (h, m, c) = first.counts;
+                        hits += k * (hits - h);
+                        misses += k * (misses - m);
+                        conflicts += k * (conflicts - c);
+                        (bank_in_group, row) = windows.add(bank_in_group, row, bpg);
+                        let p = pending.as_mut().expect("a chained replay is pending");
+                        p.bus += kbus;
+                        (p.bank_in_group, p.row) = windows.add(p.bank_in_group, p.row, bpg);
+                        self.jumped_epochs += k * epochs;
+                        self.chain.reset();
+                    }
                     continue;
                 }
                 self.close_banks(pending.take());
@@ -826,6 +957,7 @@ impl DdrController {
         // A replay reaches its refresh inside the burst, whose branch
         // resolves a pending one before anything can end the stretch.
         debug_assert!(pending.is_none(), "a deferred replay outlived its stretch");
+        debug_assert!(self.chain.links.is_empty(), "a chain outlived its stretch");
 
         self.bus_next = segs.slot(n);
         self.counters.row_hits.add(hits);
@@ -854,11 +986,13 @@ impl DdrController {
     }
 
     /// Closes every bank at a refresh, first applying a deferred replay's
-    /// outcome so that its activate times and history stand.
+    /// outcome so that its activate times and history stand, and ends the
+    /// chain of deferred replays.
     fn close_banks(&mut self, pending: Option<Replay>) {
         if let Some(r) = pending {
             self.materialize(r);
         }
+        self.chain.reset();
         for b in &mut self.banks {
             b.open_row = None;
         }
@@ -1253,6 +1387,38 @@ mod tests {
     }
 
     #[test]
+    fn fast_path_exact_on_multi_period_sequential_streams() {
+        // A cold controller walks one period of a sequential stream's
+        // refresh epochs, replays the next and jumps whole periods after
+        // that, so each stream spans at least three periods: 64 epochs on
+        // the KV260 and on KV260 timing with 2,000- and 2,400-cycle
+        // refresh intervals (whose epochs open every bank), 32 on the
+        // Ultra96, 512 on the ZCU102 (its epoch is 2,513¼ accesses, so its
+        // keys repeat only when the quarter-cycle phase and the window
+        // offset both do), 8 on the Orin and 4 on LPDDR5-6400.
+        let short_epochs = |trefi| DdrConfig {
+            trefi,
+            ..DdrConfig::ddr4_2400_kv260()
+        };
+        let [kv260, ultra96, zcu102, orin, lpddr5] = presets();
+        for (i, (cfg, n)) in [
+            (kv260, 1 << 19),
+            (ultra96, 1 << 17),
+            (zcu102, 4_000_000),
+            (orin, 1 << 17),
+            (lpddr5, 1 << 17),
+            (short_epochs(2000), 1 << 17),
+            (short_epochs(2400), 1 << 17),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let c = assert_fast_matches_slow(cfg, 32, &[(0, n, false), (1 << 30, n, true)]);
+            assert!(c.jumped_epochs > 0, "config {i} jumped no refresh epoch");
+        }
+    }
+
+    #[test]
     fn fast_path_exact_when_a_refresh_falls_inside_the_first_lookahead() {
         // KV260 timing with 2,000-cycle refresh epochs: a segment's 422
         // accesses cover about three row windows, fewer than the four it
@@ -1359,7 +1525,7 @@ mod tests {
     fn fast_path_cold_64_mib_read_walks_at_most_1300_window_pieces() {
         // A cold memo walks each refresh epoch whose key it has not met.
         // A sequential read's epoch keys repeat with a period of 64
-        // epochs, so most of its 463 epochs are replayed.
+        // epochs, so most of its 463 epochs are replayed or jumped.
         let c = sequential_64_mib_read();
         assert!(
             c.window_steps <= 1300,
@@ -1369,17 +1535,45 @@ mod tests {
         );
     }
 
+    /// The window pieces walked, refresh epochs replayed and epochs jumped
+    /// by a second 64 MiB sequential read on the controller of the first.
+    fn warm_64_mib_read() -> (u64, u64, u64) {
+        let mut c = sequential_64_mib_read();
+        let before = (c.window_steps, c.segment_replays, c.jumped_epochs);
+        c.burst(0, 1 << 20, false);
+        (
+            c.window_steps - before.0,
+            c.segment_replays - before.1,
+            c.jumped_epochs - before.2,
+        )
+    }
+
     #[test]
     fn fast_path_warm_64_mib_read_replays_its_refresh_epochs() {
         // A second read on the same controller finds nearly every epoch
         // in the memo: it walks only its head and tail segments and the
-        // few epochs whose key the first read did not meet.
-        let mut c = sequential_64_mib_read();
-        let (walked, replayed) = (c.window_steps, c.segment_replays);
-        c.burst(0, 1 << 20, false);
-        let (walked, replayed) = (c.window_steps - walked, c.segment_replays - replayed);
+        // few epochs whose key the first read did not meet, and replays or
+        // jumps the rest.
+        let (walked, replayed, jumped) = warm_64_mib_read();
         assert!(walked <= 32, "{walked} window pieces walked");
-        assert!(replayed >= 460, "{replayed} refresh epochs replayed");
+        assert!(
+            replayed + jumped >= 460,
+            "{replayed} refresh epochs replayed, {jumped} jumped"
+        );
+    }
+
+    #[test]
+    fn fast_path_warm_64_mib_read_replays_at_most_two_periods() {
+        // The read's epoch keys repeat every 64 epochs from its first
+        // replay. The chain replays one period and the epoch that repeats
+        // its first, jumps whole periods, and replays fewer than one
+        // period after the jump.
+        let (_, replayed, jumped) = warm_64_mib_read();
+        assert!(replayed <= 2 * 64, "{replayed} refresh epochs replayed");
+        assert!(
+            jumped > 0 && jumped % 64 == 0,
+            "{jumped} refresh epochs jumped"
+        );
     }
 
     #[test]
@@ -1393,8 +1587,12 @@ mod tests {
         let lookahead = crate::MemorySystem::DEFAULT_LOOKAHEAD;
         let warm = assert_fast_matches_slow(kv260.clone(), lookahead, &[(0, 1 << 20, false); 2]);
         let replayed = warm.segment_replays - cold.segment_replays;
+        let jumped = warm.jumped_epochs - cold.jumped_epochs;
         let applied = warm.materializations - cold.materializations;
-        assert!(replayed >= 460, "{replayed} refresh epochs replayed");
+        assert!(
+            replayed + jumped >= 460,
+            "{replayed} refresh epochs replayed, {jumped} jumped"
+        );
         assert!(
             (1..=2).contains(&applied),
             "bank state applied {applied} times"
@@ -1528,11 +1726,12 @@ mod tests {
             // it claims: a run of at least two deferred replays of epochs
             // that opened every bank, which writes the bank state once, and
             // a replay of an epoch that left a bank unopened, applied at
-            // once. Every case of the preset arm must walk a window piece,
+            // once. At least one case must jump whole periods of replayed
+            // epochs. Every case of the preset arm must walk a window piece,
             // or it compares the per-access path with itself. Each case is
             // checked as the property checks it.
             let name = concat!(module_path!(), "::fast_path_identical_to_per_access_path");
-            let (mut chained, mut eager) = (false, false);
+            let (mut chained, mut eager, mut jumped) = (false, false, false);
             for case in 0..ProptestConfig::default().cases as u64 {
                 let mut rng = proptest::TestRng::for_case(name, case);
                 let bursts = burst_streams().generate(&mut rng);
@@ -1546,9 +1745,11 @@ mod tests {
                 let deferred = c.segment_replays - c.eager_replays;
                 chained |= deferred > c.materializations - c.eager_replays;
                 eager |= c.eager_replays > 0;
+                jumped |= c.jumped_epochs > 0;
             }
             assert!(chained, "no run of two deferred replays");
             assert!(eager, "no replay of an epoch that left a bank unopened");
+            assert!(jumped, "no period of replayed epochs jumped");
         }
 
         proptest! {

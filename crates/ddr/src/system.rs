@@ -49,6 +49,60 @@ impl std::fmt::Display for TransferReport {
     }
 }
 
+/// An address-contiguous run of same-direction DRAM column accesses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Run {
+    addr: u64,
+    accesses: u64,
+    write: bool,
+}
+
+impl Run {
+    /// Whether `next` starts where this run's last access ends, in the
+    /// same direction.
+    fn continued_by(&self, next: &Run, bytes_per_access: u64) -> bool {
+        next.write == self.write && next.addr == self.addr + self.accesses * bytes_per_access
+    }
+
+    /// The run as `(addr, accesses)` bursts of at most `u32::MAX`
+    /// accesses each, in order.
+    fn pieces(self, bytes_per_access: u64) -> impl Iterator<Item = (u64, u32)> {
+        let max = u64::from(u32::MAX);
+        (0..self.accesses.div_ceil(max)).map(move |i| {
+            let done = i * max;
+            let n = (self.accesses - done).min(max) as u32;
+            (self.addr + done * bytes_per_access, n)
+        })
+    }
+}
+
+/// The address-contiguous runs of same-direction accesses in `bursts`.
+/// Burst descriptors are in 512-bit PL beats; each becomes the DRAM column
+/// accesses covering its bytes (64 B each on DDR4 BL8, more on BL16 LPDDR
+/// parts), so a burst whose bytes are not a multiple of
+/// `bytes_per_access` ends its run unless the next one starts past its
+/// last access. Zero-beat bursts are skipped.
+fn runs<I>(bursts: I, bytes_per_access: u64) -> impl Iterator<Item = Run>
+where
+    I: Iterator<Item = BurstDescriptor>,
+{
+    let mut bursts = bursts
+        .filter(|b| b.beats > 0)
+        .map(move |b| Run {
+            addr: b.addr,
+            accesses: b.bytes().div_ceil(bytes_per_access),
+            write: b.write,
+        })
+        .peekable();
+    std::iter::from_fn(move || {
+        let mut run = bursts.next()?;
+        while let Some(next) = bursts.next_if(|next| run.continued_by(next, bytes_per_access)) {
+            run.accesses += next.accesses;
+        }
+        Some(run)
+    })
+}
+
 /// DDR4 controller plus AXI fabric: the component the accelerator's MCU
 /// talks to.
 ///
@@ -177,28 +231,24 @@ impl MemorySystem {
     /// Like [`MemorySystem::transfer`], but consumes the bursts from an
     /// iterator so callers can stream a schedule straight into the model
     /// without materializing an intermediate `Vec`.
+    ///
+    /// Each address-contiguous run of same-direction bursts is priced
+    /// with one [`DdrController::burst`] call, which is exact: a burst is
+    /// defined as the in-order sequence of its column accesses.
     pub fn transfer_iter<I>(&mut self, bursts: I) -> TransferReport
     where
         I: IntoIterator<Item = BurstDescriptor>,
     {
-        // Only two scalars of the configuration matter per burst; copy
-        // them out instead of cloning the whole `DdrConfig`.
         let bytes_per_access = self.ctrl.config().bytes_per_access();
         let stats_before = self.ctrl.stats();
         let start = self.ctrl.now();
         let mut end = start;
         let mut bytes: u64 = 0;
-        for b in bursts {
-            if b.beats == 0 {
-                continue;
+        let bursts = bursts.into_iter().inspect(|b| bytes += b.bytes());
+        for run in runs(bursts, bytes_per_access) {
+            for (addr, accesses) in run.pieces(bytes_per_access) {
+                end = self.ctrl.burst(addr, accesses, run.write);
             }
-            // Burst descriptors are in 512-bit PL beats; convert to DRAM
-            // column accesses (which move `bytes_per_access` each — 64 B
-            // on DDR4 BL8, more on BL16 LPDDR parts).
-            let burst_bytes = b.bytes();
-            let accesses = burst_bytes.div_ceil(bytes_per_access);
-            end = self.ctrl.burst(b.addr, accesses as u32, b.write);
-            bytes += burst_bytes;
         }
         let dram_cycles = end - start;
 
@@ -319,6 +369,134 @@ mod tests {
         let rb = b.transfer_iter(bursts.iter().copied());
         assert_eq!(ra, rb);
         assert_eq!(a.now_ns(), b.now_ns());
+    }
+
+    fn run(addr: u64, accesses: u64, write: bool) -> Run {
+        Run {
+            addr,
+            accesses,
+            write,
+        }
+    }
+
+    fn runs_of(bursts: &[BurstDescriptor], bytes_per_access: u64) -> Vec<Run> {
+        runs(bursts.iter().copied(), bytes_per_access).collect()
+    }
+
+    #[test]
+    fn fast_path_runs_merge_only_contiguous_same_direction_bursts() {
+        let (r, w) = (BurstDescriptor::new, BurstDescriptor::write);
+        // 64 B accesses: the first two reads merge; a gap, a write and a
+        // read after it each start a run.
+        assert_eq!(
+            runs_of(
+                &[r(0, 4), r(256, 8), r(1024, 4), w(1280, 4), r(1536, 4)],
+                64
+            ),
+            [
+                run(0, 12, false),
+                run(1024, 4, false),
+                run(1280, 4, true),
+                run(1536, 4, false)
+            ]
+        );
+        // LPDDR5 Orin's 256 B accesses: a one-beat burst takes its whole
+        // access, so a burst at the next beat starts a run and one at the
+        // next access continues it.
+        assert_eq!(
+            runs_of(&[r(0, 1), r(64, 3), r(512, 1), r(768, 4)], 256),
+            [run(0, 1, false), run(64, 1, false), run(512, 2, false)]
+        );
+        // Zero-beat bursts are skipped, whatever their address or
+        // direction, and do not break a run.
+        assert_eq!(
+            runs_of(&[w(0, 0), r(0, 4), w(4096, 0), r(256, 4), r(512, 0)], 64),
+            [run(0, 8, false)]
+        );
+    }
+
+    #[test]
+    fn fast_path_runs_split_at_u32_max_accesses() {
+        // The arithmetic only: no run this long is priced.
+        let max = u64::from(u32::MAX);
+        assert_eq!(
+            run(64, 2 * max + 5, true).pieces(64).collect::<Vec<_>>(),
+            [
+                (64, u32::MAX),
+                (64 + max * 64, u32::MAX),
+                (64 + 2 * max * 64, 5)
+            ]
+        );
+        assert_eq!(
+            run(0, max, false).pieces(128).collect::<Vec<_>>(),
+            [(0, u32::MAX)]
+        );
+        // Bursts whose accesses add up past `u32::MAX` form one run, and
+        // so does one burst of more than `u32::MAX` 32 B accesses.
+        let bursts = [
+            BurstDescriptor::new(0, u32::MAX),
+            BurstDescriptor::new(max * 64, 10),
+        ];
+        assert_eq!(runs_of(&bursts, 64), [run(0, max + 10, false)]);
+        let wide = runs_of(&bursts[..1], 32);
+        assert_eq!(wide, [run(0, 2 * max, false)]);
+        assert_eq!(
+            wide[0].pieces(32).collect::<Vec<_>>(),
+            [(0, u32::MAX), (max * 32, u32::MAX)]
+        );
+    }
+
+    /// A read from 0 and a write from 1 GiB, each cut into bursts of
+    /// uneven sizes with zero-beat bursts between them. Every size is a
+    /// whole number of column accesses on every preset (at most 256 B).
+    fn split_streams() -> [Vec<BurstDescriptor>; 2] {
+        let sizes = [4u32, 0, 28, 1024, 4, 0, 260, 8192, 36, 50_000];
+        [(0, false), (1 << 30, true)].map(|(mut addr, write)| {
+            sizes
+                .iter()
+                .map(|&beats| {
+                    let b = BurstDescriptor { addr, beats, write };
+                    addr += b.bytes();
+                    b
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn fast_path_split_contiguous_bursts_price_as_one_burst() {
+        let presets = [
+            DdrConfig::ddr4_2400_kv260(),
+            DdrConfig::lpddr4_2133_ultra96(),
+            DdrConfig::ddr4_2666_zcu102(),
+            DdrConfig::lpddr5_orin_nano(),
+            DdrConfig::lpddr5_6400_embedded(),
+        ];
+        for (i, ddr) in presets.into_iter().enumerate() {
+            let system = |fast_path| {
+                let lookahead = MemorySystem::DEFAULT_LOOKAHEAD;
+                let mut mem = MemorySystem::new(ddr.clone(), AxiConfig::kv260(), lookahead);
+                mem.ctrl.set_fast_path(fast_path);
+                mem
+            };
+            let (mut split, mut whole, mut per_access) =
+                (system(true), system(true), system(false));
+            for stream in split_streams() {
+                let beats = stream.iter().map(|b| b.beats).sum();
+                let one = BurstDescriptor { beats, ..stream[0] };
+                let report = split.transfer(&stream);
+                assert_eq!(report, whole.transfer(&[one]), "preset {i}: one burst");
+                assert_eq!(
+                    report,
+                    per_access.transfer(&stream),
+                    "preset {i}: per access"
+                );
+                assert_eq!(split.stats(), whole.stats(), "preset {i}");
+                assert_eq!(split.stats(), per_access.stats(), "preset {i}");
+                assert_eq!(split.now_ns(), whole.now_ns(), "preset {i}");
+                assert_eq!(split.now_ns(), per_access.now_ns(), "preset {i}");
+            }
+        }
     }
 
     #[test]
