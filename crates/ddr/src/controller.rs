@@ -17,10 +17,12 @@ use crate::stats::DdrStats;
 use crate::telemetry::DdrCounters;
 use std::collections::VecDeque;
 
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct Bank {
-    open_row: Option<u64>,
-    /// Cycle the open row was activated (for tRAS).
+/// An open bank's row and the cycle it was activated (for tRAS). A closed
+/// bank holds nothing: its next activate waits only on the access's
+/// arrival and the activate history.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct OpenRow {
+    row: u64,
     act_at: u64,
 }
 
@@ -145,58 +147,22 @@ struct SegmentKey {
     acts: ActHistory,
 }
 
-/// A number of row windows as `rows·banks_per_group + banks`, so that it
-/// moves a window on without a division.
-#[derive(Debug, Clone, Copy, Default)]
-struct WindowDelta {
-    rows: u64,
-    banks: u64,
-}
-
-impl WindowDelta {
-    fn new(windows: u64, bpg: u64) -> WindowDelta {
-        WindowDelta {
-            rows: windows / bpg,
-            banks: windows % bpg,
-        }
-    }
-
-    /// Window `(bank_in_group, row)` moved on by `self`.
-    fn add(self, bank_in_group: u64, row: u64, bpg: u64) -> (u64, u64) {
-        let b = bank_in_group + self.banks;
-        if b < bpg {
-            (b, row + self.rows)
-        } else {
-            (b - bpg, row + self.rows + 1)
-        }
-    }
-}
-
-/// How a walked refresh segment priced, relative to its first slot `S`
-/// and its first row window.
-#[derive(Debug, Clone)]
+/// How a walked refresh segment priced, relative to its first slot `S`.
+#[derive(Debug, Clone, Copy)]
 struct SegmentOutcome {
     key: SegmentKey,
     /// Its hits, misses and conflicts.
-    counts: (u64, u64, u64),
+    counts: DdrStats,
     /// The activate history at the segment's end, relative to `S`.
     acts: ActHistory,
-    /// How many banks are open at the end: exactly those it activated.
-    opened: usize,
 }
-
-/// A bank a segment left open: its group, the window that opened it and
-/// its activate time relative to `S`.
-type OpenedBank = (u64, WindowDelta, u64);
 
 /// Segment outcomes in a direct-mapped table indexed by the key's window
 /// offset, `to_refresh mod cpa` and direction, each checked against its
-/// full key, with room per slot for one record per bank. Both vectors are
-/// allocated once, at the first record.
+/// full key, allocated once, at the first record.
 #[derive(Debug, Clone, Default)]
 struct SegmentMemo {
     slots: Vec<Option<SegmentOutcome>>,
-    opened: Vec<OpenedBank>,
 }
 
 impl SegmentMemo {
@@ -211,77 +177,34 @@ impl SegmentMemo {
         (i % Self::len(geo)) as usize
     }
 
-    /// The slot holding the outcome recorded under `key`, if any.
-    fn get(&self, key: &SegmentKey, geo: &Geometry) -> Option<usize> {
+    /// The slot holding the outcome recorded under `key`, and the outcome.
+    fn get(&self, key: &SegmentKey, geo: &Geometry) -> Option<(usize, SegmentOutcome)> {
         let i = Self::slot(key, geo);
-        self.slots.get(i)?.as_ref().filter(|o| o.key == *key)?;
-        Some(i)
+        let out = self.slots.get(i)?.as_ref().filter(|o| o.key == *key)?;
+        Some((i, *out))
     }
 
-    /// The outcome in slot `i`, one [`Self::get`] found, and the banks it
-    /// left open.
-    fn entry(&self, i: usize, geo: &Geometry) -> (&SegmentOutcome, &[OpenedBank]) {
-        let out = self.slots[i]
-            .as_ref()
-            .expect("a found slot holds an outcome");
-        let banks = (geo.bgc * geo.bpg) as usize;
-        (out, &self.opened[i * banks..][..out.opened])
-    }
-
-    /// Records how segment `rec` priced, given the stretch's counts, banks
-    /// and activate history at its refresh. A refresh closed every bank at
-    /// its start, so the banks open now are those it activated.
-    fn record(
-        &mut self,
-        rec: Recording,
-        counts: (u64, u64, u64),
-        (banks, acts): (&[Bank], ActHistory),
-        geo: &Geometry,
-    ) {
-        let Geometry { bgc, bpg, .. } = *geo;
-        let stride = (bgc * bpg) as usize;
+    /// Records how segment `rec` priced, given the stretch's counts and
+    /// activate history at its refresh.
+    fn record(&mut self, rec: Recording, counts: DdrStats, acts: ActHistory, geo: &Geometry) {
         if self.slots.is_empty() {
-            let n = Self::len(geo) as usize;
-            self.slots.resize(n, None);
-            self.opened.resize(n * stride, OpenedBank::default());
+            self.slots.resize(Self::len(geo) as usize, None);
         }
-        let i = Self::slot(&rec.key, geo);
-        let mut n = 0;
-        for (b, bank) in (0u64..).zip(banks) {
-            if let Some(row) = bank.open_row {
-                let by = WindowDelta::new(row * bpg + b / bgc - rec.window, bpg);
-                self.opened[i * stride + n] = (b % bgc, by, bank.act_at.wrapping_sub(rec.bus));
-                n += 1;
-            }
-        }
-        let (h, m, c) = rec.counts;
-        self.slots[i] = Some(SegmentOutcome {
+        self.slots[Self::slot(&rec.key, geo)] = Some(SegmentOutcome {
             key: rec.key,
-            counts: (counts.0 - h, counts.1 - m, counts.2 - c),
+            counts: counts - rec.counts,
             acts: acts.shifted(rec.bus.wrapping_neg()),
-            opened: n,
         });
     }
 }
 
-/// A segment being walked for the memo: its key, first slot and first
-/// window, and the stretch's counts at its start.
+/// A segment being walked for the memo: its key and first slot, and the
+/// stretch's counts at its start.
 #[derive(Debug, Clone, Copy)]
 struct Recording {
     key: SegmentKey,
     bus: u64,
-    window: u64,
-    counts: (u64, u64, u64),
-}
-
-/// A segment replayed from the memo: the slot of its outcome, its first
-/// bus slot `S` and its first row window.
-#[derive(Debug, Clone, Copy)]
-struct Replay {
-    slot: usize,
-    bus: u64,
-    bank_in_group: u64,
-    row: u64,
+    counts: DdrStats,
 }
 
 /// The stretch after one replay of a chain: the replay's memo slot and
@@ -291,11 +214,11 @@ struct ChainLink {
     slot: usize,
     bus: u64,
     j: u64,
-    counts: (u64, u64, u64),
+    counts: DdrStats,
 }
 
-/// The deferred replays of an unbroken chain (see [`DdrController::stretch`]),
-/// in order, and per memo slot the index of the chain's replay of it.
+/// The replays of an unbroken chain (see [`DdrController::stretch`]), in
+/// order, and per memo slot the index of the chain's replay of it.
 #[derive(Debug, Clone, Default)]
 struct Chain {
     links: Vec<ChainLink>,
@@ -341,7 +264,8 @@ impl Chain {
 #[derive(Debug, Clone)]
 pub struct DdrController {
     cfg: DdrConfig,
-    banks: Vec<Bank>,
+    /// Each bank's open row, `None` while it is closed.
+    banks: Vec<Option<OpenRow>>,
     /// First cycle the data bus is free.
     bus_next: u64,
     /// Last access direction (for turnaround accounting).
@@ -365,21 +289,16 @@ pub struct DdrController {
     geo: Geometry,
     /// Refresh segments [`Self::stretch`] has walked, for replay.
     memo: SegmentMemo,
-    /// The running stretch's chain of deferred replays; empty between
-    /// stretches.
+    /// The running stretch's chain of replays; empty between stretches.
     chain: Chain,
     /// Calls of [`Self::access`] so far; row-window pieces walked,
-    /// refresh segments replayed, refresh epochs jumped in whole periods,
-    /// replays of a segment that left some bank unopened and writes of a
-    /// replayed outcome into the bank state by [`Self::stretch`]. Outside
-    /// the telemetry snapshot: they measure how the simulator priced the
-    /// accesses, not the device.
+    /// refresh segments replayed and refresh epochs jumped in whole
+    /// periods by [`Self::stretch`]. Outside the telemetry snapshot: they
+    /// measure how the simulator priced the accesses, not the device.
     per_access_steps: u64,
     window_steps: u64,
     segment_replays: u64,
     jumped_epochs: u64,
-    eager_replays: u64,
-    materializations: u64,
 }
 
 /// Derived address-map constants (see [`DdrConfig::map_address`]).
@@ -409,6 +328,12 @@ impl Geometry {
             bpg: (cfg.banks as u64 / bgc).max(1),
             window: bgc * cols_per_bg,
         }
+    }
+
+    /// Row window `(bank_in_group, row)` moved `windows` windows on.
+    fn advance(&self, (bank_in_group, row): (u64, u64), windows: u64) -> (u64, u64) {
+        let w = row * self.bpg + bank_in_group + windows;
+        (w % self.bpg, w / self.bpg)
     }
 }
 
@@ -446,7 +371,7 @@ impl DdrController {
         );
         assert!(cfg.trefi > 0, "trefi must be at least 1");
         assert!(cfg.trfc < cfg.trefi, "trfc must be shorter than trefi");
-        let banks = vec![Bank::default(); cfg.banks as usize];
+        let banks = vec![None; cfg.banks as usize];
         let next_refresh = cfg.trefi as u64;
         let last_cas_per_group = vec![0u64; cfg.bank_groups.max(1) as usize];
         let geo = Geometry::of(&cfg);
@@ -469,8 +394,6 @@ impl DdrController {
             window_steps: 0,
             segment_replays: 0,
             jumped_epochs: 0,
-            eager_replays: 0,
-            materializations: 0,
         }
     }
 
@@ -519,9 +442,7 @@ impl DdrController {
         // Refresh: when the bus timeline crosses tREFI, all banks close and
         // the device is busy for tRFC.
         while self.bus_next.max(arrival) >= self.next_refresh {
-            for b in &mut self.banks {
-                b.open_row = None;
-            }
+            self.banks.fill(None);
             let refresh_start = self.next_refresh.max(self.bus_next);
             self.bus_next = refresh_start + cfg.trfc as u64;
             self.next_refresh += cfg.trefi as u64;
@@ -591,12 +512,11 @@ impl DdrController {
     /// activates across banks are paced by tRRD and tFAW.
     fn row_open(&self, bank: usize, row: u64, arrival: u64) -> RowOpen {
         let cfg = &self.cfg;
-        let b = self.banks[bank];
         let pacing = self.recent_acts.pacing(cfg.trrd as u64, cfg.tfaw as u64);
-        match b.open_row {
-            Some(r) if r == row => RowOpen::Hit,
-            Some(_) => {
-                let t_pre = arrival.max(b.act_at + cfg.tras as u64);
+        match self.banks[bank] {
+            Some(open) if open.row == row => RowOpen::Hit,
+            Some(open) => {
+                let t_pre = arrival.max(open.act_at + cfg.tras as u64);
                 RowOpen::Conflict((t_pre + cfg.trp as u64).max(pacing))
             }
             None => RowOpen::Miss(arrival.max(pacing)),
@@ -606,10 +526,7 @@ impl DdrController {
     /// Opens `row` in `bank` at cycle `t_act` and records the activate
     /// for pacing.
     fn activate(&mut self, bank: usize, row: u64, t_act: u64) {
-        self.banks[bank] = Bank {
-            open_row: Some(row),
-            act_at: t_act,
-        };
+        self.banks[bank] = Some(OpenRow { row, act_at: t_act });
         self.recent_acts.push(t_act);
     }
 
@@ -698,65 +615,56 @@ impl DdrController {
     /// moves its outcome by Δ and `k`. So the stretch records each such
     /// segment it walks to its refresh under those inputs taken relative
     /// to `S` (the history's length and all four entries), and replays a
-    /// later segment with an equal key: it adds the recorded counts and
-    /// moves on to the segment's refresh. *Applying* the outcome opens the
-    /// recorded banks at their shifted rows and activate times and
-    /// restores the history; banks it does not open keep their stale
-    /// activate times, as [`Self::access`] leaves them.
+    /// later segment with an equal key: it adds the recorded counts, sets
+    /// the activate history to the recorded one moved to `S`, and moves
+    /// on to the segment's refresh.
     ///
-    /// A replay whose outcome opened **every** bank is not applied at
-    /// once: the stretch keeps it pending (its memo slot, `S` and first
-    /// window) and applies it only when something reads bank state. That
-    /// is exact for four reasons:
+    /// A replay writes no bank state. A replayed segment is at least
+    /// `max(lookahead, bank_groups)` accesses long and ends inside the
+    /// burst, so the stretch always reaches the refresh that ends it, and
+    /// nothing reads a bank before then. That refresh closes every bank,
+    /// and a closed bank holds no activate time: a bank's activate time is
+    /// read only while it is open, for tRAS before a conflict's precharge.
+    /// So the rows and activate times the replayed segment left never
+    /// decide anything, and the stretch closes the banks only when it goes
+    /// on to walk.
     ///
-    /// * a replayed segment ends on its refresh slot, so nothing between a
-    ///   replay and the next refresh branch reads bank state;
-    /// * a refresh closes every bank;
-    /// * an all-bank segment rewrites every bank's row and activate time;
-    /// * the activate history is recorded whole, so the next key's history
-    ///   is the pending outcome's, moved from its `S` to the new one.
-    ///
-    /// So at the next refresh the stretch does not close the banks. It
-    /// either chains another all-bank replay, which replaces the pending
-    /// one, or applies the pending outcome, closes the banks and goes on:
-    /// with a replay of an outcome that left some bank unopened, applied at
-    /// once, or with a walk. A run of replayed epochs thus writes the bank
-    /// state once rather than once per epoch. An outcome that left a bank
-    /// unopened is never deferred: that bank keeps an earlier segment's
-    /// stale activate time, which a chained replay would not restore.
-    ///
-    /// **Period jump.** A *chain* is a run of deferred replays with no walk
-    /// and no eager replay since it began. The memo records only at the
-    /// refresh that ends a walked segment, so during a chain each slot
-    /// holds one key, and two replays of one slot replay one key. The
-    /// stretch after a chained replay, taken relative to the replay's
-    /// first access, `S` and first window, is a function of that key:
+    /// **Period jump.** A *chain* is a run of replays with no walk since
+    /// it began. The memo records only at the refresh that ends a walked
+    /// segment, so during a chain each slot holds one key, and two replays
+    /// of one slot replay one key. The stretch after a chained replay,
+    /// taken relative to the replay's first access, `S` and first window,
+    /// is a function of that key:
     ///
     /// * the next segment starts `len = ⌈to_refresh / cpa⌉` accesses on,
     ///   at window offset `offset + len mod window`;
     /// * the refreshes due there, and so the next `to_refresh` and `lag`,
     ///   follow from `to_refresh` and the timing;
-    /// * the next activate history is the pending outcome's, moved to the
-    ///   next `S`;
-    /// * nothing reads the bank state or the controller's history until
-    ///   the chain ends, and the pending outcome then rewrites both.
+    /// * the next activate history is the recorded one, moved to the next
+    ///   `S`;
+    /// * nothing reads the bank state until the chain ends, and the
+    ///   stretch then closes every bank.
     ///
     /// So a chain's keys walk a functional graph. When a replay uses a slot
     /// an earlier replay of its chain used, the stretch after it is the
     /// stretch after the earlier one moved by one period: `ΔL` accesses
     /// (whole windows, as the offsets match), `ΔT` bus cycles (whole
     /// refresh intervals, as `to_refresh` matches) and the counts the
-    /// period added. The replays after it repeat the period for as long as
-    /// they stay replayable, and of those conditions only `j + len < max_n`
-    /// depends on where a segment lies. So the stretch adds `k` periods at
-    /// once, `k` the largest that keeps the last jumped replay's end inside
-    /// the burst: it moves `j`, both segments, the next refresh, the row
-    /// window and the pending replay by `k·ΔL` accesses, `k·ΔT` cycles and
-    /// `k·ΔL / window` windows, and adds `k` times the period's counts and
-    /// `k·ΔT / tREFI` refreshes. Each slot keeps the index of its replay
-    /// in the chain, so the first repeat is found when it happens, one
-    /// period after the replay it repeats. A walk, an eager replay or a
-    /// jump ends the chain.
+    /// period added, its refreshes included. The replays after it repeat
+    /// the period for as long as they stay replayable, and of those
+    /// conditions only `j + len < max_n` depends on where a segment lies.
+    /// So the stretch adds `k` periods at once, `k` the largest that keeps
+    /// the last jumped replay's end inside the burst: it moves `j`, both
+    /// segments, the next refresh, the activate history and the row window
+    /// by `k·ΔL` accesses, `k·ΔT` cycles and `k·ΔL / window` windows, and
+    /// adds `k` times the period's counts. Each slot keeps the index of its
+    /// replay in the chain, so the first repeat is found when it happens,
+    /// one period after the replay it repeats. A walk or a jump ends the
+    /// chain.
+    ///
+    /// The stretch keeps its counts in one [`DdrStats`] ledger, which the
+    /// memo records, a replay adds and a jump multiplies, and publishes it
+    /// once, at its end.
     fn stretch(&mut self, addr: u64, max_n: u64, write: bool) -> u64 {
         let geo = self.geo;
         let Geometry {
@@ -790,9 +698,8 @@ impl DdrController {
             prev: head,
             cur: head,
         };
-        let (mut hits, mut misses, mut conflicts) = (0u64, 0u64, 0u64);
+        let mut counts = DdrStats::default();
         let mut recording = None;
-        let mut pending: Option<Replay> = None;
         let mut j = 0u64;
         let n = 'walk: loop {
             if j == max_n {
@@ -804,15 +711,13 @@ impl DdrController {
                     break j;
                 }
                 if let Some(rec) = recording.take() {
-                    let state = (&self.banks[..], self.recent_acts);
-                    self.memo
-                        .record(rec, (hits, misses, conflicts), state, &self.geo);
+                    self.memo.record(rec, counts, self.recent_acts, &geo);
                 }
                 let due = bus;
                 while bus >= self.next_refresh {
                     bus = bus.max(self.next_refresh) + trfc;
                     self.next_refresh += trefi;
-                    self.counters.refreshes.inc();
+                    counts.refreshes += 1;
                 }
                 segs.prev = segs.cur;
                 segs.cur = Segment { start: j, bus };
@@ -824,84 +729,47 @@ impl DdrController {
                     to_refresh: self.next_refresh - bus,
                     write,
                     lag: bus - due,
-                    acts: match pending {
-                        Some(p) => self
-                            .memo
-                            .entry(p.slot, &geo)
-                            .0
-                            .acts
-                            .shifted(p.bus.wrapping_sub(bus)),
-                        None => self.recent_acts.shifted(bus.wrapping_neg()),
-                    },
+                    acts: self.recent_acts.shifted(bus.wrapping_neg()),
                 });
-                if let Some(slot) = key.and_then(|key| self.memo.get(&key, &geo)) {
-                    let replay = Replay {
-                        slot,
-                        bus,
-                        bank_in_group,
-                        row,
-                    };
-                    let out = self.memo.entry(slot, &geo).0;
-                    let ((h, m, c), all_banks) = (out.counts, out.opened == self.banks.len());
-                    if all_banks {
-                        pending = Some(replay);
-                    } else {
-                        self.close_banks(pending.take());
-                        self.materialize(replay);
-                        self.eager_replays += 1;
-                    }
-                    (hits, misses, conflicts) = (hits + h, misses + m, conflicts + c);
+                if let Some((slot, out)) = key.and_then(|key| self.memo.get(&key, &geo)) {
+                    counts = counts + out.counts;
+                    self.recent_acts = out.acts.shifted(bus);
                     self.segment_replays += 1;
                     j += len;
                     let to = offset + len;
                     offset = to % window;
-                    (bank_in_group, row) =
-                        WindowDelta::new(to / window, bpg).add(bank_in_group, row, bpg);
+                    (bank_in_group, row) = geo.advance((bank_in_group, row), to / window);
                     let link = ChainLink {
                         slot,
                         bus,
                         j,
-                        counts: (hits, misses, conflicts),
+                        counts,
                     };
-                    let repeat = if all_banks {
+                    if let Some((first, epochs)) =
                         self.chain.push(link, SegmentMemo::len(&geo) as usize)
-                    } else {
-                        None
-                    };
-                    if let Some((first, epochs)) = repeat {
+                    {
                         // The stretch after `first` recurs here, one period
                         // on: add the most whole periods that keep the last
                         // jumped replay's end inside the burst.
                         let (dj, dbus) = (j - first.j, bus - first.bus);
                         let k = (max_n - 1 - j) / dj;
                         let (kj, kbus) = (k * dj, k * dbus);
-                        let windows = WindowDelta::new(kj / window, bpg);
+                        debug_assert_eq!(kbus % trefi, 0, "a period spans whole refresh intervals");
                         j += kj;
                         segs = segs.shifted(kj, kbus);
                         self.next_refresh += kbus;
-                        debug_assert_eq!(kbus % trefi, 0, "a period spans whole refresh intervals");
-                        self.counters.refreshes.add(kbus / trefi);
-                        let (h, m, c) = first.counts;
-                        hits += k * (hits - h);
-                        misses += k * (misses - m);
-                        conflicts += k * (conflicts - c);
-                        (bank_in_group, row) = windows.add(bank_in_group, row, bpg);
-                        let p = pending.as_mut().expect("a chained replay is pending");
-                        p.bus += kbus;
-                        (p.bank_in_group, p.row) = windows.add(p.bank_in_group, p.row, bpg);
+                        self.recent_acts = self.recent_acts.shifted(kbus);
+                        counts = counts + (counts - first.counts) * k;
+                        (bank_in_group, row) = geo.advance((bank_in_group, row), kj / window);
                         self.jumped_epochs += k * epochs;
                         self.chain.reset();
                     }
                     continue;
                 }
-                self.close_banks(pending.take());
+                self.chain.reset();
+                self.banks.fill(None);
                 if let Some(key) = key {
-                    recording = Some(Recording {
-                        key,
-                        bus,
-                        window: row * bpg + bank_in_group,
-                        counts: (hits, misses, conflicts),
-                    });
+                    recording = Some(Recording { key, bus, counts });
                 }
             }
             // This piece of the window ends at the window's end, the next
@@ -925,13 +793,13 @@ impl DdrController {
                     break 'walk j;
                 }
                 match open {
-                    RowOpen::Hit => hits += 1,
+                    RowOpen::Hit => counts.row_hits += 1,
                     RowOpen::Miss(t) => {
-                        misses += 1;
+                        counts.row_misses += 1;
                         self.activate(bank, row, t);
                     }
                     RowOpen::Conflict(t) => {
-                        conflicts += 1;
+                        counts.row_conflicts += 1;
                         self.activate(bank, row, t);
                     }
                 }
@@ -942,7 +810,7 @@ impl DdrController {
                 }
             }
             // The rest of the piece hits the rows just opened.
-            hits += end - j;
+            counts.row_hits += end - j;
             j = end;
             offset += end - start;
             if offset == window {
@@ -954,20 +822,18 @@ impl DdrController {
                 }
             }
         };
-        // A replay reaches its refresh inside the burst, whose branch
-        // resolves a pending one before anything can end the stretch.
-        debug_assert!(pending.is_none(), "a deferred replay outlived its stretch");
+        // A replay reaches its refresh inside the burst, whose branch goes
+        // on with another replay or ends the chain before anything can end
+        // the stretch.
         debug_assert!(self.chain.links.is_empty(), "a chain outlived its stretch");
 
         self.bus_next = segs.slot(n);
-        self.counters.row_hits.add(hits);
-        self.counters.row_misses.add(misses);
-        self.counters.row_conflicts.add(conflicts);
         if write {
-            self.counters.writes.add(n);
+            counts.writes = n;
         } else {
-            self.counters.reads.add(n);
+            counts.reads = n;
         }
+        self.counters.add(counts);
         // The last `bank_groups` accesses each touch a distinct group;
         // their effective CAS issue time is data_start - latency.
         for i in n.saturating_sub(bgc)..n {
@@ -983,36 +849,6 @@ impl DdrController {
             self.completions.pop_front();
         }
         n
-    }
-
-    /// Closes every bank at a refresh, first applying a deferred replay's
-    /// outcome so that its activate times and history stand, and ends the
-    /// chain of deferred replays.
-    fn close_banks(&mut self, pending: Option<Replay>) {
-        if let Some(r) = pending {
-            self.materialize(r);
-        }
-        self.chain.reset();
-        for b in &mut self.banks {
-            b.open_row = None;
-        }
-    }
-
-    /// Applies a replayed segment's outcome: opens the banks it left open
-    /// at their rows and activate times moved to `r`'s first window and
-    /// bus slot, and restores the activate history it ended with.
-    fn materialize(&mut self, r: Replay) {
-        let Geometry { bgc, bpg, .. } = self.geo;
-        let (out, opened) = self.memo.entry(r.slot, &self.geo);
-        for &(group, opened_by, act_at) in opened {
-            let (b, row) = opened_by.add(r.bank_in_group, r.row, bpg);
-            self.banks[(group + b * bgc) as usize] = Bank {
-                open_row: Some(row),
-                act_at: act_at.wrapping_add(r.bus),
-            };
-        }
-        self.recent_acts = out.acts.shifted(r.bus);
-        self.materializations += 1;
     }
 
     /// When access `j` of a stretch arrives: the completion `lookahead`
@@ -1173,9 +1009,9 @@ mod tests {
     }
 
     /// Everything that decides when the controller's next access
-    /// completes: bus time and direction, bank rows and activate times,
-    /// activate history, per-group CAS times, the completion window and
-    /// the next refresh.
+    /// completes: bus time and direction, open banks' rows and activate
+    /// times, activate history, per-group CAS times, the completion window
+    /// and the next refresh.
     fn timing_state(c: &DdrController) -> impl PartialEq + std::fmt::Debug + '_ {
         (
             c.bus_next,
@@ -1402,7 +1238,7 @@ mod tests {
         };
         let [kv260, ultra96, zcu102, orin, lpddr5] = presets();
         for (i, (cfg, n)) in [
-            (kv260, 1 << 19),
+            (kv260.clone(), 1 << 19),
             (ultra96, 1 << 17),
             (zcu102, 4_000_000),
             (orin, 1 << 17),
@@ -1415,6 +1251,22 @@ mod tests {
         {
             let c = assert_fast_matches_slow(cfg, 32, &[(0, n, false), (1 << 30, n, true)]);
             assert!(c.jumped_epochs > 0, "config {i} jumped no refresh epoch");
+        }
+        // With tFAW 330 or 400, above tRFC (312) and below one row
+        // window's 512 bus cycles, the first activates after a refresh can
+        // wait on the history the epoch before handed on, so a jump must
+        // move that history with it. A read from 1,536 bytes lands its
+        // jump on a refresh where they wait (one from 0 does not) and ends
+        // 61 accesses later, within one row window, so the banks those
+        // activates opened are still open, with their activate times, when
+        // the timing states are compared.
+        for tfaw in [330, 400] {
+            let cfg = DdrConfig {
+                tfaw,
+                ..kv260.clone()
+            };
+            let c = assert_fast_matches_slow(cfg, 32, &[(1536, 438_958, false)]);
+            assert!(c.jumped_epochs > 0, "tFAW {tfaw} jumped no refresh epoch");
         }
     }
 
@@ -1577,36 +1429,20 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_warm_64_mib_read_applies_bank_state_at_most_twice() {
-        // Every refresh epoch of a sequential KV260 read opens all sixteen
-        // banks, so a warm read defers its replays and writes the bank
-        // state only before it walks a segment: its tail, and an epoch the
-        // first read did not meet.
-        let kv260 = DdrConfig::ddr4_2400_kv260();
-        let cold = sequential_64_mib_read();
-        let lookahead = crate::MemorySystem::DEFAULT_LOOKAHEAD;
-        let warm = assert_fast_matches_slow(kv260.clone(), lookahead, &[(0, 1 << 20, false); 2]);
-        let replayed = warm.segment_replays - cold.segment_replays;
-        let jumped = warm.jumped_epochs - cold.jumped_epochs;
-        let applied = warm.materializations - cold.materializations;
-        assert!(
-            replayed + jumped >= 460,
-            "{replayed} refresh epochs replayed, {jumped} jumped"
-        );
-        assert!(
-            (1..=2).contains(&applied),
-            "bank state applied {applied} times"
-        );
-        // A 400-cycle refresh interval's epoch opens four of the sixteen:
-        // each of its replays is applied at once.
-        let short_epochs = DdrConfig {
-            trefi: 400,
-            ..kv260
+    fn fast_path_replays_and_jumps_epochs_that_leave_banks_unopened() {
+        // A 1,000-cycle refresh interval's epoch spans about 170 accesses
+        // and a 400-cycle one about 22, parts of at most three 128-access
+        // row windows, so each opens at most twelve of the sixteen banks.
+        // A replay writes no bank state, so their replays chain and jump
+        // whole periods like those of epochs that open every bank.
+        let short_epochs = |trefi| DdrConfig {
+            trefi,
+            ..DdrConfig::ddr4_2400_kv260()
         };
-        let c = assert_fast_matches_slow(short_epochs, 8, &[(0, 1 << 16, false); 2]);
-        assert!(c.segment_replays > 0, "no short epoch replayed");
-        assert_eq!(c.eager_replays, c.segment_replays);
-        assert_eq!(c.materializations, c.segment_replays);
+        let c = assert_fast_matches_slow(short_epochs(1000), 32, &[(0, 1 << 19, false)]);
+        assert!(c.jumped_epochs > 0, "no 1,000-cycle epoch jumped");
+        let c = assert_fast_matches_slow(short_epochs(400), 8, &[(0, 1 << 16, false); 2]);
+        assert!(c.segment_replays > 0, "no 400-cycle epoch replayed");
     }
 
     #[test]
@@ -1686,12 +1522,14 @@ mod tests {
         /// `access()`, which would compare the per-access path with
         /// itself; `fast_path_falls_back_to_per_access_at_lookahead_one_and_two`
         /// pins that fallback), the adversarial pacing configs at the
-        /// depths where stretches run long, and KV260 timing with refresh
-        /// intervals of 400 to 2,400 cycles: epochs of 22 to 522 accesses
-        /// that open four to sixteen banks, so their replays are applied
-        /// at once or deferred. The last arm skips the depths below 6,
-        /// where CL (17 cycles) outlasts the lookahead's bus time and no
-        /// stretch runs.
+        /// depths where stretches run long, KV260 timing with refresh
+        /// intervals of 400 to 2,400 cycles (epochs of 22 to 522 accesses
+        /// that open four to sixteen banks), and KV260 timing with tFAW
+        /// between tRFC (312) and one row window's 512 bus cycles, where
+        /// the first activates after a refresh can wait on the history the
+        /// previous epoch handed on. The last two arms skip the depths
+        /// below 6, where CL (17 cycles) outlasts the lookahead's bus time
+        /// and no stretch runs.
         fn memories() -> impl Strategy<Value = (DdrConfig, usize)> {
             let [faw, rrd, lp4_faw] = adversarial_memories();
             prop_oneof![
@@ -1716,22 +1554,25 @@ mod tests {
                     }),
                     prop_oneof![Just(8usize), Just(32), Just(64)],
                 ),
+                (
+                    (313u32..512).prop_map(|tfaw| DdrConfig {
+                        tfaw,
+                        ..DdrConfig::ddr4_2400_kv260()
+                    }),
+                    prop_oneof![Just(8usize), Just(32), Just(64)],
+                ),
             ]
         }
 
         #[test]
-        fn fast_path_cases_reach_both_replay_paths() {
-            // The cases `fast_path_identical_to_per_access_path` draws must
-            // reach both ways a replay is applied, or it proves less than
-            // it claims: a run of at least two deferred replays of epochs
-            // that opened every bank, which writes the bank state once, and
-            // a replay of an epoch that left a bank unopened, applied at
-            // once. At least one case must jump whole periods of replayed
-            // epochs. Every case of the preset arm must walk a window piece,
-            // or it compares the per-access path with itself. Each case is
-            // checked as the property checks it.
+        fn fast_path_cases_walk_every_preset_and_jump_a_period() {
+            // Every case `fast_path_identical_to_per_access_path` draws
+            // from the preset arm must walk a window piece, or it compares
+            // the per-access path with itself, and at least one case must
+            // jump whole periods of replayed epochs. Each case is checked
+            // as the property checks it.
             let name = concat!(module_path!(), "::fast_path_identical_to_per_access_path");
-            let (mut chained, mut eager, mut jumped) = (false, false, false);
+            let mut jumped = false;
             for case in 0..ProptestConfig::default().cases as u64 {
                 let mut rng = proptest::TestRng::for_case(name, case);
                 let bursts = burst_streams().generate(&mut rng);
@@ -1742,13 +1583,8 @@ mod tests {
                     !preset || c.window_steps > 0,
                     "preset case {case} at lookahead {lookahead} walked no window piece"
                 );
-                let deferred = c.segment_replays - c.eager_replays;
-                chained |= deferred > c.materializations - c.eager_replays;
-                eager |= c.eager_replays > 0;
                 jumped |= c.jumped_epochs > 0;
             }
-            assert!(chained, "no run of two deferred replays");
-            assert!(eager, "no replay of an epoch that left a bank unopened");
             assert!(jumped, "no period of replayed epochs jumped");
         }
 

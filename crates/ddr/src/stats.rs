@@ -41,6 +41,43 @@ impl DdrStats {
             self.row_hits as f64 / n as f64
         }
     }
+
+    /// `f` applied to each counter of `self` and the same one of `other`.
+    fn zip(self, other: DdrStats, f: impl Fn(u64, u64) -> u64) -> DdrStats {
+        DdrStats {
+            row_hits: f(self.row_hits, other.row_hits),
+            row_misses: f(self.row_misses, other.row_misses),
+            row_conflicts: f(self.row_conflicts, other.row_conflicts),
+            refreshes: f(self.refreshes, other.refreshes),
+            reads: f(self.reads, other.reads),
+            writes: f(self.writes, other.writes),
+            turnarounds: f(self.turnarounds, other.turnarounds),
+        }
+    }
+}
+
+/// Counter by counter.
+impl std::ops::Add for DdrStats {
+    type Output = DdrStats;
+    fn add(self, other: DdrStats) -> DdrStats {
+        self.zip(other, |a, b| a + b)
+    }
+}
+
+/// Counter by counter: the counts of a run are its end's minus its start's.
+impl std::ops::Sub for DdrStats {
+    type Output = DdrStats;
+    fn sub(self, other: DdrStats) -> DdrStats {
+        self.zip(other, |a, b| a - b)
+    }
+}
+
+/// Every counter times `k`.
+impl std::ops::Mul<u64> for DdrStats {
+    type Output = DdrStats;
+    fn mul(self, k: u64) -> DdrStats {
+        self.zip(self, |a, _| a * k)
+    }
 }
 
 impl std::fmt::Display for DdrStats {
@@ -78,6 +115,14 @@ mod tests {
         assert_eq!(stats.row_hit_rate(), 0.6);
         assert_eq!(stats.bytes(&DdrConfig::default()), 640);
         assert!(!format!("{stats}").is_empty());
+        let more = DdrStats {
+            refreshes: 1,
+            turnarounds: 3,
+            ..stats
+        };
+        assert_eq!((stats + more) - more, stats);
+        assert_eq!(more * 3, more + more + more);
+        assert_eq!((more - stats).turnarounds, 3);
     }
 
     #[test]

@@ -268,16 +268,7 @@ impl MemorySystem {
         let peak = cfg.peak_bandwidth_gbps().min(self.axi.bandwidth_gbps());
         let efficiency = bandwidth_gbps / peak;
 
-        let s = self.ctrl.stats();
-        let stats = DdrStats {
-            row_hits: s.row_hits - stats_before.row_hits,
-            row_misses: s.row_misses - stats_before.row_misses,
-            row_conflicts: s.row_conflicts - stats_before.row_conflicts,
-            refreshes: s.refreshes - stats_before.refreshes,
-            reads: s.reads - stats_before.reads,
-            writes: s.writes - stats_before.writes,
-            turnarounds: s.turnarounds - stats_before.turnarounds,
-        };
+        let stats = self.ctrl.stats() - stats_before;
 
         TransferReport {
             bytes,

@@ -63,6 +63,17 @@ impl DdrCounters {
         }
     }
 
+    /// Adds each counter of `delta` to the live counter of the same name.
+    pub(crate) fn add(&self, delta: DdrStats) {
+        self.row_hits.add(delta.row_hits);
+        self.row_misses.add(delta.row_misses);
+        self.row_conflicts.add(delta.row_conflicts);
+        self.refreshes.add(delta.refreshes);
+        self.reads.add(delta.reads);
+        self.writes.add(delta.writes);
+        self.turnarounds.add(delta.turnarounds);
+    }
+
     /// Materializes the classic [`DdrStats`] value from the live counters.
     pub fn view(&self) -> DdrStats {
         DdrStats {
