@@ -157,10 +157,6 @@ pub struct TokenSchedule {
     /// step, every prompt token for a prefill step, the committed tokens
     /// for a verify step.
     pub batch: usize,
-    /// The `(slot, position)` pair of every sequence taking part, in issue
-    /// order: the position a decode step writes, the last position a
-    /// prefill chunk writes, the last position a verify window commits.
-    pub slots: Vec<(usize, usize)>,
 }
 
 impl TokenSchedule {
@@ -502,10 +498,6 @@ pub fn chunked_prefill_schedule(
             .max()
             .unwrap_or(0),
         batch: total,
-        slots: chunks
-            .iter()
-            .map(|c| (c.slot, c.start + c.len - 1))
-            .collect(),
     }
 }
 
@@ -634,10 +626,6 @@ pub fn speculative_verify_schedule(
     }
 
     sched.batch = windows.iter().map(SpecWindow::committed).sum();
-    sched.slots = windows
-        .iter()
-        .map(|w| (w.slot, w.ctx + w.accepted))
-        .collect();
     sched
 }
 
@@ -826,7 +814,6 @@ mod tests {
                 let slots: Vec<(usize, usize)> = (0..4).map(|s| (s, ctx)).collect();
                 let ragged = ragged_token_schedule(&image, &slots, mode);
                 assert_eq!(batched.ops.len(), ragged.ops.len());
-                assert_eq!(batched.slots, ragged.slots);
                 for (a, b) in batched.ops.iter().zip(&ragged.ops) {
                     assert_eq!((a.kind, a.layer), (b.kind, b.layer));
                     assert_eq!(a.bytes(), b.bytes());
@@ -1061,7 +1048,6 @@ mod tests {
         let dec = token_schedule(&image, 9, PipelineMode::Fused);
         assert_eq!(spec.total_bytes(), dec.total_bytes());
         assert_eq!(spec.batch, 1);
-        assert_eq!(spec.slots, vec![(0, 9)]);
         assert!(!spec
             .ops
             .iter()
@@ -1090,7 +1076,6 @@ mod tests {
         assert_eq!(head.compute_fanout, 5);
         // The step commits accepted + 1 tokens, not K + 1.
         assert_eq!(spec.batch, 3);
-        assert_eq!(spec.slots, vec![(0, 10)]);
         // Coarse mode exposes one final RMSNorm per verify position.
         let coarse = speculative_verify_schedule(&image, &w, PipelineMode::Coarse);
         let head = ops(&coarse, OpKind::LmHead, None)[0];
@@ -1124,7 +1109,6 @@ mod tests {
         let head = spec.ops.iter().find(|o| o.kind == OpKind::LmHead).unwrap();
         assert_eq!(head.compute_fanout, 4 + 3);
         assert_eq!(spec.batch, 4 + 1, "committed = Σ (accepted + 1)");
-        assert_eq!(spec.slots, vec![(0, 7), (1, 9)]);
     }
 
     #[test]

@@ -17,10 +17,8 @@ use crate::schedule::{
 };
 use crate::tier::{TierConfig, TierReport, TierState};
 use crate::vpu::{Vpu, VpuCounters};
-use std::collections::HashMap;
-use std::rc::Rc;
 use zllm_ddr::compress::{CompressionConfig, StreamClass};
-use zllm_ddr::{DdrCounters, MemorySystem};
+use zllm_ddr::{DdrCounters, MemorySystem, TransferReport};
 use zllm_layout::addr_map::AllocError;
 use zllm_model::{memory, ModelConfig};
 use zllm_telemetry::{Counter, Gauge, MetricsRegistry, Snapshot};
@@ -98,6 +96,21 @@ fn stream_class_of(kind: OpKind) -> StreamClass {
         | OpKind::KvMetaRollback
         | OpKind::KvPtRollback => StreamClass::Meta,
     }
+}
+
+/// A step's wall time in nanoseconds. The memory stream — DDR wire time,
+/// the decompressor's exposed stall and tier staging, which shares the
+/// bus — overlaps VPU compute (cut-through, so a compute-bound step hides
+/// all three); exposed misc cycles and the tier's demand stall add after
+/// the overlap.
+fn step_wall_ns(
+    mem: &TransferReport,
+    staging_ns: f64,
+    compute_ns: f64,
+    exposed_ns: f64,
+    stall_ns: f64,
+) -> f64 {
+    (mem.wall_ns + mem.decomp_stall_ns + staging_ns).max(compute_ns) + exposed_ns + stall_ns
 }
 
 /// How a speculative step's draft tokens are priced.
@@ -228,94 +241,10 @@ pub struct DecodeEngine {
     /// [`zllm_ddr::DdrStats`] are value-type views over the same numbers.
     registry: MetricsRegistry,
     metrics: DecodeMetrics,
-    /// Lockstep decode schedules already derived, keyed by
-    /// `(ctx, batch)`. A schedule is a pure function of
-    /// `(image, ctx, batch, pipeline)` and image and pipeline are fixed
-    /// for the engine's lifetime, so reuse is exact. Bounded by
-    /// [`SCHEDULE_CACHE_CAP`]; misses past the cap are priced from a
-    /// freshly derived schedule without being retained. Ragged, prefill
-    /// and verify shapes rarely repeat and are always derived fresh.
-    schedules: HashMap<(usize, usize), Rc<CachedSchedule>>,
     /// The synthetic draft model's placed image
     /// ([`DraftCost::Synthetic`]), cached across speculative steps and
     /// rebuilt only when the draft geometry changes.
     draft: Option<(ModelConfig, ModelImage)>,
-}
-
-/// Upper bound on retained schedules. Sweeps and the perf gate revisit a
-/// handful of context lengths; a token-by-token generation run visits each
-/// context once, where caching buys nothing — so stop retaining rather
-/// than let a long run hold hundreds of schedules alive.
-const SCHEDULE_CACHE_CAP: usize = 64;
-
-/// A step schedule plus everything `price` derives from it alone:
-/// schedule-wide totals, the per-kind byte breakdown, and the telemetry
-/// counters those kinds publish into — resolved once instead of a
-/// `format!`-keyed registry lookup per kind per step.
-#[derive(Debug)]
-struct CachedSchedule {
-    sched: TokenSchedule,
-    /// Read beats grouped by compute fanout, in first-appearance order.
-    /// A `(fanout, beats)` group costs `beats ×
-    /// AccelConfig::beat_cycles(fanout)` VPU cycles; at `batch = 1` there
-    /// is a single group at fanout 1.
-    beat_groups: Vec<(u32, u64)>,
-    exposed_misc: u64,
-    /// Bytes per operation kind, in first-appearance order.
-    breakdown: Vec<(OpKind, u64)>,
-    /// `decode.bytes.{kind}` handles, parallel to `breakdown`.
-    kind_counters: Vec<Counter>,
-    /// Consecutive ops grouped by layer (`None` for embedding, head and
-    /// metadata traffic), with the group's bytes — the runs the tier walk
-    /// paces a step by.
-    layer_segments: Vec<(Option<usize>, u64)>,
-    /// Compression stream class per op, parallel to `sched.ops`.
-    classes: Vec<StreamClass>,
-}
-
-impl CachedSchedule {
-    fn build(sched: TokenSchedule, registry: &mut MetricsRegistry) -> CachedSchedule {
-        // Aggregate bytes by operation kind and read beats by compute
-        // fanout.
-        let mut breakdown: Vec<(OpKind, u64)> = Vec::new();
-        let mut beat_groups: Vec<(u32, u64)> = Vec::new();
-        let mut layer_segments: Vec<(Option<usize>, u64)> = Vec::new();
-        let classes = sched
-            .ops
-            .iter()
-            .map(|op| stream_class_of(op.kind))
-            .collect();
-        for op in &sched.ops {
-            match layer_segments.last_mut() {
-                Some((l, b)) if *l == op.layer => *b += op.bytes(),
-                _ => layer_segments.push((op.layer, op.bytes())),
-            }
-            match breakdown.iter_mut().find(|(k, _)| *k == op.kind) {
-                Some((_, b)) => *b += op.bytes(),
-                None => breakdown.push((op.kind, op.bytes())),
-            }
-            match beat_groups
-                .iter_mut()
-                .find(|(f, _)| *f == op.compute_fanout)
-            {
-                Some((_, b)) => *b += op.vpu_beats,
-                None => beat_groups.push((op.compute_fanout, op.vpu_beats)),
-            }
-        }
-        let kind_counters = breakdown
-            .iter()
-            .map(|(kind, _)| registry.counter(&format!("decode.bytes.{}", kind.name())))
-            .collect();
-        CachedSchedule {
-            beat_groups,
-            exposed_misc: sched.total_exposed_misc(),
-            breakdown,
-            kind_counters,
-            layer_segments,
-            classes,
-            sched,
-        }
-    }
 }
 
 /// Pre-resolved handles for the metrics the pricing loop publishes, so
@@ -477,7 +406,6 @@ impl DecodeEngine {
             roofline_tokens_per_s: roofline,
             registry,
             metrics,
-            schedules: HashMap::new(),
             draft: None,
         }
     }
@@ -555,8 +483,8 @@ impl DecodeEngine {
     /// Panics if `batch` is zero or exceeds the engine's provisioning
     /// ([`ImageSpec::batch`]).
     pub fn decode_token_batch(&mut self, ctx: usize, batch: usize) -> TokenReport {
-        let cached = self.schedule_for(ctx, batch);
-        self.price(&cached)
+        let sched = batched_token_schedule(&self.image, ctx, batch, self.accel.pipeline);
+        self.price(sched, 0.0)
     }
 
     /// Prices one *ragged* (continuous-batching) decode step: each
@@ -565,16 +493,13 @@ impl DecodeEngine {
     /// all participants; each sequence pays exactly its own KV traffic,
     /// so a freshly joined sequence never pads to the longest veteran.
     ///
-    /// Ragged shapes rarely repeat (every step advances each sequence),
-    /// so these schedules are derived fresh rather than cached.
-    ///
     /// # Panics
     ///
     /// Panics if `slots` is empty, repeats a slot, or names a slot or
     /// context beyond the engine's provisioning.
     pub fn decode_token_ragged(&mut self, slots: &[(usize, usize)]) -> TokenReport {
         let sched = ragged_token_schedule(&self.image, slots, self.accel.pipeline);
-        self.price_fresh(sched)
+        self.price(sched, 0.0)
     }
 
     /// Prices one chunked-prefill step: the weight stream is fetched once
@@ -583,16 +508,13 @@ impl DecodeEngine {
     /// chunk token's KV is written back. The report's `batch` counts
     /// prompt tokens, so `tokens_per_s` is prefill throughput.
     ///
-    /// Prefill shapes rarely repeat (each chunk advances `start`), so
-    /// these schedules are derived fresh rather than cached.
-    ///
     /// # Panics
     ///
     /// Panics if `chunks` is empty, a chunk is empty or repeats a slot,
     /// or a chunk runs past the engine's provisioning.
     pub fn prefill_chunked(&mut self, chunks: &[PrefillChunk]) -> TokenReport {
         let sched = chunked_prefill_schedule(&self.image, chunks, self.accel.pipeline);
-        self.price_fresh(sched)
+        self.price(sched, 0.0)
     }
 
     /// Prices one speculative decode step: each window verifies its
@@ -611,8 +533,6 @@ impl DecodeEngine {
     /// counts **committed** tokens (`accepted + 1` per window), so
     /// `tokens_per_s` is useful-token throughput, and the draft model's
     /// cost — priced per [`DraftCost`] — is folded into `wall_ns`.
-    /// Speculative shapes rarely repeat, so schedules are derived fresh
-    /// rather than cached, like prefill's.
     ///
     /// # Panics
     ///
@@ -624,18 +544,9 @@ impl DecodeEngine {
         let sched = speculative_verify_schedule(&self.image, windows, self.accel.pipeline);
         // Draft first: drafting precedes verification in the real loop,
         // so its DDR traffic sets the bank/refresh phase the verify
-        // stream then sees.
+        // stream then sees, and `price` adds its time to the wall last.
         let (draft_ns, draft_bytes) = self.draft_cost(windows, draft);
-        let mut report = self.price_fresh(sched);
-        report.wall_ns += draft_ns;
-        report.tokens_per_s = report.batch as f64 * 1e9 / report.wall_ns;
-        report.seq_tokens_per_s = 1e9 / report.wall_ns;
-        report.bandwidth_util = report.tokens_per_s / self.roofline_tokens_per_s;
-        // Re-set the step gauges `price` published from the draft-free
-        // wall.
-        self.metrics.tokens_per_s.set(report.tokens_per_s);
-        self.metrics.bandwidth_util.set(report.bandwidth_util);
-        self.metrics.wall_ns.set(report.wall_ns);
+        let report = self.price(sched, draft_ns);
         // Speculation telemetry exists only once a speculative step ran,
         // so non-speculative runs (and the committed baseline scenarios)
         // keep exactly their pre-speculation key set.
@@ -700,7 +611,7 @@ impl DecodeEngine {
                         let compute_ns =
                             accel.cycles_to_ns(sched.total_vpu_beats() * cpb + bubbles);
                         let exposed_ns = accel.cycles_to_ns(sched.total_exposed_misc());
-                        total_ns += report.wall_ns.max(compute_ns) + exposed_ns;
+                        total_ns += step_wall_ns(&report, 0.0, compute_ns, exposed_ns, 0.0);
                         bytes += report.bytes;
                     }
                 }
@@ -709,86 +620,90 @@ impl DecodeEngine {
         }
     }
 
-    /// Prices a schedule derived for this step alone.
-    fn price_fresh(&mut self, sched: TokenSchedule) -> TokenReport {
-        let cached = CachedSchedule::build(sched, &mut self.registry);
-        self.price(&cached)
-    }
-
-    /// The cached schedule for `(ctx, batch)`, deriving (and, below the
-    /// cache cap, retaining) it on first use.
-    fn schedule_for(&mut self, ctx: usize, batch: usize) -> Rc<CachedSchedule> {
-        if let Some(cached) = self.schedules.get(&(ctx, batch)) {
-            return Rc::clone(cached);
-        }
-        let sched = batched_token_schedule(&self.image, ctx, batch, self.accel.pipeline);
-        let cached = Rc::new(CachedSchedule::build(sched, &mut self.registry));
-        if self.schedules.len() < SCHEDULE_CACHE_CAP {
-            self.schedules.insert((ctx, batch), Rc::clone(&cached));
-        }
-        cached
-    }
-
-    fn price(&mut self, cached: &CachedSchedule) -> TokenReport {
-        let sched = &cached.sched;
+    /// Prices one step's schedule through the memory system, the VPU and
+    /// the weight tier, and publishes it. `draft_ns` is a speculative
+    /// step's draft time, the last term of its wall (0 for every other
+    /// step kind).
+    fn price(&mut self, sched: TokenSchedule, draft_ns: f64) -> TokenReport {
         let batch = sched.batch;
+        // Per-step aggregates, each in first-appearance order: bytes per
+        // operation kind; read beats per compute fanout (a `(fanout,
+        // beats)` group costs `beats × beat_cycles(fanout)` VPU cycles);
+        // and consecutive ops per layer with their bytes (`None` for
+        // embedding, head and metadata traffic), the runs the tier walk
+        // paces a step by.
+        let mut breakdown: Vec<(OpKind, u64)> = Vec::new();
+        let mut beat_groups: Vec<(u32, u64)> = Vec::new();
+        let mut layer_segments: Vec<(Option<usize>, u64)> = Vec::new();
+        for op in &sched.ops {
+            let bytes = op.bytes();
+            match layer_segments.last_mut() {
+                Some((l, b)) if *l == op.layer => *b += bytes,
+                _ => layer_segments.push((op.layer, bytes)),
+            }
+            match breakdown.iter_mut().find(|(k, _)| *k == op.kind) {
+                Some((_, b)) => *b += bytes,
+                None => breakdown.push((op.kind, bytes)),
+            }
+            match beat_groups
+                .iter_mut()
+                .find(|(f, _)| *f == op.compute_fanout)
+            {
+                Some((_, b)) => *b += op.vpu_beats,
+                None => beat_groups.push((op.compute_fanout, op.vpu_beats)),
+            }
+        }
         // `comp.*` telemetry appears only once compressed traffic is
         // actually priced (all-identity configurations stay invisible).
         self.mem.register_compression(&mut self.registry);
         // Memory time: the whole step's classed bursts streamed through
         // the memory system (and its compression stage, when one is set),
         // without materializing an intermediate Vec. Logical bytes are
-        // the engine's accounting currency; the wall is wire time, and
-        // the decompressor's exposed stall extends the memory term below.
-        let report = self.mem.transfer_classed(
-            sched
-                .ops
-                .iter()
-                .zip(&cached.classes)
-                .flat_map(|(o, &class)| o.bursts.iter().map(move |b| (*b, class))),
-        );
+        // the engine's accounting currency; the wall is wire time.
+        let report = self.mem.transfer_classed(sched.ops.iter().flat_map(|o| {
+            let class = stream_class_of(o.kind);
+            o.bursts.iter().map(move |b| (*b, class))
+        }));
 
-        let vpu_cycles: u64 = cached
-            .beat_groups
+        let vpu_cycles: u64 = beat_groups
             .iter()
             .map(|&(fanout, beats)| beats * self.accel.beat_cycles(fanout))
             .sum();
-        let exposed = cached.exposed_misc;
+        let exposed = sched.total_exposed_misc();
         // Fused-pipeline bubbles: one VPU fill/drain per operation
         // boundary (dependency handoff).
         let bubbles = sched.ops.len() as u64 * self.vpu.pipeline_latency();
-
         let compute_ns = self.accel.cycles_to_ns(vpu_cycles + bubbles);
         let exposed_ns = self.accel.cycles_to_ns(exposed);
-        // The decompressor stall extends the memory term (cut-through: a
-        // compute-bound engine hides it), like the tier's staging time.
-        let mem_ns = report.wall_ns + report.decomp_stall_ns;
         // Weight-tier effects: walk the token's layer runs against the
         // flash timeline. Prefetch staging adds contention on the DDR bus
         // (it shares the controller with the decode stream); demand
         // misses and late prefetches stall the whole pipeline. The walk
         // paces itself by the tier-free wall — conservative, since the
         // real token is never faster than that.
-        let base_wall_ns = mem_ns.max(compute_ns) + exposed_ns;
         let (stall_ns, staging_ns) = match self.tier.as_mut() {
-            Some(tier) => tier.walk_token(
-                &mut self.mem,
-                &cached.layer_segments,
-                report.logical_bytes,
-                base_wall_ns,
-            ),
+            Some(tier) => {
+                let pace_ns = step_wall_ns(&report, 0.0, compute_ns, exposed_ns, 0.0);
+                tier.walk_token(
+                    &mut self.mem,
+                    &layer_segments,
+                    report.logical_bytes,
+                    pace_ns,
+                )
+            }
             None => (0.0, 0.0),
         };
-        let wall_ns = (mem_ns + staging_ns).max(compute_ns) + exposed_ns + stall_ns;
+        let wall_ns =
+            step_wall_ns(&report, staging_ns, compute_ns, exposed_ns, stall_ns) + draft_ns;
         let tokens_per_s = batch as f64 * 1e9 / wall_ns;
         let seq_tokens_per_s = 1e9 / wall_ns;
+        let bandwidth_util = tokens_per_s / self.roofline_tokens_per_s;
 
         // Byte split for the amortization metrics, measured from the
         // schedule itself: per-sequence kinds scale with `batch`, the
         // rest is the shared weight stream paid once.
         let bytes_where = |keep: fn(OpKind) -> bool| -> u64 {
-            cached
-                .breakdown
+            breakdown
                 .iter()
                 .filter(|&&(kind, _)| keep(kind))
                 .map(|&(_, b)| b)
@@ -806,28 +721,26 @@ impl DecodeEngine {
         // Publish into the registry: counters accumulate across the run,
         // gauges reflect the most recent priced step. The DDR counters
         // were already bumped inside `transfer_classed()` via the shared
-        // handles, and the per-kind byte counters were resolved when the
-        // schedule was cached.
+        // handles.
         self.metrics.tokens.add(batch as u64);
         self.metrics.bytes.add(report.logical_bytes);
         self.metrics.vpu_cycles.add(vpu_cycles);
         self.metrics.bubble_cycles.add(bubbles);
         self.metrics.exposed_misc_cycles.add(exposed);
         self.metrics.tokens_per_s.set(tokens_per_s);
-        self.metrics
-            .bandwidth_util
-            .set(tokens_per_s / self.roofline_tokens_per_s);
+        self.metrics.bandwidth_util.set(bandwidth_util);
         self.metrics.wall_ns.set(wall_ns);
-        for ((_, bytes), counter) in cached.breakdown.iter().zip(&cached.kind_counters) {
-            counter.add(*bytes);
+        for &(kind, bytes) in &breakdown {
+            let name = format!("decode.bytes.{}", kind.name());
+            self.registry.counter(&name).add(bytes);
         }
-        // Batch gauges appear only once a batched step has been priced,
-        // so single-sequence snapshots (and the committed baseline) keep
-        // exactly their pre-batching key set.
         let ns_per_cycle = self.accel.cycles_to_ns(1);
         if let Some(tier) = self.tier.as_mut() {
             tier.publish(&mut self.registry, ns_per_cycle);
         }
+        // Batch gauges appear only once a batched step has been priced,
+        // so single-sequence snapshots (and the committed baseline) keep
+        // exactly their pre-batching key set.
         if batch > 1 {
             self.registry.gauge("decode.batch.size").set(batch as f64);
             self.registry
@@ -850,10 +763,10 @@ impl DecodeEngine {
             wall_ns,
             tokens_per_s,
             seq_tokens_per_s,
-            bandwidth_util: tokens_per_s / self.roofline_tokens_per_s,
+            bandwidth_util,
             weight_amortization,
             kv_share,
-            breakdown: cached.breakdown.clone(),
+            breakdown,
         }
     }
 
@@ -1022,56 +935,65 @@ mod tests {
         engine.decode_speculative(&windows, &DraftCost::FlatNs { ns_per_token: 0.0 })
     }
 
+    /// A step on a four-slot engine; with `zero_draft`, a decode step is
+    /// priced as a [`zero_draft_verify`] pass.
+    type Step = fn(&mut DecodeEngine, bool) -> TokenReport;
+
     /// One step of each kind but single-sequence decode: a lockstep
     /// batch, a ragged step, a two-chunk prefill and a two-window verify
-    /// with a synthetic draft. With `zero_draft` the lockstep and ragged
-    /// steps are priced as [`zero_draft_verify`] passes.
+    /// with a synthetic draft.
+    const STEP_KINDS: [Step; 4] = [
+        |engine, zero_draft| match zero_draft {
+            true => zero_draft_verify(engine, &[(0, 5), (1, 5), (2, 5), (3, 5)]),
+            false => engine.decode_token_batch(5, 4),
+        },
+        |engine, zero_draft| {
+            let ragged = [(0, 3), (2, 17), (3, 30)];
+            match zero_draft {
+                true => zero_draft_verify(engine, &ragged),
+                false => engine.decode_token_ragged(&ragged),
+            }
+        },
+        |engine, _| {
+            engine.prefill_chunked(&[
+                PrefillChunk {
+                    slot: 1,
+                    start: 0,
+                    len: 16,
+                },
+                PrefillChunk {
+                    slot: 3,
+                    start: 4,
+                    len: 9,
+                },
+            ])
+        },
+        |engine, _| {
+            let windows = [
+                SpecWindow {
+                    slot: 0,
+                    ctx: 14,
+                    drafted: 4,
+                    accepted: 1,
+                },
+                SpecWindow {
+                    slot: 2,
+                    ctx: 20,
+                    drafted: 3,
+                    accepted: 3,
+                },
+            ];
+            let model = ModelConfig::test_small();
+            engine.decode_speculative(&windows, &DraftCost::Synthetic { model })
+        },
+    ];
+
+    /// Every [`STEP_KINDS`] step, in order.
     fn every_step_kind(engine: &mut DecodeEngine, zero_draft: bool) -> Vec<TokenReport> {
-        let lockstep = [(0, 5), (1, 5), (2, 5), (3, 5)];
-        let ragged = [(0, 3), (2, 17), (3, 30)];
-        let chunks = [
-            PrefillChunk {
-                slot: 1,
-                start: 0,
-                len: 16,
-            },
-            PrefillChunk {
-                slot: 3,
-                start: 4,
-                len: 9,
-            },
-        ];
-        let windows = [
-            SpecWindow {
-                slot: 0,
-                ctx: 14,
-                drafted: 4,
-                accepted: 1,
-            },
-            SpecWindow {
-                slot: 2,
-                ctx: 20,
-                drafted: 3,
-                accepted: 3,
-            },
-        ];
-        let draft = DraftCost::Synthetic {
-            model: ModelConfig::test_small(),
-        };
-        vec![
-            if zero_draft {
-                zero_draft_verify(engine, &lockstep)
-            } else {
-                engine.decode_token_batch(5, 4)
-            },
-            if zero_draft {
-                zero_draft_verify(engine, &ragged)
-            } else {
-                engine.decode_token_ragged(&ragged)
-            },
-            engine.prefill_chunked(&chunks),
-            engine.decode_speculative(&windows, &draft),
-        ]
+        STEP_KINDS
+            .iter()
+            .map(|step| step(engine, zero_draft))
+            .collect()
     }
 
     /// One 64-token `test_small` sequence behind a schedule-aware eMMC
@@ -1137,18 +1059,17 @@ mod tests {
     }
 
     #[test]
-    fn schedule_cache_reuses_and_stays_exact() {
+    fn repeated_step_prices_the_same_schedule() {
         let mut engine = small_engine(PipelineMode::Fused);
         let first = engine.decode_token(8);
         let again = engine.decode_token(8);
-        assert_eq!(engine.schedules.len(), 1, "same ctx should share one entry");
-        // Reuse must not change what the schedule describes — only the
-        // DDR phase (refresh timing) may differ between the two steps.
+        // Only the DDR phase (refresh timing) may differ between the two
+        // steps, never what the schedule describes.
         assert_eq!(first.bytes, again.bytes);
         assert_eq!(first.vpu_cycles, again.vpu_cycles);
         assert_eq!(first.breakdown, again.breakdown);
-        // The cached breakdown matches a fresh aggregation of the raw
-        // schedule, byte for byte and in first-appearance order.
+        // The breakdown matches a fresh aggregation of the raw schedule,
+        // byte for byte and in first-appearance order.
         let sched = token_schedule(engine.image(), 8, PipelineMode::Fused);
         let mut expected: Vec<(OpKind, u64)> = Vec::new();
         for op in &sched.ops {
@@ -1158,18 +1079,6 @@ mod tests {
             }
         }
         assert_eq!(first.breakdown, expected);
-    }
-
-    #[test]
-    fn schedule_cache_is_bounded() {
-        let mut engine =
-            DecodeEngine::new(AccelConfig::kv260(), &ModelConfig::test_small(), 256).expect("fits");
-        for ctx in 0..200 {
-            engine.decode_token(ctx);
-        }
-        assert!(engine.schedules.len() <= SCHEDULE_CACHE_CAP);
-        // Contexts past the cap are still priced correctly.
-        assert!(engine.decode_token(199).bytes > 0);
     }
 
     #[test]
@@ -1416,7 +1325,43 @@ mod tests {
             hash = fold_report(hash, &tiered.decode_token(ctx));
         }
         hash = fnv1a(hash, tiered.metrics_snapshot().to_json().as_bytes());
-        assert_eq!(hash, 0x2bf9_4605_c8ff_f245, "pin moved to {hash:#018x}");
+        assert_eq!(hash, 0x67e9_01d7_d8a9_d513, "pin moved to {hash:#018x}");
+    }
+
+    #[test]
+    fn step_gauges_agree_with_the_report_for_every_step_kind() {
+        // After every step kind the step gauges hold the report's own
+        // numbers, bit for bit: a verify step's draft time is part of the
+        // one wall both are derived from.
+        let flat_verify: Step = |engine, _| {
+            let window = SpecWindow {
+                slot: 1,
+                ctx: 6,
+                drafted: 3,
+                accepted: 1,
+            };
+            let draft = DraftCost::FlatNs {
+                ns_per_token: 2_500.0,
+            };
+            engine.decode_speculative(&[window], &draft)
+        };
+        let mut engine = engine(paged());
+        for (i, step) in STEP_KINDS.iter().chain([&flat_verify]).enumerate() {
+            let r = step(&mut engine, false);
+            let gauges = engine.metrics_snapshot().gauges;
+            let mut want = vec![
+                ("decode.wall_ns", r.wall_ns),
+                ("decode.tokens_per_s", r.tokens_per_s),
+                ("decode.bandwidth_util", r.bandwidth_util),
+            ];
+            if r.batch > 1 {
+                want.push(("decode.batch.size", r.batch as f64));
+                want.push(("decode.batch.seq_tokens_per_s", r.seq_tokens_per_s));
+            }
+            for (name, value) in want {
+                assert_eq!(gauges[name].to_bits(), value.to_bits(), "step {i}: {name}");
+            }
+        }
     }
 
     #[test]
@@ -1655,16 +1600,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_cache_keys_on_ctx_and_batch() {
-        let mut engine = engine(batched(4));
-        engine.decode_token_batch(8, 1);
-        engine.decode_token_batch(8, 4);
-        engine.decode_token_batch(8, 4);
-        engine.decode_token(8);
-        assert_eq!(engine.schedules.len(), 2, "(8,1) and (8,4)");
-    }
-
-    #[test]
     fn uniform_ragged_step_prices_like_lockstep() {
         let mut engine = engine(batched(4));
         let lock = engine.decode_token_batch(8, 4);
@@ -1675,7 +1610,6 @@ mod tests {
         assert_eq!(lock.weight_amortization, ragged.weight_amortization);
         assert_eq!(lock.kv_share, ragged.kv_share);
         assert_eq!(lock.breakdown, ragged.breakdown);
-        assert_eq!(engine.schedules.len(), 1, "ragged steps are not cached");
     }
 
     #[test]
@@ -1949,35 +1883,5 @@ mod tests {
             },
         );
         assert_eq!(again.bytes, s.bytes);
-    }
-
-    #[cfg(feature = "proptest")]
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// A schedule-cache hit prices the very same step as a fresh
-            /// rebuild: identical bytes, VPU cycles, bubbles, breakdown,
-            /// and derived batch metrics (only the DDR refresh phase may
-            /// drift between steps, so wall time is excluded).
-            #[test]
-            fn cache_hit_matches_rebuild(ctx in 0usize..32, batch in 1usize..=4) {
-                let mut warm = engine(batched(4));
-                let rebuilt = warm.decode_token_batch(ctx, batch); // miss
-                let hit = warm.decode_token_batch(ctx, batch); // hit
-                let mut fresh = engine(batched(4));
-                let independent = fresh.decode_token_batch(ctx, batch); // rebuild
-                for other in [&hit, &independent] {
-                    prop_assert_eq!(rebuilt.bytes, other.bytes);
-                    prop_assert_eq!(rebuilt.vpu_cycles, other.vpu_cycles);
-                    prop_assert_eq!(rebuilt.bubble_cycles, other.bubble_cycles);
-                    prop_assert_eq!(rebuilt.exposed_misc_cycles, other.exposed_misc_cycles);
-                    prop_assert_eq!(&rebuilt.breakdown, &other.breakdown);
-                    prop_assert_eq!(rebuilt.weight_amortization, other.weight_amortization);
-                    prop_assert_eq!(rebuilt.kv_share, other.kv_share);
-                }
-            }
-        }
     }
 }

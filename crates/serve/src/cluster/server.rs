@@ -23,7 +23,7 @@ use crate::cluster::engine::ShardedEngine;
 use crate::cluster::interconnect::InterconnectConfig;
 use crate::cluster::router::{PipelineLoad, PlacementPolicy};
 use crate::request::{Request, RequestOutcome};
-use crate::sched::{Core, OutcomeFold};
+use crate::sched::{Core, OutcomeFold, PREFILL_CHUNK, STARVATION_BOUND_S};
 use crate::server::PagedConfig;
 use zllm_accel::{AccelConfig, ImageSpec, KvLayout, PrefillChunk};
 use zllm_layout::addr_map::AllocError;
@@ -41,14 +41,8 @@ pub struct ClusterConfig {
     pub ctx_capacity: usize,
     /// Concurrent KV slots per pipeline.
     pub slots: usize,
-    /// Maximum prompt tokens one chunked-prefill step may carry.
-    pub prefill_chunk: usize,
     /// Admission wait-queue capacity per pipeline.
     pub queue_cap: usize,
-    /// Anti-starvation bound for the admission queues, seconds.
-    pub starvation_bound_s: f64,
-    /// Multiplier on the class deadline budgets.
-    pub deadline_scale: f64,
     /// Request placement policy.
     pub policy: PlacementPolicy,
     /// The board-to-board link between pipeline stages.
@@ -68,10 +62,7 @@ impl ClusterConfig {
             depth,
             ctx_capacity,
             slots,
-            prefill_chunk: 32,
             queue_cap: 64,
-            starvation_bound_s: 60.0,
-            deadline_scale: 1.0,
             policy: PlacementPolicy::JoinShortestKv,
             interconnect: InterconnectConfig::ethernet_10g(),
             paged: None,
@@ -217,16 +208,14 @@ impl ClusterServer {
     ///
     /// # Panics
     ///
-    /// Panics on a zero-pipeline or zero-slot geometry, a depth outside
-    /// `1..=n_layers`, or a zero prefill chunk.
+    /// Panics on a zero-pipeline or zero-slot geometry, or a depth outside
+    /// `1..=n_layers`.
     pub fn new(
         accel: &AccelConfig,
         model: &ModelConfig,
         cfg: ClusterConfig,
     ) -> Result<ClusterServer, AllocError> {
         assert!(cfg.pipelines > 0, "at least one pipeline required");
-        assert!(cfg.prefill_chunk > 0, "prefill chunk must cover a token");
-        assert!(cfg.deadline_scale > 0.0, "deadline scale must be positive");
         let mut image = ImageSpec {
             batch: cfg.slots,
             ..ImageSpec::new(cfg.ctx_capacity)
@@ -249,10 +238,10 @@ impl ClusterServer {
                     slots: cfg.slots,
                     budget_bytes: engine.kv_budget_bytes(),
                     queue_cap: cfg.queue_cap,
-                    starvation_bound_s: cfg.starvation_bound_s,
+                    starvation_bound_s: STARVATION_BOUND_S,
                 },
                 cfg.ctx_capacity,
-                cfg.prefill_chunk,
+                PREFILL_CHUNK,
                 cfg.paged.as_ref().map(|p| (p, engine.kv_page_bytes())),
             );
             pipes.push(Pipeline {
@@ -382,12 +371,7 @@ impl ClusterServer {
                 (t.0 + c.0, t.1 + c.1, t.2 + c.2, t.3 + c.3)
             });
         let generated_tokens = total(|p| p.core.generated_tokens);
-        let fold = OutcomeFold::new(
-            &outcomes,
-            self.cfg.deadline_scale,
-            generated_tokens,
-            sim_seconds,
-        );
+        let fold = OutcomeFold::new(&outcomes, generated_tokens, sim_seconds);
         let admissions = || self.pipes.iter().map(|p| p.core.admission());
         ClusterReport {
             pipelines: self.cfg.pipelines,

@@ -12,8 +12,7 @@
 /// The budgets are calibrated to the edge regime this repository prices
 /// — a ~5 token/s LLaMA2-7B on the KV260, where prefill runs through the
 /// same bandwidth-bound vector engine as decode — not to datacenter
-/// latencies. They order the classes; absolute values can be rescaled
-/// via [`DeadlineClass::scaled`].
+/// latencies. They order the classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DeadlineClass {
     /// A user watching the tokens stream: tight TTFT and per-token
@@ -69,16 +68,6 @@ impl DeadlineClass {
             DeadlineClass::Standard => 2.5,
             DeadlineClass::Batch => 10.0,
         }
-    }
-
-    /// The class budgets multiplied by `scale` — `(ttft_s, token_s)`.
-    /// Lets fast configurations (small models, LPDDR5 parts) tighten the
-    /// deadlines proportionally.
-    pub fn scaled(self, scale: f64) -> (f64, f64) {
-        (
-            self.ttft_deadline_s() * scale,
-            self.token_deadline_s() * scale,
-        )
     }
 }
 
@@ -174,14 +163,14 @@ impl RequestOutcome {
     /// Whether the request completed within its class deadlines: TTFT in
     /// budget and mean per-token latency in budget (single-token answers
     /// only need the TTFT).
-    pub fn deadline_met(&self, scale: f64) -> bool {
-        let (ttft_budget, token_budget) = self.request.class.scaled(scale);
+    pub fn deadline_met(&self) -> bool {
+        let class = self.request.class;
         match self.ttft_s() {
             Some(ttft) if self.generated >= self.request.decode_tokens() => {
-                ttft <= ttft_budget
+                ttft <= class.ttft_deadline_s()
                     && self
                         .mean_token_latency_s()
-                        .is_none_or(|m| m <= token_budget)
+                        .is_none_or(|m| m <= class.token_deadline_s())
             }
             _ => false,
         }
@@ -200,9 +189,6 @@ mod tests {
             assert!(c.ttft_deadline_s() > last);
             last = c.ttft_deadline_s();
         }
-        let (t, p) = DeadlineClass::Interactive.scaled(0.5);
-        assert_eq!(t, 15.0);
-        assert_eq!(p, 0.5);
     }
 
     #[test]
@@ -227,15 +213,19 @@ mod tests {
         };
         assert_eq!(ok.ttft_s(), Some(2.0));
         assert_eq!(ok.mean_token_latency_s(), Some(0.5));
-        assert!(ok.deadline_met(1.0));
-        assert!(!ok.deadline_met(0.01), "tightened budgets now missed");
+        assert!(ok.deadline_met());
+        let late = RequestOutcome {
+            first_token_s: Some(41.0),
+            ..ok.clone()
+        };
+        assert!(!late.deadline_met(), "a 31 s TTFT misses the 30 s budget");
         let dropped = RequestOutcome {
             first_token_s: None,
             generated: 0,
             dropped: Some(DropReason::QueueFull),
             ..ok.clone()
         };
-        assert!(!dropped.deadline_met(1.0));
+        assert!(!dropped.deadline_met());
         // An early EOS finishes (and can meet its deadline) below the
         // cap, and out-of-range scripted values clamp into it.
         let early = RequestOutcome {
@@ -248,7 +238,7 @@ mod tests {
             ..ok
         };
         assert_eq!(early.request.decode_tokens(), 2);
-        assert!(early.deadline_met(1.0));
+        assert!(early.deadline_met());
         assert_eq!(
             Request {
                 eos_tokens: Some(0),

@@ -18,6 +18,14 @@ use crate::server::PagedConfig;
 use zllm_accel::PrefillChunk;
 use zllm_layout::kv_page::PagedKvAllocator;
 
+/// Prompt tokens one chunked-prefill step may carry across every sequence
+/// sharing it, on the board and on every cluster pipeline.
+pub(crate) const PREFILL_CHUNK: usize = 32;
+
+/// Seconds a queued head waits before the admission queues serve it ahead
+/// of higher-priority classes, on the board and on every cluster pipeline.
+pub(crate) const STARVATION_BOUND_S: f64 = 60.0;
+
 /// An in-flight sequence: the admitted request plus its progress.
 #[derive(Debug, Clone)]
 pub(crate) struct Active {
@@ -505,7 +513,6 @@ impl OutcomeFold {
     /// (recomputed ones included) in `sim_seconds`.
     pub(crate) fn new(
         outcomes: &[RequestOutcome],
-        deadline_scale: f64,
         generated_tokens: u64,
         sim_seconds: f64,
     ) -> OutcomeFold {
@@ -516,10 +523,7 @@ impl OutcomeFold {
                 0.0
             }
         };
-        let met: Vec<&RequestOutcome> = outcomes
-            .iter()
-            .filter(|o| o.deadline_met(deadline_scale))
-            .collect();
+        let met: Vec<&RequestOutcome> = outcomes.iter().filter(|o| o.deadline_met()).collect();
         let percentiles = |seconds: fn(&RequestOutcome) -> Option<f64>| {
             let mut v: Vec<f64> = outcomes
                 .iter()

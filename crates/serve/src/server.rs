@@ -24,7 +24,7 @@
 
 use crate::admission::AdmissionConfig;
 use crate::request::{Request, RequestOutcome};
-use crate::sched::{Core, OutcomeFold};
+use crate::sched::{Core, OutcomeFold, PREFILL_CHUNK, STARVATION_BOUND_S};
 use zllm_accel::{
     AccelConfig, DecodeEngine, DraftCost, EngineConfig, ImageSpec, KvLayout, SpecWindow,
 };
@@ -98,9 +98,9 @@ impl Default for PagedConfig {
 /// positions in one weight stream, committing between 1 and `k + 1`
 /// tokens. The serving layer does not simulate the draft model token by
 /// token — acceptance is drawn i.i.d. per drafted token at
-/// `accept_rate` from a seeded generator, and the draft's cost is
-/// priced as a flat per-token latency folded into the step's wall time
-/// (see [`zllm_accel::DraftCost`]). Under the paged allocator the
+/// `accept_rate` from a generator with a fixed seed, and the draft is
+/// free (`DraftCost::FlatNs` at 0 ns, the upper bound on speculation's
+/// uplift; see [`zllm_accel::DraftCost`]). Under the paged allocator the
 /// window's up-to-`k`-token KV overhang is charged to admission before
 /// the step and the rejected tokens' pages are uncharged after it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,24 +109,17 @@ pub struct SpeculationConfig {
     pub k: usize,
     /// Per-token probability a drafted token survives verification.
     pub accept_rate: f64,
-    /// Flat draft cost per drafted token, nanoseconds.
-    pub draft_ns_per_token: f64,
-    /// Seed for the acceptance draws.
-    pub seed: u64,
 }
 
 impl SpeculationConfig {
-    /// A window of `k` draft tokens at the given accept rate, with a
-    /// free draft and a fixed default seed.
+    /// A window of `k` draft tokens at the given accept rate.
     pub fn new(k: usize, accept_rate: f64) -> SpeculationConfig {
-        SpeculationConfig {
-            k,
-            accept_rate,
-            draft_ns_per_token: 0.0,
-            seed: 0x5eed,
-        }
+        SpeculationConfig { k, accept_rate }
     }
 }
+
+/// Seed of the speculative acceptance draws.
+const SPEC_SEED: u64 = 0x5eed;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -137,20 +130,12 @@ pub struct ServerConfig {
     pub slots: usize,
     /// Batching discipline.
     pub mode: BatchingMode,
-    /// Maximum prompt tokens a single chunked-prefill step may carry
-    /// (across all sequences sharing the step).
-    pub prefill_chunk: usize,
     /// Admission wait-queue capacity.
     pub queue_cap: usize,
-    /// Anti-starvation bound for the admission queues, seconds.
-    pub starvation_bound_s: f64,
     /// Overrides the KV byte budget (defaults to the image's own
     /// [`kv_budget_bytes`](zllm_accel::ModelImage::kv_budget_bytes);
     /// tighten it to study admission behaviour under capacity pressure).
     pub kv_budget_bytes: Option<u64>,
-    /// Multiplier on the class deadline budgets (small models / fast
-    /// memory parts tighten deadlines proportionally).
-    pub deadline_scale: f64,
     /// When set, the KV cache is paged and admission charges actual
     /// growth instead of the worst case. Continuous batching only.
     pub paged: Option<PagedConfig>,
@@ -167,11 +152,8 @@ impl ServerConfig {
             ctx_capacity,
             slots,
             mode: BatchingMode::Continuous,
-            prefill_chunk: 32,
             queue_cap: 64,
-            starvation_bound_s: 60.0,
             kv_budget_bytes: None,
-            deadline_scale: 1.0,
             paged: None,
             speculative: None,
         }
@@ -285,11 +267,6 @@ impl Server {
         cfg: ServerConfig,
     ) -> Result<Server, AllocError> {
         assert!(cfg.slots > 0, "at least one slot required");
-        assert!(
-            cfg.prefill_chunk > 0,
-            "prefill chunk must cover at least one token"
-        );
-        assert!(cfg.deadline_scale > 0.0, "deadline scale must be positive");
         if let Some(s) = &cfg.speculative {
             assert!(
                 cfg.mode == BatchingMode::Continuous,
@@ -299,10 +276,6 @@ impl Server {
             assert!(
                 (0.0..=1.0).contains(&s.accept_rate),
                 "accept rate is a probability"
-            );
-            assert!(
-                s.draft_ns_per_token >= 0.0,
-                "draft cost must be nonnegative"
             );
         }
         let mut image = ImageSpec {
@@ -362,10 +335,10 @@ impl Server {
                 slots: cfg.slots,
                 budget_bytes: self.budget_bytes,
                 queue_cap: cfg.queue_cap,
-                starvation_bound_s: cfg.starvation_bound_s,
+                starvation_bound_s: STARVATION_BOUND_S,
             },
             cfg.ctx_capacity,
-            cfg.prefill_chunk,
+            PREFILL_CHUNK,
             cfg.paged
                 .as_ref()
                 .map(|p| (p, self.engine.image().kv_page_bytes())),
@@ -378,7 +351,7 @@ impl Server {
         let mut gang_pad: Option<usize> = None;
         // Speculation state: the seeded acceptance generator plus the
         // drafted/accepted tallies for the report.
-        let mut spec_rng = cfg.speculative.map(|s| StdRng::seed_from_u64(s.seed));
+        let mut spec_rng = cfg.speculative.map(|_| StdRng::seed_from_u64(SPEC_SEED));
         let mut spec_drafted = 0u64;
         let mut spec_accepted = 0u64;
 
@@ -472,10 +445,8 @@ impl Server {
                         });
                         owners.push(i);
                     }
-                    let draft = DraftCost::FlatNs {
-                        ns_per_token: spec.draft_ns_per_token,
-                    };
-                    let r = self.engine.decode_speculative(&windows, &draft);
+                    let free = DraftCost::FlatNs { ns_per_token: 0.0 };
+                    let r = self.engine.decode_speculative(&windows, &free);
                     for (w, &i) in windows.iter().zip(&owners) {
                         committed[i] = w.accepted + 1;
                         spec_drafted += w.drafted as u64;
@@ -497,7 +468,7 @@ impl Server {
         let (offered, admitted, rejected_queue_full, rejected_infeasible) =
             core.admission().counts();
         let (kv_peak_bytes, queue_peak) = core.admission().peaks();
-        let fold = OutcomeFold::new(&outcomes, cfg.deadline_scale, core.generated_tokens, now);
+        let fold = OutcomeFold::new(&outcomes, core.generated_tokens, now);
         let report = ServeReport {
             mode: cfg.mode,
             sim_seconds: now,

@@ -38,7 +38,7 @@ fn main() {
         let r = &o.request;
         let status = match o.dropped {
             Some(reason) => format!("dropped ({reason:?})"),
-            None if o.deadline_met(1.0) => "met deadline".to_owned(),
+            None if o.deadline_met() => "met deadline".to_owned(),
             None => "late".to_owned(),
         };
         println!(
