@@ -5,9 +5,12 @@
 //! This path never touches tensor data — for a bandwidth-bound workload
 //! the wall time is governed entirely by the memory stream and the
 //! pipeline's exposed cycles, both of which the schedule captures. The
-//! numerically faithful datapath lives in [`crate::functional`] and shares
-//! the same schedule generator, so the two views are consistent by
-//! construction.
+//! numerically faithful datapath lives in [`crate::functional`], which
+//! writes its op order separately from the schedule generator: the two
+//! views agree where `tests/consistency.rs` checks them, per step at batch
+//! one (weight, KV and pack-metadata beats against the VPU and KV-pack
+//! counters), and batched, ragged, paged, prefill, verify and sharded
+//! steps are unchecked (ROADMAP item 8 owns one plan for both).
 
 use crate::config::AccelConfig;
 use crate::image::{ImageSpec, ModelImage};

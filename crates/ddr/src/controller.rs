@@ -1529,9 +1529,15 @@ mod tests {
         /// the first activates after a refresh can wait on the history the
         /// previous epoch handed on. The last two arms skip the depths
         /// below 6, where CL (17 cycles) outlasts the lookahead's bus time
-        /// and no stretch runs.
-        fn memories() -> impl Strategy<Value = (DdrConfig, usize)> {
+        /// and no stretch runs. The tFAW arm also draws a read (start
+        /// address, accesses past its first period jump) for [`cases`] to
+        /// append: a jump hands its history on to the first activates after
+        /// the refresh it lands on, and only a burst that ends within a row
+        /// window of that refresh still holds their activate times when
+        /// the timing states are compared.
+        fn memories() -> impl Strategy<Value = (DdrConfig, usize, Option<(u64, u32)>)> {
             let [faw, rrd, lp4_faw] = adversarial_memories();
+            let no_read = |(cfg, lookahead)| (cfg, lookahead, None);
             prop_oneof![
                 (
                     prop_oneof![
@@ -1542,26 +1548,91 @@ mod tests {
                         Just(DdrConfig::lpddr5_6400_embedded()),
                     ],
                     prop_oneof![Just(6usize), Just(8), Just(32), Just(64)],
-                ),
+                )
+                    .prop_map(no_read),
                 (
                     prop_oneof![Just(faw), Just(rrd), Just(lp4_faw)],
                     prop_oneof![Just(32usize), Just(64)],
-                ),
+                )
+                    .prop_map(no_read),
                 (
                     (400u32..2400).prop_map(|trefi| DdrConfig {
                         trefi,
                         ..DdrConfig::ddr4_2400_kv260()
                     }),
                     prop_oneof![Just(8usize), Just(32), Just(64)],
-                ),
+                )
+                    .prop_map(no_read),
                 (
                     (313u32..512).prop_map(|tfaw| DdrConfig {
                         tfaw,
                         ..DdrConfig::ddr4_2400_kv260()
                     }),
                     prop_oneof![Just(8usize), Just(32), Just(64)],
-                ),
+                    0u64..(1 << 16),
+                    1u32..64,
+                )
+                    .prop_map(|(cfg, lookahead, addr, past)| (
+                        cfg,
+                        lookahead,
+                        Some((addr, past))
+                    )),
             ]
+        }
+
+        /// Longest read [`jump_landing`] tries: a sequential read on KV260
+        /// timing repeats every 64 refresh epochs (144,768 accesses), walks
+        /// one period, replays the next and jumps only once it runs past a
+        /// third (about 439k accesses from a cold controller).
+        const LONGEST_JUMP_READ: u32 = 600_000;
+
+        /// The index of the access the first period jump of a read from
+        /// `addr` lands on when the read follows `prefix`: one less than the
+        /// shortest such read that jumps. `None` when a read of
+        /// [`LONGEST_JUMP_READ`] accesses jumps no epoch (at lookahead 8 the
+        /// KV260 timing never does).
+        fn jump_landing(
+            cfg: &DdrConfig,
+            lookahead: usize,
+            prefix: &[(u64, u32, bool)],
+            addr: u64,
+        ) -> Option<u32> {
+            let jumps = |beats| {
+                let mut c = DdrController::new(cfg.clone(), lookahead);
+                for &(addr, beats, write) in prefix {
+                    c.burst(addr, beats, write);
+                }
+                let before = c.jumped_epochs;
+                c.burst(addr, beats, false);
+                c.jumped_epochs > before
+            };
+            if !jumps(LONGEST_JUMP_READ) {
+                return None;
+            }
+            let (mut lo, mut hi) = (0, LONGEST_JUMP_READ);
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if jumps(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            Some(hi - 1)
+        }
+
+        /// One case of the differential property: a burst stream and a
+        /// memory, drawn in that order, plus the tFAW arm's read appended
+        /// to end its drawn count of accesses past its first period jump.
+        fn cases() -> impl Strategy<Value = (DdrConfig, usize, Vec<(u64, u32, bool)>)> {
+            (burst_streams(), memories()).prop_map(|(mut bursts, (cfg, lookahead, read))| {
+                if let Some((addr, past)) = read {
+                    if let Some(landing) = jump_landing(&cfg, lookahead, &bursts, addr) {
+                        bursts.push((addr, landing + past, false));
+                    }
+                }
+                (cfg, lookahead, bursts)
+            })
         }
 
         #[test]
@@ -1575,8 +1646,7 @@ mod tests {
             let mut jumped = false;
             for case in 0..ProptestConfig::default().cases as u64 {
                 let mut rng = proptest::TestRng::for_case(name, case);
-                let bursts = burst_streams().generate(&mut rng);
-                let (cfg, lookahead) = memories().generate(&mut rng);
+                let (cfg, lookahead, bursts) = cases().generate(&mut rng);
                 let preset = presets().contains(&cfg);
                 let c = assert_fast_matches_slow(cfg, lookahead, &bursts);
                 assert!(
@@ -1596,8 +1666,7 @@ mod tests {
             #[test]
             #[ignore = "deep differential run (~30 s); run with --ignored"]
             fn fast_path_identical_to_per_access_path_deep(
-                bursts in burst_streams(),
-                (cfg, lookahead) in memories(),
+                (cfg, lookahead, bursts) in cases(),
             ) {
                 assert_fast_matches_slow(cfg, lookahead, &bursts);
             }
@@ -1647,8 +1716,7 @@ mod tests {
             /// exactness invariant `bench/baseline.json` rests on.
             #[test]
             fn fast_path_identical_to_per_access_path(
-                bursts in burst_streams(),
-                (cfg, lookahead) in memories(),
+                (cfg, lookahead, bursts) in cases(),
             ) {
                 assert_fast_matches_slow(cfg, lookahead, &bursts);
             }

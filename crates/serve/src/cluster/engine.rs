@@ -12,9 +12,25 @@
 
 use crate::cluster::interconnect::InterconnectConfig;
 use zllm_accel::telemetry::{Counter, Gauge, MetricsRegistry, Snapshot};
-use zllm_accel::{split_layers, AccelConfig, DecodeEngine, EngineConfig, ImageSpec, PrefillChunk};
+use zllm_accel::{
+    split_layers, AccelConfig, DecodeEngine, DraftCost, EngineConfig, ImageSpec, PrefillChunk,
+    SpecWindow,
+};
 use zllm_layout::addr_map::AllocError;
 use zllm_model::ModelConfig;
+
+/// One step of a pipeline, as every stage engine prices it.
+#[derive(Clone, Copy)]
+pub(crate) enum Step<'a> {
+    /// Chunked prefill, as [`DecodeEngine::prefill_chunked`].
+    Prefill(&'a [PrefillChunk]),
+    /// A ragged decode step, as [`DecodeEngine::decode_token_ragged`].
+    Ragged(&'a [(usize, usize)]),
+    /// A lockstep gang of `batch` sequences at one padded context.
+    Gang { ctx: usize, batch: usize },
+    /// Speculative verify windows under a free draft.
+    Verify(&'a [SpecWindow]),
+}
 
 /// The priced outcome of one cluster step (decode or prefill).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,16 +132,6 @@ impl ShardedEngine {
         })
     }
 
-    /// Pipeline depth (stages = boards on this pipeline).
-    pub fn depth(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Concurrent sequence slots (identical on every stage).
-    pub fn slots(&self) -> usize {
-        self.stages[0].image().batch()
-    }
-
     /// The stage engines, first to last.
     pub fn stages(&self) -> &[DecodeEngine] {
         &self.stages
@@ -146,17 +152,6 @@ impl ShardedEngine {
         self.stages[self.bottleneck].image().kv_budget_bytes()
     }
 
-    /// KV bytes a sequence of `tokens` costs on stage `stage` (for
-    /// auditing every board's budget independently).
-    pub fn stage_kv_request_bytes(&self, stage: usize, tokens: usize) -> u64 {
-        self.stages[stage].image().kv_request_bytes(tokens)
-    }
-
-    /// Stage `stage`'s provisioned KV budget.
-    pub fn stage_kv_budget_bytes(&self, stage: usize) -> u64 {
-        self.stages[stage].image().kv_budget_bytes()
-    }
-
     /// One page's KV bytes on the **bottleneck** stage — the pipeline's
     /// actual-growth admission currency.
     ///
@@ -169,65 +164,63 @@ impl ShardedEngine {
 
     /// Prices one ragged decode step (`(slot, ctx)` pairs, as
     /// [`DecodeEngine::decode_token_ragged`]) across the whole pipeline.
-    ///
-    /// Every stage prices its own DDR traffic for the step; between
-    /// stage `i` and `i+1` one FP16 hidden state per sequence crosses
-    /// the link, and the last stage returns 4-byte token ids. A
-    /// single-stage pipeline is exactly the single-board engine: no
+    /// A single-stage pipeline is exactly the single-board engine: no
     /// hops, no cluster bytes.
     pub fn decode_step(&mut self, slots: &[(usize, usize)]) -> ClusterStepReport {
-        let n = slots.len() as u64;
-        let walls: Vec<f64> = self
-            .stages
-            .iter_mut()
-            .map(|e| e.decode_token_ragged(slots).wall_ns)
-            .collect();
-        self.decode_steps.inc();
-        self.price(&walls, n * self.hidden_bytes(), n)
+        self.run(Step::Ragged(slots))
     }
 
-    /// Prices one chunked-prefill step across the whole pipeline: every
-    /// prompt token's hidden state crosses each boundary, and one
-    /// token id returns per chunk (prompt logits are discarded).
+    /// Prices one chunked-prefill step across the whole pipeline.
     pub fn prefill_step(&mut self, chunks: &[PrefillChunk]) -> ClusterStepReport {
-        let tokens: u64 = chunks.iter().map(|c| c.len as u64).sum();
+        self.run(Step::Prefill(chunks))
+    }
+
+    /// The stage runner every step kind goes through. Each stage prices
+    /// its own DDR traffic for `step`. One FP16 hidden state per step token
+    /// crosses each stage boundary (per sequence, prompt token or verified
+    /// position), and the last stage returns one 4-byte token id per
+    /// sequence, prefill chunk (prompt logits are discarded) or verified
+    /// position.
+    pub(crate) fn run(&mut self, step: Step<'_>) -> ClusterStepReport {
+        let (tokens, ids, steps) = match step {
+            Step::Prefill(c) => (c.iter().map(|c| c.len).sum(), c.len(), &self.prefill_steps),
+            Step::Ragged(slots) => (slots.len(), slots.len(), &self.decode_steps),
+            Step::Gang { batch, .. } => (batch, batch, &self.decode_steps),
+            Step::Verify(w) => {
+                let n = w.iter().map(|w| w.drafted + 1).sum();
+                (n, n, &self.decode_steps)
+            }
+        };
+        steps.inc();
         let walls: Vec<f64> = self
             .stages
             .iter_mut()
-            .map(|e| e.prefill_chunked(chunks).wall_ns)
-            .collect();
-        self.prefill_steps.inc();
-        self.price(&walls, tokens * self.hidden_bytes(), chunks.len() as u64)
-    }
-
-    /// FP16 hidden-state bytes per token crossing one boundary.
-    fn hidden_bytes(&self) -> u64 {
-        (self.stages[0].model().d_model * 2) as u64
-    }
-
-    fn price(&mut self, walls: &[f64], act_per_hop: u64, seqs: u64) -> ClusterStepReport {
-        let depth = walls.len();
-        let forward_hops = depth as u64 - 1;
-        let token_bytes = if depth > 1 { 4 * seqs } else { 0 };
-        let forward_ns = self.interconnect.hop_ns(act_per_hop);
-        let return_ns = self.interconnect.hop_ns(token_bytes);
-        let cadence_ns = walls
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                if depth == 1 {
-                    *w
-                } else if i + 1 < depth {
-                    w + forward_ns
-                } else {
-                    w + return_ns
+            .map(|e| match step {
+                Step::Prefill(chunks) => e.prefill_chunked(chunks),
+                Step::Ragged(slots) => e.decode_token_ragged(slots),
+                Step::Gang { ctx, batch } => e.decode_token_batch(ctx, batch),
+                Step::Verify(windows) => {
+                    e.decode_speculative(windows, &DraftCost::FlatNs { ns_per_token: 0.0 })
                 }
             })
-            .fold(0.0f64, f64::max);
-        let fill_ns = if depth == 1 {
-            walls[0]
+            .map(|r| r.wall_ns)
+            .collect();
+        let depth = walls.len();
+        let forward_hops = depth as u64 - 1;
+        let act_per_hop = (tokens * self.stages[0].model().d_model * 2) as u64;
+        let token_bytes = if depth > 1 { 4 * ids as u64 } else { 0 };
+        let forward_ns = self.interconnect.hop_ns(act_per_hop);
+        let return_ns = self.interconnect.hop_ns(token_bytes);
+        let (cadence_ns, fill_ns) = if depth == 1 {
+            (walls[0], walls[0])
         } else {
-            walls.iter().sum::<f64>() + forward_ns * forward_hops as f64 + return_ns
+            let hop_ns = |i: usize| if i + 1 < depth { forward_ns } else { return_ns };
+            (
+                (0..depth)
+                    .map(|i| walls[i] + hop_ns(i))
+                    .fold(0.0f64, f64::max),
+                walls.iter().sum::<f64>() + forward_ns * forward_hops as f64 + return_ns,
+            )
         };
         let activation_bytes = act_per_hop * forward_hops;
         self.activation_bytes.add(activation_bytes);
@@ -246,6 +239,11 @@ impl ShardedEngine {
     /// `cluster.steps.*`, `cluster.step.*`).
     pub fn metrics_snapshot(&self) -> Snapshot {
         self.registry.snapshot()
+    }
+
+    /// Stage `stage`'s engine, for publishing into its registry.
+    pub(crate) fn stage_mut(&mut self, stage: usize) -> &mut DecodeEngine {
+        &mut self.stages[stage]
     }
 
     /// Total hidden-state bytes moved over the interconnect so far.
@@ -340,18 +338,20 @@ mod tests {
             EngineConfig::new(slots()),
         )
         .expect("fits");
-        let total: u64 = (0..sharded.depth())
-            .map(|s| sharded.stage_kv_budget_bytes(s))
+        let total: u64 = sharded
+            .stages()
+            .iter()
+            .map(|s| s.image().kv_budget_bytes())
             .sum();
         assert_eq!(total, single.image().kv_budget_bytes());
         // The bottleneck request price never exceeds the single board's.
         assert!(sharded.kv_request_bytes(20) <= single.image().kv_request_bytes(20));
         assert!(sharded.kv_budget_bytes() <= single.image().kv_budget_bytes());
         // Budget = slots × full-context request on every stage.
-        for s in 0..sharded.depth() {
+        for s in sharded.stages() {
             assert_eq!(
-                sharded.stage_kv_request_bytes(s, 32) * 2,
-                sharded.stage_kv_budget_bytes(s)
+                s.image().kv_request_bytes(32) * 2,
+                s.image().kv_budget_bytes()
             );
         }
     }

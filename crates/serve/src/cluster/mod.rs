@@ -21,9 +21,9 @@
 //!   join-shortest-KV and deadline-aware policies above the per-board
 //!   [`crate::AdmissionController`]s, so no board is ever asked to hold
 //!   KV state its Fig. 1 map could not;
-//! * [`server`] — [`ClusterServer`]: N virtual-time pipelines on one
-//!   shared discrete-event clock, continuous batching per pipeline,
-//!   deterministic to the bit like everything else in the repo.
+//! * [`server`] — [`ClusterServer`]: the one serving event loop, N
+//!   virtual-time pipelines on one discrete-event clock (the board is
+//!   one pipeline of one stage), deterministic to the bit.
 //!
 //! The functional twin of this pricing stack is
 //! [`zllm_accel::ShardedBatchDecoder`], whose logits are pinned

@@ -227,7 +227,7 @@ mod properties {
                 .iter()
                 .map(|e| {
                     AdmissionController::new(AdmissionConfig {
-                        slots: e.slots(),
+                        slots: e.stages()[0].image().batch(),
                         budget_bytes: e.kv_budget_bytes(),
                         queue_cap: 8,
                         starvation_bound_s: 1e9,
@@ -260,13 +260,13 @@ mod properties {
         /// the bottleneck-stage pricing is supposed to guarantee.
         fn assert_no_stage_overflow(&self) {
             for (pipe, engine) in self.engines.iter().enumerate() {
-                for stage in 0..engine.depth() {
+                for (stage, board) in engine.stages().iter().enumerate() {
                     let demand: u64 = self.live[pipe]
                         .iter()
-                        .map(|g| engine.stage_kv_request_bytes(stage, g.request.total_tokens()))
+                        .map(|g| board.image().kv_request_bytes(g.request.total_tokens()))
                         .sum();
                     prop_assert!(
-                        demand <= engine.stage_kv_budget_bytes(stage),
+                        demand <= board.image().kv_budget_bytes(),
                         "pipe {pipe} stage {stage}: {demand} > budget"
                     );
                 }

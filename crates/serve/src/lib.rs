@@ -24,14 +24,12 @@
 //!   prefill sharing the weight stream across the prompt dimension)
 //!   against the lockstep gang-scheduling baseline.
 //!
-//! One private scheduling core serves both the board and the fleet: it
-//! owns one engine's admission controller, active set and optional KV
-//! page pool, and implements request quoting, contiguous and paged
-//! admission, reclaim, prefill planning, page growth, token booking and
-//! retirement once. [`Server`] drives one core between arrivals on a
-//! single board; each [`ClusterServer`] pipeline drives one on the
-//! fleet's discrete-event clock. The drivers price the planned steps on
-//! their own engines and own the clock.
+//! One event loop serves both the board and the fleet: [`ClusterServer`]
+//! advances every pipeline on one discrete-event clock, and [`Server`] is
+//! a fleet of one pipeline of one stage. Each pipeline runs one private
+//! scheduling core (request quoting, contiguous and paged admission,
+//! reclaim, prefill planning, page growth, token booking and retirement),
+//! and the loop prices the planned steps on the pipeline's engine.
 //!
 //! Everything is deterministic: the same trace on the same configuration
 //! reproduces every latency and counter bit for bit, which is what lets

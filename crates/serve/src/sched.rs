@@ -1,22 +1,23 @@
-//! The scheduling core behind every serving loop.
+//! The scheduling core behind the serving event loop.
 //!
 //! A [`Core`] owns everything one engine's scheduler holds: the
 //! [`AdmissionController`], the active set, the optional paged KV pool,
-//! the queued bytes the cluster router reads, and the step, token and
-//! preemption tallies. It plans each step and books its outcome; the
-//! driver prices the plan on its own engine and owns the clock.
-//! [`crate::Server`] drives one core on a single board, ingesting
-//! arrivals between steps; every [`crate::ClusterServer`] pipeline drives
-//! one on the fleet's shared discrete-event clock. The core needs only
-//! three numbers from an engine — the KV budget, one page's bytes and a
-//! request's contiguous quote — so the drivers pass them in and no engine
-//! abstraction sits between them.
+//! the queued bytes the cluster router reads, the lockstep gang's padding,
+//! the speculative acceptance draws, and the step, token and preemption
+//! tallies. It plans each step and books its outcome; the event loop in
+//! [`crate::ClusterServer`] prices the plan on the pipeline's engine and
+//! owns the clock, for every fleet pipeline and for the board
+//! ([`crate::Server`] is a one-pipeline, one-stage fleet). The core needs
+//! only three numbers from an engine — the KV budget, one page's bytes
+//! and a request's contiguous quote — so the loop passes them in and no
+//! engine abstraction sits between them.
 
 use crate::admission::{AdmissionConfig, AdmissionController, Granted, Rejection};
 use crate::request::{DropReason, Request, RequestOutcome};
-use crate::server::PagedConfig;
-use zllm_accel::PrefillChunk;
+use crate::server::{BatchingMode, PagedConfig, ServeReport, SpeculationConfig};
+use zllm_accel::{PrefillChunk, SpecWindow};
 use zllm_layout::kv_page::PagedKvAllocator;
+use zllm_rng::StdRng;
 
 /// Prompt tokens one chunked-prefill step may carry across every sequence
 /// sharing it, on the board and on every cluster pipeline.
@@ -25,6 +26,9 @@ pub(crate) const PREFILL_CHUNK: usize = 32;
 /// Seconds a queued head waits before the admission queues serve it ahead
 /// of higher-priority classes, on the board and on every cluster pipeline.
 pub(crate) const STARVATION_BOUND_S: f64 = 60.0;
+
+/// Seed of the speculative acceptance draws.
+const SPEC_SEED: u64 = 0x5eed;
 
 /// An in-flight sequence: the admitted request plus its progress.
 #[derive(Debug, Clone)]
@@ -115,11 +119,17 @@ pub(crate) struct Core {
     pub(crate) pending_bytes: u64,
     ctx_capacity: usize,
     prefill_chunk: usize,
-    pub(crate) decode_steps: u64,
-    pub(crate) prefill_steps: u64,
-    pub(crate) generated_tokens: u64,
-    pub(crate) prompt_tokens: u64,
-    pub(crate) preempted: u64,
+    /// The padded prompt length of the lockstep gang in progress.
+    gang_pad: Option<usize>,
+    /// Speculative acceptance draws, i.i.d. per drafted token.
+    spec_rng: StdRng,
+    decode_steps: u64,
+    prefill_steps: u64,
+    generated_tokens: u64,
+    prompt_tokens: u64,
+    preempted: u64,
+    spec_drafted: u64,
+    spec_accepted: u64,
 }
 
 impl Core {
@@ -152,11 +162,15 @@ impl Core {
             pending_bytes: 0,
             ctx_capacity,
             prefill_chunk,
+            gang_pad: None,
+            spec_rng: StdRng::seed_from_u64(SPEC_SEED),
             decode_steps: 0,
             prefill_steps: 0,
             generated_tokens: 0,
             prompt_tokens: 0,
             preempted: 0,
+            spec_drafted: 0,
+            spec_accepted: 0,
         }
     }
 
@@ -243,9 +257,9 @@ impl Core {
 
     /// Lockstep gang formation, for an idle machine: admits while every
     /// member padded to the longest prompt, plus the longest tail, still
-    /// fits the context. Returns the padded prompt length, or `None` when
-    /// nobody was admitted.
-    pub(crate) fn admit_gang(&mut self, now: f64) -> Option<usize> {
+    /// fits the context, and keeps the padded prompt length for
+    /// [`Core::gang_ctx`].
+    pub(crate) fn admit_gang(&mut self, now: f64) {
         let (mut pad, mut tail) = (0usize, 0usize);
         let cap = self.ctx_capacity;
         while self.admission.free_slots() > 0 {
@@ -258,7 +272,13 @@ impl Core {
             tail = tail.max(g.request.max_new_tokens);
             self.enter(g);
         }
-        (!self.active.is_empty()).then_some(pad)
+        self.gang_pad = (!self.active.is_empty()).then_some(pad);
+    }
+
+    /// The context every member of the gang in progress is priced at: all
+    /// alive members have generated the same count past the padded prompt.
+    pub(crate) fn gang_ctx(&self) -> usize {
+        self.gang_pad.expect("gang in progress") + self.active[0].generated
     }
 
     /// Activates a granted request; under paging it takes its prompt's
@@ -385,6 +405,51 @@ impl Core {
             .collect()
     }
 
+    /// One speculative verify step: sizes a window of at most `spec.k`
+    /// drafts per sequence committing this step, never past its remaining
+    /// tokens or the context; grows and charges the window's KV overhang
+    /// first (degrading to a plain verify when the pool cannot host it);
+    /// prices the windows with `price`; then commits each window's
+    /// accepted drafts plus one and returns its rejected tail's pages.
+    pub(crate) fn verify<R>(
+        &mut self,
+        committed: &mut [usize],
+        spec: &SpeculationConfig,
+        price: impl FnOnce(&[SpecWindow]) -> R,
+    ) -> R {
+        let owners: Vec<usize> = (0..committed.len()).filter(|&i| committed[i] > 0).collect();
+        let windows: Vec<SpecWindow> = owners
+            .iter()
+            .map(|&i| {
+                let a = &self.active[i];
+                let (slot, ctx) = (a.slot, a.ctx());
+                let remaining = a.request.decode_tokens() - a.generated;
+                let mut k = spec.k.min(remaining - 1).min(self.ctx_capacity - 1 - ctx);
+                if k > 0 && !self.grow(i, ctx + 1 + k) {
+                    k = 0;
+                }
+                let rng = &mut self.spec_rng;
+                let accepted = (0..k)
+                    .take_while(|_| rng.gen_bool(spec.accept_rate))
+                    .count();
+                SpecWindow {
+                    slot,
+                    ctx,
+                    drafted: k,
+                    accepted,
+                }
+            })
+            .collect();
+        let priced = price(&windows);
+        for (w, &i) in windows.iter().zip(&owners) {
+            committed[i] = w.accepted + 1;
+            self.spec_drafted += w.drafted as u64;
+            self.spec_accepted += w.accepted as u64;
+            self.shrink(i, w.keep());
+        }
+        priced
+    }
+
     /// Grows sequence `i`'s pages to cover `tokens` tokens and charges
     /// them to admission. Returns `false`, allocating nothing, when the
     /// pool cannot; always `true` without paging.
@@ -496,55 +561,74 @@ impl Core {
     }
 }
 
-/// What the serving reports read from the per-request outcomes.
-pub(crate) struct OutcomeFold {
-    pub(crate) completed: u64,
-    pub(crate) deadline_met: u64,
-    pub(crate) tokens_per_s: f64,
-    pub(crate) goodput_tokens_per_s: f64,
-    /// TTFT p50 / p95 / p99 over completed requests, ms.
-    pub(crate) ttft_ms: [f64; 3],
-    /// p50 / p95 / p99 of per-request mean decode-token latency, ms.
-    pub(crate) token_ms: [f64; 3],
-}
-
-impl OutcomeFold {
-    /// Folds `outcomes` of a run that generated `generated_tokens` tokens
-    /// (recomputed ones included) in `sim_seconds`.
-    pub(crate) fn new(
-        outcomes: &[RequestOutcome],
-        generated_tokens: u64,
-        sim_seconds: f64,
-    ) -> OutcomeFold {
-        let per_s = |tokens: u64| {
-            if sim_seconds > 0.0 {
-                tokens as f64 / sim_seconds
-            } else {
-                0.0
-            }
-        };
-        let met: Vec<&RequestOutcome> = outcomes.iter().filter(|o| o.deadline_met()).collect();
-        let percentiles = |seconds: fn(&RequestOutcome) -> Option<f64>| {
-            let mut v: Vec<f64> = outcomes
-                .iter()
-                .filter_map(seconds)
-                .map(|t| t * 1e3)
-                .collect();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            // Nearest rank, 0 when nothing completed.
-            [0.50, 0.95, 0.99].map(|q| match v.len() {
-                0 => 0.0,
-                n => v[((n - 1) as f64 * q).round() as usize],
-            })
-        };
-        OutcomeFold {
-            completed: outcomes.iter().filter(|o| o.finish_s.is_some()).count() as u64,
-            deadline_met: met.len() as u64,
-            tokens_per_s: per_s(generated_tokens),
-            goodput_tokens_per_s: per_s(met.iter().map(|o| o.generated as u64).sum()),
-            ttft_ms: percentiles(RequestOutcome::ttft_s),
-            token_ms: percentiles(RequestOutcome::mean_token_latency_s),
+/// Folds one run over every pipeline's core (summed; the queue peak is
+/// the largest) and its outcomes into the board report, which the fleet
+/// report is also filled from.
+pub(crate) fn fold<'a>(
+    mode: BatchingMode,
+    cores: impl Iterator<Item = &'a Core> + Clone,
+    mut outcomes: Vec<RequestOutcome>,
+    sim_seconds: f64,
+) -> ServeReport {
+    outcomes.sort_by_key(|o| o.request.id);
+    let sum = |f: fn(&Core) -> u64| cores.clone().map(f).sum::<u64>();
+    let per_s = |tokens: u64| {
+        if sim_seconds > 0.0 {
+            tokens as f64 / sim_seconds
+        } else {
+            0.0
         }
+    };
+    let percentiles = |seconds: fn(&RequestOutcome) -> Option<f64>| {
+        let mut v: Vec<f64> = outcomes
+            .iter()
+            .filter_map(seconds)
+            .map(|t| t * 1e3)
+            .collect();
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        [0.50, 0.95, 0.99].map(|q| match v.len() {
+            0 => 0.0,
+            n => v[((n - 1) as f64 * q).round() as usize],
+        })
+    };
+    let [ttft_p50_ms, ttft_p95_ms, ttft_p99_ms] = percentiles(RequestOutcome::ttft_s);
+    let [token_p50_ms, token_p95_ms, token_p99_ms] =
+        percentiles(RequestOutcome::mean_token_latency_s);
+    let met = || outcomes.iter().filter(|o| o.deadline_met());
+    let generated_tokens = sum(|c| c.generated_tokens);
+    ServeReport {
+        mode,
+        sim_seconds,
+        offered: sum(|c| c.admission.counts().0),
+        admitted: sum(|c| c.admission.counts().1),
+        completed: outcomes.iter().filter(|o| o.finish_s.is_some()).count() as u64,
+        rejected_queue_full: sum(|c| c.admission.counts().2),
+        rejected_infeasible: sum(|c| c.admission.counts().3),
+        deadline_met: met().count() as u64,
+        generated_tokens,
+        prompt_tokens: sum(|c| c.prompt_tokens),
+        decode_steps: sum(|c| c.decode_steps),
+        prefill_steps: sum(|c| c.prefill_steps),
+        tokens_per_s: per_s(generated_tokens),
+        goodput_tokens_per_s: per_s(met().map(|o| o.generated as u64).sum()),
+        ttft_p50_ms,
+        ttft_p95_ms,
+        ttft_p99_ms,
+        token_p50_ms,
+        token_p95_ms,
+        token_p99_ms,
+        kv_peak_bytes: sum(|c| c.admission.peaks().0),
+        kv_budget_bytes: sum(|c| c.admission.budget_bytes()),
+        queue_peak: cores
+            .clone()
+            .map(|c| c.admission.peaks().1)
+            .max()
+            .unwrap_or(0),
+        concurrent_peak: cores.clone().map(|c| c.admission.peak_concurrent()).sum(),
+        preempted: sum(|c| c.preempted),
+        spec_drafted: sum(|c| c.spec_drafted),
+        spec_accepted: sum(|c| c.spec_accepted),
+        outcomes,
     }
 }
 
@@ -674,7 +758,7 @@ mod properties {
         })
     }
 
-    /// Drives a core through `s` the way the board loop does, with
+    /// Drives a core through `s` the way the serving loop does, with
     /// synthetic step times, checking the invariants after every call.
     fn drive(s: &Scenario, reached: &mut Reached) -> (Core, Vec<RequestOutcome>) {
         let paged = PagedConfig {

@@ -1,4 +1,4 @@
-//! The virtual-time serving simulator.
+//! The virtual-time serving simulator of one board.
 //!
 //! [`Server`] replays a request trace against a [`DecodeEngine`],
 //! advancing a virtual clock by each priced step's wall time. Two
@@ -13,24 +13,19 @@
 //!   the longest prompt, nobody joins mid-gang, and slots drain idle as
 //!   short members finish.
 //!
-//! Both run on the same scheduling core (admission, paging, reclaim,
-//! prefill planning and token booking, shared with every cluster
-//! pipeline), so the comparison isolates the scheduling discipline. The
-//! server is its driver: it ingests arrivals between steps, prices each
-//! planned step on its engine, advances the clock, and sizes speculative
-//! verify windows. All latencies are virtual seconds derived from the
-//! DDR/VPU pricing model — the same trace on the same configuration
-//! reproduces bit-identical reports.
+//! The board is a one-pipeline, one-stage fleet: [`Server`] runs the
+//! fleet's one event loop ([`crate::ClusterServer`]) and scheduling core,
+//! whose step planning also forms gangs and sizes speculative verify
+//! windows, so the comparison isolates the scheduling discipline. All
+//! latencies are virtual seconds derived from the DDR/VPU pricing model —
+//! the same trace on the same configuration reproduces bit-identical
+//! reports.
 
-use crate::admission::AdmissionConfig;
+use crate::cluster::{ClusterConfig, ClusterServer};
 use crate::request::{Request, RequestOutcome};
-use crate::sched::{Core, OutcomeFold, PREFILL_CHUNK, STARVATION_BOUND_S};
-use zllm_accel::{
-    AccelConfig, DecodeEngine, DraftCost, EngineConfig, ImageSpec, KvLayout, SpecWindow,
-};
+use zllm_accel::{AccelConfig, DecodeEngine};
 use zllm_layout::addr_map::AllocError;
 use zllm_model::ModelConfig;
-use zllm_rng::StdRng;
 
 /// The batching discipline the server runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,9 +112,6 @@ impl SpeculationConfig {
         SpeculationConfig { k, accept_rate }
     }
 }
-
-/// Seed of the speculative acceptance draws.
-const SPEC_SEED: u64 = 0x5eed;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -248,9 +240,8 @@ pub struct ServeReport {
 /// The serving simulator: a decode engine plus admission control and a
 /// virtual clock.
 pub struct Server {
-    engine: DecodeEngine,
-    cfg: ServerConfig,
-    budget_bytes: u64,
+    /// One pipeline of one stage, serving with this server's configuration.
+    fleet: ClusterServer,
 }
 
 impl Server {
@@ -266,54 +257,22 @@ impl Server {
         model: &ModelConfig,
         cfg: ServerConfig,
     ) -> Result<Server, AllocError> {
-        assert!(cfg.slots > 0, "at least one slot required");
-        if let Some(s) = &cfg.speculative {
-            assert!(
-                cfg.mode == BatchingMode::Continuous,
-                "speculative decoding requires continuous batching"
-            );
-            assert!(s.k > 0, "speculation needs at least one draft token");
-            assert!(
-                (0.0..=1.0).contains(&s.accept_rate),
-                "accept rate is a probability"
-            );
-        }
-        let mut image = ImageSpec {
-            batch: cfg.slots,
-            ..ImageSpec::new(cfg.ctx_capacity)
+        let board = ClusterConfig {
+            paged: cfg.paged.clone(),
+            ..ClusterConfig::new(1, 1, cfg.ctx_capacity, cfg.slots)
         };
-        if let Some(p) = &cfg.paged {
-            assert!(
-                cfg.mode == BatchingMode::Continuous,
-                "paged serving requires continuous batching"
-            );
-            assert!(
-                p.watermark > 0.0 && p.watermark <= 1.0,
-                "watermark must be in (0, 1]"
-            );
-            image.kv = KvLayout::Paged {
-                page_tokens: p.page_tokens,
-            };
-        }
-        let engine = DecodeEngine::build(accel, model, EngineConfig::new(image))?;
-        let budget_bytes = cfg
-            .kv_budget_bytes
-            .unwrap_or_else(|| engine.image().kv_budget_bytes());
-        Ok(Server {
-            engine,
-            cfg,
-            budget_bytes,
-        })
+        let fleet = ClusterServer::build(&accel, model, board, cfg)?;
+        Ok(Server { fleet })
     }
 
     /// The engine (image, metrics registry) backing this server.
     pub fn engine(&self) -> &DecodeEngine {
-        &self.engine
+        &self.fleet.engine(0).stages()[0]
     }
 
     /// The KV byte budget admissions are priced against.
     pub fn kv_budget_bytes(&self) -> u64 {
-        self.budget_bytes
+        self.fleet.kv_budget_bytes()
     }
 
     /// Replays a trace (must be sorted by arrival time) to completion
@@ -325,180 +284,7 @@ impl Server {
     ///
     /// Panics if the trace is not sorted by arrival time.
     pub fn run(&mut self, trace: &[Request]) -> ServeReport {
-        assert!(
-            trace.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s),
-            "trace must be sorted by arrival time"
-        );
-        let cfg = &self.cfg;
-        let mut core = Core::new(
-            AdmissionConfig {
-                slots: cfg.slots,
-                budget_bytes: self.budget_bytes,
-                queue_cap: cfg.queue_cap,
-                starvation_bound_s: STARVATION_BOUND_S,
-            },
-            cfg.ctx_capacity,
-            PREFILL_CHUNK,
-            cfg.paged
-                .as_ref()
-                .map(|p| (p, self.engine.image().kv_page_bytes())),
-        );
-        let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(trace.len());
-        let mut next = 0usize; // next trace entry to ingest
-        let mut now = 0.0f64;
-        // Lockstep gang state: the padded prompt length of the current
-        // gang (None when the machine is between gangs).
-        let mut gang_pad: Option<usize> = None;
-        // Speculation state: the seeded acceptance generator plus the
-        // drafted/accepted tallies for the report.
-        let mut spec_rng = cfg.speculative.map(|_| StdRng::seed_from_u64(SPEC_SEED));
-        let mut spec_drafted = 0u64;
-        let mut spec_accepted = 0u64;
-
-        loop {
-            // Ingest every arrival due by now.
-            while next < trace.len() && trace[next].arrival_s <= now {
-                let r = trace[next].clone();
-                next += 1;
-                let bytes = self.engine.image().kv_request_bytes(r.total_tokens());
-                core.offer(r, bytes, &mut outcomes);
-            }
-            // Admit under the discipline's rules: a lockstep gang forms
-            // only on an idle machine.
-            match cfg.mode {
-                BatchingMode::Continuous => core.admit(now),
-                BatchingMode::Lockstep if core.active().is_empty() => {
-                    gang_pad = core.admit_gang(now);
-                }
-                BatchingMode::Lockstep => {}
-            }
-            if core.active().is_empty() {
-                // Idle: jump to the next arrival, or stop when both the
-                // trace and the queues are exhausted (an empty machine
-                // always admits the head, so an idle machine with no
-                // future arrivals means nothing is left).
-                if next < trace.len() {
-                    now = now.max(trace[next].arrival_s);
-                    continue;
-                }
-                break;
-            }
-
-            let chunks = core.plan_prefill();
-            if !chunks.is_empty() {
-                now += self.engine.prefill_chunked(&chunks).wall_ns * 1e-9;
-                core.book_prefill(&chunks);
-                continue;
-            }
-
-            // One decode step for every page-ready active sequence.
-            // `committed[i]` is how many tokens sequence `i` banks this
-            // step: 1 on a plain step, `accepted + 1` on a speculative
-            // verify window, 0 for a sequence sitting the step out.
-            let mut committed = core.ready_for_decode(now);
-            let step_s = match (cfg.mode, cfg.speculative) {
-                (BatchingMode::Lockstep, _) => {
-                    // All alive members have generated the same count;
-                    // everyone is priced at the padded context.
-                    let pad = gang_pad.expect("gang in progress");
-                    let ctx = pad + core.active()[0].generated;
-                    self.engine
-                        .decode_token_batch(ctx, core.active().len())
-                        .wall_ns
-                        * 1e-9
-                }
-                (BatchingMode::Continuous, None) => {
-                    let slots = core.decode_slots(&committed);
-                    self.engine.decode_token_ragged(&slots).wall_ns * 1e-9
-                }
-                (BatchingMode::Continuous, Some(spec)) => {
-                    let rng = spec_rng.as_mut().expect("speculative rng");
-                    let mut windows: Vec<SpecWindow> = Vec::new();
-                    let mut owners: Vec<usize> = Vec::new();
-                    for i in (0..committed.len()).filter(|&i| committed[i] > 0) {
-                        let a = &core.active()[i];
-                        let (slot, ctx) = (a.slot, a.ctx());
-                        // Never draft past the request's remaining
-                        // tokens or the context capacity: a window
-                        // commits at most `k + 1` tokens and writes KV
-                        // for `k + 1` positions.
-                        let remaining = a.request.decode_tokens() - a.generated;
-                        let mut k = spec.k.min(remaining - 1).min(cfg.ctx_capacity - 1 - ctx);
-                        // The transient overhang: the verify window
-                        // writes up to `k` tokens past the next
-                        // committed position, so those pages must be
-                        // owned — and charged — before the step. If the
-                        // pool cannot host the overhang the window
-                        // degrades to the plain one-token verify rather
-                        // than stealing pages.
-                        if k > 0 && !core.grow(i, ctx + 1 + k) {
-                            k = 0;
-                        }
-                        let accepted = (0..k)
-                            .take_while(|_| rng.gen_bool(spec.accept_rate))
-                            .count();
-                        windows.push(SpecWindow {
-                            slot,
-                            ctx,
-                            drafted: k,
-                            accepted,
-                        });
-                        owners.push(i);
-                    }
-                    let free = DraftCost::FlatNs { ns_per_token: 0.0 };
-                    let r = self.engine.decode_speculative(&windows, &free);
-                    for (w, &i) in windows.iter().zip(&owners) {
-                        committed[i] = w.accepted + 1;
-                        spec_drafted += w.drafted as u64;
-                        spec_accepted += w.accepted as u64;
-                        // Rejected tokens uncharge: shrink back to the
-                        // committed context and return the overhang
-                        // pages to the pool.
-                        core.shrink(i, w.keep());
-                    }
-                    r.wall_ns * 1e-9
-                }
-            };
-            now += step_s;
-            core.book_decode(&committed, step_s, now);
-            core.retire(now, &mut outcomes);
-        }
-
-        outcomes.sort_by_key(|o| o.request.id);
-        let (offered, admitted, rejected_queue_full, rejected_infeasible) =
-            core.admission().counts();
-        let (kv_peak_bytes, queue_peak) = core.admission().peaks();
-        let fold = OutcomeFold::new(&outcomes, core.generated_tokens, now);
-        let report = ServeReport {
-            mode: cfg.mode,
-            sim_seconds: now,
-            offered,
-            admitted,
-            completed: fold.completed,
-            rejected_queue_full,
-            rejected_infeasible,
-            deadline_met: fold.deadline_met,
-            generated_tokens: core.generated_tokens,
-            prompt_tokens: core.prompt_tokens,
-            decode_steps: core.decode_steps,
-            prefill_steps: core.prefill_steps,
-            tokens_per_s: fold.tokens_per_s,
-            goodput_tokens_per_s: fold.goodput_tokens_per_s,
-            ttft_p50_ms: fold.ttft_ms[0],
-            ttft_p95_ms: fold.ttft_ms[1],
-            ttft_p99_ms: fold.ttft_ms[2],
-            token_p50_ms: fold.token_ms[0],
-            token_p95_ms: fold.token_ms[1],
-            token_p99_ms: fold.token_ms[2],
-            kv_peak_bytes,
-            kv_budget_bytes: self.budget_bytes,
-            queue_peak,
-            concurrent_peak: core.admission().peak_concurrent(),
-            preempted: core.preempted,
-            spec_drafted,
-            spec_accepted,
-            outcomes,
-        };
+        let report = self.fleet.serve(trace);
         self.publish(&report);
         report
     }
@@ -506,7 +292,9 @@ impl Server {
     /// Publishes the report into the engine's metrics registry under the
     /// `serve.` namespace.
     fn publish(&mut self, report: &ServeReport) {
-        let m = self.engine.metrics_mut();
+        let serving = &self.fleet.serving;
+        let (paged, speculative) = (serving.paged.is_some(), serving.speculative.is_some());
+        let m = self.fleet.board_mut().metrics_mut();
         m.counter("serve.requests.offered").add(report.offered);
         m.counter("serve.requests.admitted").add(report.admitted);
         m.counter("serve.requests.completed").add(report.completed);
@@ -535,13 +323,13 @@ impl Server {
         m.gauge("serve.queue_peak").set(report.queue_peak as f64);
         // Paged-only keys, so contiguous scenarios keep their exact
         // baseline key sets.
-        if self.cfg.paged.is_some() {
+        if paged {
             m.counter("serve.paged.preempted").add(report.preempted);
             m.gauge("serve.paged.concurrent_peak")
                 .set(report.concurrent_peak as f64);
         }
         // Speculation-only keys, gated the same way.
-        if self.cfg.speculative.is_some() {
+        if speculative {
             m.counter("serve.spec.drafted").add(report.spec_drafted);
             m.counter("serve.spec.accepted").add(report.spec_accepted);
             let rate = if report.spec_drafted > 0 {

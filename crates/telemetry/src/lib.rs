@@ -124,13 +124,13 @@ impl MetricsRegistry {
     /// Returns the counter registered under `name`, creating it at zero
     /// on first use. The returned handle shares state with the registry.
     pub fn counter(&mut self, name: &str) -> Counter {
-        self.counters.entry(name.to_owned()).or_default().clone()
+        handle(&mut self.counters, name)
     }
 
     /// Returns the gauge registered under `name`, creating it at zero on
     /// first use.
     pub fn gauge(&mut self, name: &str) -> Gauge {
-        self.gauges.entry(name.to_owned()).or_default().clone()
+        handle(&mut self.gauges, name)
     }
 
     /// Current value of a counter, if registered.
@@ -184,6 +184,16 @@ impl MetricsRegistry {
                 .map(|(k, g)| (k.clone(), g.get()))
                 .collect(),
         }
+    }
+}
+
+/// The metric registered under `name` in `map`, created at its default on
+/// first use. A registered name is found without allocating; only a new
+/// one is copied into the map.
+fn handle<T: Clone + Default>(map: &mut BTreeMap<String, T>, name: &str) -> T {
+    match map.get(name) {
+        Some(metric) => metric.clone(),
+        None => map.entry(name.to_owned()).or_default().clone(),
     }
 }
 
@@ -388,6 +398,8 @@ mod tests {
         let g = reg.gauge("a.rate");
         g.set(2.5);
         assert_eq!(reg.snapshot().gauges.get("a.rate"), Some(&2.5));
+        reg.gauge("a.rate").set(3.0);
+        assert_eq!(g.get(), 3.0);
         assert_eq!(reg.len(), 2);
         assert!(!reg.is_empty());
     }

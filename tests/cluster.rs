@@ -5,7 +5,10 @@
 use zllm::accel::{split_layers, AccelConfig, DecodeEngine, EngineConfig, ImageSpec, ModelImage};
 use zllm::model::ModelConfig;
 use zllm::serve::cluster::{ClusterConfig, ClusterServer, InterconnectConfig, ShardedEngine};
-use zllm::serve::{generate, ArrivalModel, PlacementPolicy, Request, TrafficConfig};
+use zllm::serve::{
+    generate, ArrivalModel, PagedConfig, PlacementPolicy, Request, Server, ServerConfig,
+    TrafficConfig,
+};
 
 fn trace(requests: usize, rate: f64) -> Vec<Request> {
     generate(&TrafficConfig {
@@ -158,4 +161,96 @@ fn placement_policies_share_the_same_totals_but_route_differently() {
     // Both policies must keep every pipeline inside its budget.
     assert!(kv.kv_peak_bytes <= kv.kv_budget_bytes);
     assert!(aware.kv_peak_bytes <= aware.kv_budget_bytes);
+}
+
+/// The fields a `ClusterReport` shares with a `ServeReport`, floats by bits.
+macro_rules! shared {
+    ($r:expr) => {
+        (
+            [
+                $r.offered,
+                $r.admitted,
+                $r.completed,
+                $r.rejected_queue_full,
+                $r.rejected_infeasible,
+                $r.deadline_met,
+                $r.generated_tokens,
+                $r.prompt_tokens,
+                $r.decode_steps,
+                $r.prefill_steps,
+                $r.kv_peak_bytes,
+                $r.kv_budget_bytes,
+                $r.queue_peak as u64,
+                $r.concurrent_peak as u64,
+                $r.preempted,
+            ],
+            [
+                $r.sim_seconds,
+                $r.tokens_per_s,
+                $r.goodput_tokens_per_s,
+                $r.ttft_p50_ms,
+                $r.ttft_p95_ms,
+                $r.ttft_p99_ms,
+                $r.token_p50_ms,
+                $r.token_p95_ms,
+            ]
+            .map(f64::to_bits),
+        )
+    };
+}
+
+#[test]
+fn one_stage_fleet_serves_like_the_board() {
+    // The board is a one-pipeline, one-stage fleet: on the same trace it
+    // must give the same outcomes, every report field the two share (floats
+    // by bits) and the same stage-engine snapshot, less the board's own
+    // `serve.*` keys. A decode-heavy Poisson trace with early EOS and a
+    // bursty mixed trace whose longest requests overflow the context.
+    let decode_heavy = generate(&TrafficConfig {
+        requests: 24,
+        seed: 7,
+        arrivals: ArrivalModel::Poisson { rate_per_s: 4.0 },
+        prompt_tokens: (8, 16),
+        new_tokens: (48, 96),
+        class_mix: [0.5, 0.3, 0.2],
+        eos_early_fraction: 0.75,
+    });
+    let bursty_mixed = generate(&TrafficConfig {
+        requests: 24,
+        seed: 42,
+        arrivals: ArrivalModel::Bursty {
+            rate_per_s: 20.0,
+            burst: 8,
+        },
+        prompt_tokens: (16, 96),
+        new_tokens: (4, 48),
+        class_mix: [0.5, 0.3, 0.2],
+        eos_early_fraction: 0.0,
+    });
+    for paged in [None, Some(PagedConfig::default())] {
+        for (name, t) in [
+            ("decode-heavy", &decode_heavy),
+            ("bursty mixed", &bursty_mixed),
+        ] {
+            let (mut board_cfg, mut fleet_cfg) = (
+                ServerConfig::continuous(128, 4),
+                ClusterConfig::new(1, 1, 128, 4),
+            );
+            board_cfg.paged.clone_from(&paged);
+            fleet_cfg.paged.clone_from(&paged);
+            let tiny = ModelConfig::tiny_llama_1_1b();
+            let mut board = Server::new(AccelConfig::kv260(), &tiny, board_cfg).expect("fits");
+            let mut fleet =
+                ClusterServer::new(&AccelConfig::kv260(), &tiny, fleet_cfg).expect("fits");
+            let (b, f) = (board.run(t), fleet.run(t));
+            let case = format!("{name} trace, paged {}", paged.is_some());
+            assert_eq!(f.outcomes, b.outcomes, "{case}");
+            assert_eq!(shared!(f), shared!(b), "{case}");
+            let mut want = board.engine().metrics_snapshot();
+            want.counters.retain(|k, _| !k.starts_with("serve."));
+            want.gauges.retain(|k, _| !k.starts_with("serve."));
+            let got = fleet.engine(0).stages()[0].metrics_snapshot();
+            assert_eq!(got.to_json(), want.to_json(), "{case}");
+        }
+    }
 }
