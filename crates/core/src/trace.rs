@@ -262,6 +262,9 @@ struct DecodeMetrics {
     tokens_per_s: Gauge,
     bandwidth_util: Gauge,
     wall_ns: Gauge,
+    /// `decode.bytes.{kind}`, each registered when its kind is first
+    /// priced, so a snapshot carries only the kinds the engine moved.
+    kind_bytes: Vec<(OpKind, Counter)>,
 }
 
 impl DecodeMetrics {
@@ -275,7 +278,21 @@ impl DecodeMetrics {
             tokens_per_s: reg.gauge("decode.tokens_per_s"),
             bandwidth_util: reg.gauge("decode.bandwidth_util"),
             wall_ns: reg.gauge("decode.wall_ns"),
+            kind_bytes: Vec::new(),
         }
+    }
+
+    /// The `decode.bytes.{kind}` counter, registered in `reg` on first use.
+    fn kind_bytes(&mut self, reg: &mut MetricsRegistry, kind: OpKind) -> &Counter {
+        let i = match self.kind_bytes.iter().position(|(k, _)| *k == kind) {
+            Some(i) => i,
+            None => {
+                let counter = reg.counter(&format!("decode.bytes.{}", kind.name()));
+                self.kind_bytes.push((kind, counter));
+                self.kind_bytes.len() - 1
+            }
+        };
+        &self.kind_bytes[i].1
     }
 }
 
@@ -734,8 +751,7 @@ impl DecodeEngine {
         self.metrics.bandwidth_util.set(bandwidth_util);
         self.metrics.wall_ns.set(wall_ns);
         for &(kind, bytes) in &breakdown {
-            let name = format!("decode.bytes.{}", kind.name());
-            self.registry.counter(&name).add(bytes);
+            self.metrics.kind_bytes(&mut self.registry, kind).add(bytes);
         }
         let ns_per_cycle = self.accel.cycles_to_ns(1);
         if let Some(tier) = self.tier.as_mut() {

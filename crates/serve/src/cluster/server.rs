@@ -272,7 +272,7 @@ pub struct ClusterReport {
 
 /// The fleet simulator.
 pub struct ClusterServer {
-    cfg: ClusterConfig,
+    policy: PlacementPolicy,
     /// How every pipeline serves: continuously and without speculation in
     /// a fleet, the board's own configuration on the board.
     pub(crate) serving: ServerConfig,
@@ -301,19 +301,22 @@ impl ClusterServer {
             paged: cfg.paged.clone(),
             ..ServerConfig::continuous(cfg.ctx_capacity, cfg.slots)
         };
-        ClusterServer::build(accel, model, cfg, serving)
+        ClusterServer::build(accel, model, cfg.pipelines, cfg.depth, cfg.policy, serving)
     }
 
-    /// Builds `cfg`'s pipelines and depth over shard images of
-    /// `serving`'s context, slots and paging, every pipeline serving with
-    /// `serving` (see [`ClusterServer::new`] for errors and panics).
+    /// Builds `pipelines` pipelines of `depth` stages over shard images of
+    /// `serving`'s context, slots and paging, placing by `policy`, every
+    /// pipeline serving with `serving` (see [`ClusterServer::new`] for
+    /// errors and panics).
     pub(crate) fn build(
         accel: &AccelConfig,
         model: &ModelConfig,
-        cfg: ClusterConfig,
+        pipelines: usize,
+        depth: usize,
+        policy: PlacementPolicy,
         serving: ServerConfig,
     ) -> Result<ClusterServer, AllocError> {
-        assert!(cfg.pipelines > 0, "at least one pipeline required");
+        assert!(pipelines > 0, "at least one pipeline required");
         assert!(serving.slots > 0, "at least one slot required");
         let continuous = serving.mode == BatchingMode::Continuous;
         if let Some(s) = &serving.speculative {
@@ -342,11 +345,11 @@ impl ClusterServer {
             };
         }
         let link = InterconnectConfig::ethernet_10g();
-        let engines = (0..cfg.pipelines)
-            .map(|_| ShardedEngine::new(accel, model, image.clone(), cfg.depth, link))
+        let engines = (0..pipelines)
+            .map(|_| ShardedEngine::new(accel, model, image.clone(), depth, link))
             .collect::<Result<_, _>>()?;
         Ok(ClusterServer {
-            cfg,
+            policy,
             serving,
             engines,
         })
@@ -374,13 +377,14 @@ impl ClusterServer {
     ///
     /// Panics if the trace is not sorted by arrival time.
     pub fn run(&mut self, trace: &[Request]) -> ClusterReport {
-        let r = self.serve(trace);
+        let (r, _) = self.serve(trace);
         let link = |bytes: fn(&ShardedEngine) -> u64| self.engines.iter().map(bytes).sum::<u64>();
+        let (pipelines, depth) = (self.engines.len(), self.engines[0].stages().len());
         ClusterReport {
-            pipelines: self.cfg.pipelines,
-            depth: self.cfg.depth,
-            boards: self.cfg.boards(),
-            policy: self.cfg.policy.name(),
+            pipelines,
+            depth,
+            boards: pipelines * depth,
+            policy: self.policy.name(),
             outcomes: r.outcomes,
             sim_seconds: r.sim_seconds,
             offered: r.offered,
@@ -411,8 +415,9 @@ impl ClusterServer {
     }
 
     /// The one event loop (see the module docs) over fresh cores, folded
-    /// into the board report the fleet report is filled from.
-    pub(crate) fn serve(&mut self, trace: &[Request]) -> ServeReport {
+    /// into the board report the fleet report is filled from. Also hands
+    /// back each pipeline's finished core, in pipeline order.
+    pub(crate) fn serve(&mut self, trace: &[Request]) -> (ServeReport, Vec<Core>) {
         assert!(
             trace.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s),
             "trace must be sorted by arrival time"
@@ -442,7 +447,7 @@ impl ClusterServer {
             // Placement sees the slots and bytes the steps ending now freed.
             while let Some(r) = trace.get(next).filter(|r| r.arrival_s <= now) {
                 let loads: Vec<PipelineLoad> = pipes.iter().map(Pipeline::load).collect();
-                let p = &mut pipes[self.cfg.policy.place(&loads, r)];
+                let p = &mut pipes[self.policy.place(&loads, r)];
                 let bytes = p.engine.kv_request_bytes(r.total_tokens());
                 p.core.offer(r.clone(), bytes, &mut outcomes);
                 next += 1;
@@ -453,8 +458,8 @@ impl ClusterServer {
                 }
             }
         }
-        let cores = pipes.iter().map(|p| &p.core);
-        fold(serving.mode, cores, outcomes, now)
+        let cores: Vec<Core> = pipes.into_iter().map(|p| p.core).collect();
+        (fold(serving.mode, cores.iter(), outcomes, now), cores)
     }
 }
 
@@ -568,15 +573,19 @@ mod tests {
     }
 
     #[test]
-    fn kv_accounting_holds_across_the_fleet() {
+    fn kv_accounting_holds_per_pipeline() {
         let t = trace(20, 10.0);
-        let mut c = cluster(2, 2);
-        let report = c.run(&t);
+        let (report, cores) = cluster(2, 2).serve(&t);
         assert!(report.kv_peak_bytes <= report.kv_budget_bytes);
         assert_eq!(
             report.completed + report.rejected_queue_full + report.rejected_infeasible,
             20
         );
+        assert_eq!(cores.len(), 2);
+        for core in &cores {
+            let (peak, _) = core.admission().peaks();
+            assert!(peak <= core.admission().budget_bytes());
+        }
     }
 
     #[test]

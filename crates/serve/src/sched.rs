@@ -638,7 +638,6 @@ mod properties {
     use crate::request::DeadlineClass;
     use proptest::prelude::*;
     use proptest::TestRng;
-    use zllm_rng::StdRng;
 
     /// Context capacity of the synthetic engine, in tokens.
     const CTX: usize = 64;
@@ -663,7 +662,6 @@ mod properties {
         watermark: f64,
         spec_k: usize,
         accept_rate: f64,
-        seed: u64,
         trace: Vec<Request>,
     }
 
@@ -682,7 +680,7 @@ mod properties {
         (knobs, spec, proptest::collection::vec(request, 1..24)).prop_map(
             |(
                 (mode, slots, queue_cap, prefill_chunk, pages, wm),
-                (k, alpha, bound, seed),
+                (k, alpha, bound, stray),
                 reqs,
             )| {
                 let mode = [Mode::Contiguous, Mode::Paged, Mode::Gang][mode];
@@ -707,7 +705,7 @@ mod properties {
                     admission: AdmissionConfig {
                         slots,
                         // A stray partial page the pool must not use.
-                        budget_bytes: pages * PAGE_BYTES + seed % PAGE_BYTES,
+                        budget_bytes: pages * PAGE_BYTES + stray % PAGE_BYTES,
                         queue_cap,
                         starvation_bound_s: [0.05, 0.5, 60.0][bound],
                     },
@@ -715,7 +713,6 @@ mod properties {
                     watermark: f64::from(wm) / 10.0,
                     spec_k: if mode == Mode::Gang { 0 } else { k },
                     accept_rate: f64::from(alpha) / 10.0,
-                    seed,
                     trace,
                 }
             },
@@ -767,7 +764,6 @@ mod properties {
         };
         let pool = (s.mode == Mode::Paged).then_some((&paged, PAGE_BYTES));
         let mut core = Core::new(s.admission.clone(), CTX, s.prefill_chunk, pool);
-        let mut rng = StdRng::seed_from_u64(s.seed);
         let mut outcomes = Vec::new();
         let (mut next, mut now) = (0, 0.0);
         for round in 0.. {
@@ -810,24 +806,26 @@ mod properties {
             reached.growth_reclaims += core.preempted - preempted;
             assert!(committed.iter().any(|&c| c > 0), "some sequence decodes");
             if s.spec_k > 0 {
-                let mut keep = Vec::new();
-                for i in (0..committed.len()).filter(|&i| committed[i] > 0) {
+                let spec = SpeculationConfig::new(s.spec_k, s.accept_rate);
+                let windows = core.verify(&mut committed, &spec, |w| w.to_vec());
+                check(&core);
+                let owners = (0..committed.len()).filter(|&i| committed[i] > 0);
+                for (w, i) in windows.iter().zip(owners) {
                     let a = &core.active[i];
-                    let ctx = a.ctx();
                     let remaining = a.request.decode_tokens() - a.generated;
-                    let mut k = s.spec_k.min(remaining - 1).min(CTX - 1 - ctx);
-                    if k > 0 && !core.grow(i, ctx + 1 + k) {
-                        k = 0;
-                        reached.overhang_degrades += 1;
+                    let cap = s.spec_k.min(remaining - 1).min(CTX - 1 - a.ctx());
+                    assert_eq!((w.slot, w.ctx), (a.slot, a.ctx()), "a window per committer");
+                    assert!(
+                        w.drafted == cap || w.drafted == 0,
+                        "full window or degraded"
+                    );
+                    assert!(w.accepted <= w.drafted);
+                    assert_eq!(committed[i], w.accepted + 1);
+                    if let Some(pool) = &core.pool {
+                        let held = pool.pages.pages_of(a.slot).len();
+                        assert_eq!(held, pool.pages.pages_needed(w.keep()), "tail returned");
                     }
-                    check(&core);
-                    let accepted = (0..k).take_while(|_| rng.gen_bool(s.accept_rate)).count();
-                    keep.push((i, ctx, accepted));
-                }
-                for (i, ctx, accepted) in keep {
-                    committed[i] = accepted + 1;
-                    core.shrink(i, ctx + accepted + 1);
-                    check(&core);
+                    reached.overhang_degrades += u64::from(cap > 0 && w.drafted == 0);
                 }
             }
             let step_s = 1e-3 * (1 + committed.iter().sum::<usize>()) as f64;

@@ -21,7 +21,7 @@
 //! the same trace on the same configuration reproduces bit-identical
 //! reports.
 
-use crate::cluster::{ClusterConfig, ClusterServer};
+use crate::cluster::{ClusterServer, PlacementPolicy};
 use crate::request::{Request, RequestOutcome};
 use zllm_accel::{AccelConfig, DecodeEngine};
 use zllm_layout::addr_map::AllocError;
@@ -257,11 +257,8 @@ impl Server {
         model: &ModelConfig,
         cfg: ServerConfig,
     ) -> Result<Server, AllocError> {
-        let board = ClusterConfig {
-            paged: cfg.paged.clone(),
-            ..ClusterConfig::new(1, 1, cfg.ctx_capacity, cfg.slots)
-        };
-        let fleet = ClusterServer::build(&accel, model, board, cfg)?;
+        let fleet =
+            ClusterServer::build(&accel, model, 1, 1, PlacementPolicy::JoinShortestKv, cfg)?;
         Ok(Server { fleet })
     }
 
@@ -284,7 +281,7 @@ impl Server {
     ///
     /// Panics if the trace is not sorted by arrival time.
     pub fn run(&mut self, trace: &[Request]) -> ServeReport {
-        let report = self.fleet.serve(trace);
+        let (report, _) = self.fleet.serve(trace);
         self.publish(&report);
         report
     }
